@@ -8,10 +8,12 @@ metrics/CLI harness used to verify the scaling laws empirically.
 from .aggregation import logsumexp_aggregate, max_aggregate
 from .algorithms import (
     AlgoConfig,
+    Batch,
     RunError,
     RunTrace,
+    Schedule,
+    advance,
     doubling_run,
-    make_algorithm,
     projected_ogd_run,
     run,
     theorem1_params,
@@ -36,7 +38,9 @@ from .oracle import (
     project_birkhoff,
 )
 from .problems import (
+    ArrayForm,
     DispatchParams,
+    FnArrays,
     ProblemSpec,
     derive_seed,
     dispatch_problem,
@@ -48,15 +52,20 @@ from .problems import (
 
 __all__ = [
     "AlgoConfig",
+    "ArrayForm",
     "BallDomain",
+    "Batch",
     "ConvexFn",
     "DispatchParams",
+    "FnArrays",
     "OracleError",
     "OracleResult",
     "ProblemSpec",
     "RunError",
     "RunSummary",
     "RunTrace",
+    "Schedule",
+    "advance",
     "clip_pos",
     "clipped_subgrad",
     "derive_seed",
@@ -69,7 +78,6 @@ __all__ = [
     "lagrangian_grad_x",
     "load_demand_csv",
     "logsumexp_aggregate",
-    "make_algorithm",
     "max_aggregate",
     "offline_solve",
     "offline_value",

@@ -1,4 +1,4 @@
-"""Online primal-dual algorithms and the run loop.
+"""Online primal-dual algorithms and the batched run kernel.
 
 Four variants:
 
@@ -14,26 +14,25 @@ Four variants:
 
 The baselines run with either the plain Lagrangian term lambda*g (their
 original form, the default) or the clipped term lambda*[g]_+ (the retrofit).
+
+``advance`` is the one kernel: it moves a (B, n) batch of iterates, one row
+per (config, seed) cell, through the problem's array form. ``run`` is a
+one-row call; a ``Batch`` lets many ``run`` calls share one kernel call.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .aggregation import logsumexp_aggregate, max_aggregate
-from .core import ConvexFn, lagrangian_grad_x, project_ball
+from .core import project_ball
 from .problems import ProblemSpec
 
 VARIANTS = ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd")
 _ALIASES = {"strong": "strong-clipped-ogd", "ogd": "mahdavi-ogd", "aogd": "a-ogd"}
-
-# best-effort fault injection for negative-control tests: corrupts the dual
-# update of clipped-ogd so the lambda-identity check must fail
-FAULT_LAMBDA_ENV = "OCOLC_FAULT_LAMBDA"
 
 
 class RunError(RuntimeError):
@@ -110,15 +109,64 @@ def tradeoff_eta(m: int, G: float, R: float, beta: float, T: int) -> float:
     return float(1.0 / (T**beta * G * np.sqrt(R * (m + 1))))
 
 
-@dataclass
-class StepState:
-    """State carried between steps; vals/agg are the constraint values at x."""
+class Schedule:
+    """One configuration resolved on one problem: the dual dimension m_eff,
+    the effective constants, and the stepsizes of every step t (1-based).
 
-    t: int
-    x: np.ndarray
-    lam: np.ndarray
-    vals: np.ndarray  # raw g_i(x), length m
-    agg: np.ndarray  # dual-facing constraint values, length k
+    Under max or logsumexp aggregation the dual faces one scalar constraint
+    (m_eff = 1); logsumexp's Lipschitz bound is sqrt(m) G.
+    """
+
+    def __init__(self, problem: ProblemSpec, cfg: AlgoConfig):
+        self.cfg = cfg
+        m = problem.m
+        self.m_eff = m if cfg.aggregation == "per_constraint" else 1
+        self.G_eff = float(np.sqrt(m)) * problem.G if cfg.aggregation == "logsumexp" else problem.G
+        self.eta = self.sigma = None
+        if cfg.variant == "strong-clipped-ogd":
+            if cfg.eta_override is not None or cfg.sigma_override is not None:
+                raise ValueError("the strongly convex variant has no constant eta/sigma to override")
+            if problem.H1 is None or problem.H1 <= 0:
+                raise ValueError(
+                    f"{cfg.variant} needs a strongly convex problem (H1 > 0); "
+                    f"{problem.name} has H1={problem.H1}"
+                )
+            self.H1 = float(problem.H1)
+            return
+        self.sigma = (
+            cfg.sigma_override
+            if cfg.sigma_override is not None
+            else (self.m_eff + 1) * self.G_eff**2 / (2.0 * (1.0 - cfg.alpha))
+        )
+        self.eta = (
+            cfg.eta_override
+            if cfg.eta_override is not None
+            else tradeoff_eta(self.m_eff, self.G_eff, problem.dom.radius, cfg.beta, cfg.T)
+        )
+        if cfg.variant == "a-ogd":
+            # dual ascent at mu_t = eta0 t^(beta-1) against theta_t = sigma eta0 t^(-beta)
+            self.eta0 = 1.0 / (self.G_eff * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
+            self.theta0 = self.sigma * self.eta0
+
+    def eta_t(self, t: int) -> float:
+        """Primal stepsize of the strongly convex variant, 1/(H1 (t+1))."""
+        return 1.0 / (self.H1 * (t + 1))
+
+    def theta_t(self, t: int) -> float:
+        """Dual regularization: eta_t (m+1) G^2 for the strongly convex
+        variant, sigma eta0 t^(-beta) for a-ogd."""
+        if self.cfg.variant == "strong-clipped-ogd":
+            return self.eta_t(t) * (self.m_eff + 1) * self.G_eff**2
+        return self.theta0 * t ** (-self.cfg.beta)
+
+    def mu_t(self, t: int) -> float:
+        """Dual ascent stepsize of a-ogd."""
+        return self.eta0 * t ** (self.cfg.beta - 1.0)
+
+
+def clipped_dual(agg: np.ndarray, sigma_eta: np.ndarray) -> np.ndarray:
+    """The clipped-ogd dual, the explicit maximizer [g]_+ / (sigma eta)."""
+    return np.maximum(agg, 0.0) / sigma_eta
 
 
 @dataclass
@@ -144,273 +192,288 @@ class RunTrace:
         return self.t.size
 
 
-class _View:
-    """Dual-facing constraint functions under the configured aggregation."""
-
-    def __init__(self, problem: ProblemSpec, mode: str):
-        self.mode = mode
-        m = problem.m
-        if mode == "per_constraint":
-            self.fns = list(problem.gs)
-            self.k = m
-            self.G_eff = problem.G
-        elif mode == "max":
-            self.fns = [max_aggregate(problem.gs, problem.constraint_values)]
-            self.k = 1
-            self.G_eff = problem.G
-        elif mode == "logsumexp":
-            self.fns = [logsumexp_aggregate(problem.gs, problem.constraint_values)]
-            self.k = 1
-            # the smoothed constraint has Lipschitz bound sqrt(m) G
-            self.G_eff = float(np.sqrt(m)) * problem.G
-        else:
-            raise ValueError(mode)
-
-    def agg_from_raw(self, raw: np.ndarray) -> np.ndarray:
-        if self.mode == "per_constraint":
-            return raw
-        if self.mode == "max":
-            return np.array([raw.max()])
-        top = raw.max()
-        return np.array([top + np.log(np.sum(np.exp(raw - top)))])
+def _kind(cfg: AlgoConfig) -> tuple:
+    """What the rows of one kernel call must share."""
+    return cfg.variant, cfg.aggregation, cfg.lagrangian
 
 
-class _Algorithm:
-    """Shared machinery: aggregation view, state init, gradient checks."""
-
-    def __init__(self, problem: ProblemSpec, cfg: AlgoConfig):
-        self.problem = problem
-        self.cfg = cfg
-        self.view = _View(problem, cfg.aggregation)
-        self.m_eff = self.view.k
-        self.G_eff = self.view.G_eff
-
-    def _resolve_constant_params(self):
-        cfg = self.cfg
-        self.sigma = (
-            cfg.sigma_override
-            if cfg.sigma_override is not None
-            else (self.m_eff + 1) * self.G_eff**2 / (2.0 * (1.0 - cfg.alpha))
-        )
-        self.eta = (
-            cfg.eta_override
-            if cfg.eta_override is not None
-            else tradeoff_eta(self.m_eff, self.G_eff, self.problem.dom.radius, cfg.beta, cfg.T)
-        )
-
-    def _observe(self, x: np.ndarray) -> tuple:
-        raw = np.asarray(self.problem.constraint_values(x), dtype=float)
-        return raw, self.view.agg_from_raw(raw)
-
-    def init_lambda(self, agg: np.ndarray) -> np.ndarray:
-        return np.zeros(self.view.k)
-
-    def init_state(self, x0: Optional[np.ndarray] = None) -> StepState:
-        x = self.problem.x0() if x0 is None else np.asarray(x0, dtype=float)
-        raw, agg = self._observe(x)
-        return StepState(t=1, x=x, lam=self.init_lambda(agg), vals=raw, agg=agg)
-
-    def _check(self, grad: np.ndarray, t: int) -> np.ndarray:
-        if not np.all(np.isfinite(grad)):
-            raise RunError(t, "non-finite Lagrangian gradient")
-        return grad
-
-    def step(self, state: StepState, f_t: ConvexFn) -> StepState:
-        raise NotImplementedError
+def _aggregate(V: np.ndarray, mode: str) -> np.ndarray:
+    """Dual-facing constraint values (B, k) from the raw values (B, m)."""
+    if mode == "per_constraint":
+        return V
+    if mode == "max" and V.shape[1] == 1:
+        return V
+    top = V.max(axis=1, keepdims=True)
+    if mode == "max":
+        return top
+    return top + np.log(np.exp(V - top).sum(axis=1, keepdims=True))
 
 
-class ClippedOGD(_Algorithm):
-    """Constant-stepsize algorithm with the explicit dual maximizer."""
+def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
+    """Primal subgradients (B, n) of the Lagrangian at the rows of X.
 
-    def __init__(self, problem, cfg):
-        super().__init__(problem, cfg)
-        self._resolve_constant_params()
-        self._fault = os.environ.get(FAULT_LAMBDA_ENV, "") not in ("", "0")
+    fgrad plus lam_i times the subgradient of dual-facing constraint i, over
+    the i with lam_i > 0, added in index order; under the clipped Lagrangian
+    a satisfied constraint contributes zero. max takes the lowest-index
+    argmax row; logsumexp sums the softmax-weighted rows in index order from
+    zero, skipping zero weights. Skipped terms are -0.0, which leaves every
+    sum unchanged, so each result matches adding the terms one at a time.
+    """
+    pos = lam > 0.0
+    if not np.count_nonzero(pos):
+        return fgrad
+    J = form.jacobian(X)
+    if mode == "max":
+        D = J if J.shape[1] == 1 else J[np.arange(len(V)), V.argmax(axis=1)][:, None, :]
+    elif mode == "logsumexp":
+        W = np.exp(V - V.max(axis=1, keepdims=True))
+        W /= W.sum(axis=1, keepdims=True)
+        terms = np.where((W > 0.0)[:, :, None], W[:, :, None] * J, -0.0)
+        zero = np.zeros((len(V), 1, J.shape[2]))
+        D = np.add.accumulate(np.concatenate([zero, terms], axis=1), axis=1)[:, -1:]
+    else:
+        D = J
+    if clipped:
+        checked = form.evals(X) if mode == "per_constraint" else A
+        D = np.where((checked <= 0.0)[:, :, None], 0.0, D)
+    if lam.shape[1] == 1:
+        return np.where(pos, fgrad + lam * D[:, 0], fgrad)
+    terms = np.where(pos[:, :, None], lam[:, :, None] * D, -0.0)
+    return np.add.accumulate(np.concatenate([fgrad[:, None], terms], axis=1), axis=1)[:, -1]
 
-    def _dual(self, agg: np.ndarray) -> np.ndarray:
-        lam = np.maximum(agg, 0.0) / (self.sigma * self.eta)
-        if self._fault:
-            lam = lam * 1.5 + 1e-3
-        return lam
 
-    def init_lambda(self, agg):
-        return self._dual(agg)
+def advance(
+    problem: ProblemSpec,
+    cfgs: List[AlgoConfig],
+    seeds: List[int],
+    steps: Optional[List[int]] = None,
+    x0: Optional[np.ndarray] = None,
+    lam0: Optional[np.ndarray] = None,
+    start: int = 0,
+):
+    """Advance a batch of cells in lockstep: the run kernel.
 
-    def step(self, state, f_t):
-        grad = self._check(
-            lagrangian_grad_x(f_t, self.view.fns, state.x, state.lam), state.t
-        )
-        x_new = project_ball(state.x - self.eta * grad, self.problem.dom)
-        raw, agg = self._observe(x_new)
-        return StepState(state.t + 1, x_new, self._dual(agg), raw, agg)
+    Row b runs cfgs[b] on the loss stream of seeds[b] for steps[b] steps
+    (default cfgs[b].T), reading losses start, start+1, ... of the stream.
+    It starts from x0[b] (default the problem's x0) with duals lam0,
+    broadcast to (B, m_eff) (default the variant's initial duals). All rows
+    share variant, aggregation and lagrangian; eta, sigma, beta, alpha and
+    horizon may differ per row. Each row is recorded before each of its
+    steps, and the step after its last recorded row still runs, so its
+    state can be carried on.
 
+    Returns (traces, x_next, lam_next): per row, in input order, its RunTrace
+    or the RunError that stopped it, and its state after its final step.
+    """
+    B = len(cfgs)
+    steps = [cfg.T for cfg in cfgs] if steps is None else list(steps)
+    scheds = [Schedule(problem, cfg) for cfg in cfgs]
+    variant, mode, lagrangian = _kind(cfgs[0])
+    if any(_kind(cfg) != _kind(cfgs[0]) for cfg in cfgs):
+        raise ValueError("rows of one kernel call must share variant, aggregation and lagrangian")
+    form = problem.array_form()
+    R = problem.dom.radius
+    k, n, m = scheds[0].m_eff, problem.n, problem.m
 
-class StrongClippedOGD(_Algorithm):
-    """Time-varying stepsize eta_t = 1/(H1 (t+1)), theta_t = eta_t (m+1) G^2."""
+    # rows sorted by horizon, longest first: the live rows are then a prefix
+    # until a row fails
+    order = sorted(range(B), key=lambda b: -steps[b])
+    T_max = steps[order[0]]
+    params = None
+    for i, b in enumerate(order):
+        p_b = form.params(seeds[b], start + steps[b], start)
+        if params is None:
+            params = np.empty((B, T_max) + p_b.shape[1:], dtype=p_b.dtype)
+        params[i, : steps[b]] = p_b
 
-    def __init__(self, problem, cfg):
-        super().__init__(problem, cfg)
-        if cfg.eta_override is not None or cfg.sigma_override is not None:
-            raise ValueError("the strongly convex variant has no constant eta/sigma to override")
-        if problem.H1 is None or problem.H1 <= 0:
-            raise ValueError(
-                f"{cfg.variant} needs a strongly convex problem (H1 > 0); "
-                f"{problem.name} has H1={problem.H1}"
+    def column(values):
+        return np.array([values[b] for b in order], dtype=float)[:, None]
+
+    # per-row stepsizes, as (B, 1) columns or (B, T_max) tables
+    eta_x = sigma_eta = mu = theta = None
+    if variant != "strong-clipped-ogd":  # that one has the same eta_t on every row
+        eta_x = column([s.eta for s in scheds])
+        sigma_eta = column([s.sigma * s.eta for s in scheds])
+    if variant == "a-ogd":
+        # t^(beta-1) and t^(-beta), one Python power per (beta, t)
+        pows = {
+            beta: (
+                np.array([t ** (beta - 1.0) for t in range(1, T_max + 1)]),
+                np.array([t ** (-beta) for t in range(1, T_max + 1)]),
             )
-        self.H1 = float(problem.H1)
+            for beta in {cfg.beta for cfg in cfgs}
+        }
+        mu = np.array([scheds[b].eta0 * pows[cfgs[b].beta][0] for b in order])
+        theta = np.array([scheds[b].theta0 * pows[cfgs[b].beta][1] for b in order])
 
-    def eta_t(self, t: int) -> float:
-        return 1.0 / (self.H1 * (t + 1))
+    X = np.tile(problem.x0(), (B, 1)) if x0 is None else np.asarray(x0, dtype=float)[order]
+    V = form.values(X)
+    A = _aggregate(V, mode)
+    if lam0 is not None:
+        lam = np.broadcast_to(np.asarray(lam0, dtype=float), (B, k))[order]
+    elif variant == "clipped-ogd":
+        lam = clipped_dual(A, sigma_eta)
+    elif variant == "strong-clipped-ogd":
+        lam = np.maximum(A, 0.0) / scheds[0].theta_t(1)
+    else:
+        lam = np.zeros((B, k))
 
-    def theta_t(self, t: int) -> float:
-        return self.eta_t(t) * (self.m_eff + 1) * self.G_eff**2
+    rec_x = np.empty((B, T_max, n))
+    rec_fx = np.empty((B, T_max))
+    rec_g = np.empty((B, T_max, m))
+    rec_agg = np.empty((B, T_max, k))
+    rec_lam = np.empty((B, T_max, k))
+    x_next = np.empty((B, n))
+    lam_next = np.empty((B, k))
+    errors = {}
 
-    def init_lambda(self, agg):
-        return np.maximum(agg, 0.0) / self.theta_t(1)
+    live = np.arange(B)  # sorted positions of the rows still running
+    sel = slice(0, B)  # the same rows, as a slice while they are a prefix
+    ends = np.array([steps[b] for b in order])
+    next_end = ends.min()
 
-    def step(self, state, f_t):
-        grad = self._check(
-            lagrangian_grad_x(f_t, self.view.fns, state.x, state.lam), state.t
+    def keep(mask):
+        nonlocal live, sel, next_end, X, V, A, lam, eta_x, sigma_eta, mu, theta
+        live = live[mask]
+        sel = slice(0, live.size) if np.array_equal(live, np.arange(live.size)) else live
+        next_end = ends[live].min(initial=T_max)
+        X, V, A, lam = X[mask], V[mask], A[mask], lam[mask]
+        if eta_x is not None:
+            eta_x, sigma_eta = eta_x[mask], sigma_eta[mask]
+        if mu is not None:
+            mu, theta = mu[mask], theta[mask]
+
+    ascent = variant in ("mahdavi-ogd", "a-ogd")
+    clip = lagrangian == "clipped"
+    for s in range(T_max):
+        t = s + 1
+        fx, fgrad = form.loss(X, params[sel, s])
+        rec_x[sel, s] = X
+        rec_fx[sel, s] = fx
+        rec_g[sel, s] = V
+        rec_agg[sel, s] = A
+        rec_lam[sel, s] = lam
+
+        grad = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clip)
+        Y = X - (scheds[0].eta_t(t) if eta_x is None else eta_x) * grad
+        nrm = np.sqrt(np.vecdot(Y, Y))
+        if not math.isfinite(np.add.reduce(nrm)):  # a non-finite gradient, or overflow
+            bad = ~np.isfinite(grad).all(axis=1)
+            if bad.any():
+                for i in live[bad]:
+                    errors[order[i]] = RunError(t, "non-finite Lagrangian gradient")
+                Y, nrm = Y[~bad], nrm[~bad]
+                keep(~bad)
+                if live.size == 0:
+                    break
+            if not np.isfinite(Y).all():
+                raise ValueError("cannot project non-finite vector")
+        over = nrm > R
+        if over.any():
+            Y[over] = Y[over] * (R / nrm[over])[:, None]
+
+        if ascent:
+            if variant == "mahdavi-ogd":
+                step, reg = eta_x, sigma_eta
+            else:
+                step, reg = mu[:, s : s + 1], theta[:, s : s + 1]
+            resid = (np.maximum(A, 0.0) if clip else A) - reg * lam
+            lam = np.maximum(lam + step * resid, 0.0)
+        X = Y
+        V = form.values(X)
+        A = _aggregate(V, mode)
+        if variant == "clipped-ogd":
+            lam = clipped_dual(A, sigma_eta)
+        elif variant == "strong-clipped-ogd":
+            lam = np.maximum(A, 0.0) / scheds[0].theta_t(t + 1)
+
+        if t == next_end:
+            done = ends[live] == t
+            x_next[live[done]] = X[done]
+            lam_next[live[done]] = lam[done]
+            keep(~done)
+            if live.size == 0:
+                break
+
+    traces = [None] * B
+    for i, b in enumerate(order):
+        if b in errors:
+            traces[b] = errors[b]
+            continue
+        T_b = steps[b]
+        sched = scheds[b]
+        traces[b] = RunTrace(
+            problem=problem.name,
+            variant=variant,
+            seed=seeds[b],
+            config=cfgs[b],
+            t=np.arange(1, T_b + 1),
+            x=rec_x[i, :T_b],
+            fx=rec_fx[i, :T_b],
+            g=rec_g[i, :T_b],
+            g_agg=rec_agg[i, :T_b],
+            lam=rec_lam[i, :T_b],
+            eta=sched.eta,
+            sigma=sched.sigma,
+            meta={
+                "g_bar_x1": float(rec_agg[i, 0].max()),
+                "m_eff": sched.m_eff,
+                "G_eff": sched.G_eff,
+            },
         )
-        x_new = project_ball(state.x - self.eta_t(state.t) * grad, self.problem.dom)
-        raw, agg = self._observe(x_new)
-        lam = np.maximum(agg, 0.0) / self.theta_t(state.t + 1)
-        return StepState(state.t + 1, x_new, lam, raw, agg)
+    inverse = np.argsort(order)
+    return traces, x_next[inverse], lam_next[inverse]
 
 
-class _GradientAscentDual(_Algorithm):
-    """Shared simultaneous descent/ascent step for the two baselines."""
+class Batch:
+    """Cells (config, seed) on one problem that share kernel calls.
 
-    def _primal_grad(self, state, f_t):
-        if self.cfg.lagrangian == "clipped":
-            return lagrangian_grad_x(f_t, self.view.fns, state.x, state.lam)
-        # plain Lagrangian: lambda_i * grad g_i regardless of feasibility
-        grad = np.asarray(f_t.subgrad(state.x), dtype=float)
-        for lam_i, g in zip(state.lam, self.view.fns):
-            if lam_i > 0.0:
-                grad = grad + lam_i * np.asarray(g.subgrad(state.x), dtype=float)
-        return grad
-
-    def _dual_residual(self, state, theta):
-        vals = state.agg if self.cfg.lagrangian == "plain" else np.maximum(state.agg, 0.0)
-        return vals - theta * state.lam
-
-    def _advance(self, state, f_t, eta_x, dual_step, theta):
-        grad = self._check(self._primal_grad(state, f_t), state.t)
-        x_new = project_ball(state.x - eta_x * grad, self.problem.dom)
-        lam = np.maximum(state.lam + dual_step * self._dual_residual(state, theta), 0.0)
-        raw, agg = self._observe(x_new)
-        return StepState(state.t + 1, x_new, lam, raw, agg)
-
-
-class MahdaviOGD(_GradientAscentDual):
-    """Single stepsize eta on both players; dual regularization sigma*eta."""
-
-    def __init__(self, problem, cfg):
-        super().__init__(problem, cfg)
-        self._resolve_constant_params()
-
-    def step(self, state, f_t):
-        return self._advance(state, f_t, self.eta, self.eta, self.sigma * self.eta)
-
-
-class AOGD(_GradientAscentDual):
-    """Distinct primal/dual schedules on the max-aggregated constraint.
-
-    The primal stepsize is the constant eta ~ 1/T^beta; the dual ascent runs
-    at mu_t = eta0 * t^(beta-1) against a decaying regularization
-    theta_t = sigma * eta0 * t^(-beta), with eta0 = 1/(G sqrt(R (m+1))).
+    ``run(batch, cfg, seed)`` returns the trace of one cell. The first such
+    call advances every cell of its (variant, aggregation, lagrangian) group
+    in one kernel call; later calls return rows already computed. For any
+    other attribute a batch stands in for its problem.
     """
 
-    def __init__(self, problem, cfg):
-        super().__init__(problem, cfg)
-        self._resolve_constant_params()
-        self.eta0 = 1.0 / (self.G_eff * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
-        self.theta0 = self.sigma * self.eta0
+    def __init__(self, problem: ProblemSpec, cells):
+        self.problem = problem
+        self._pending = list(dict.fromkeys(cells))
+        self._done = {}
 
-    def theta_t(self, t: int) -> float:
-        return self.theta0 * t ** (-self.cfg.beta)
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
 
-    def mu_t(self, t: int) -> float:
-        return self.eta0 * t ** (self.cfg.beta - 1.0)
-
-    def step(self, state, f_t):
-        return self._advance(
-            state, f_t, self.eta, self.mu_t(state.t), self.theta_t(state.t)
-        )
-
-
-_CLASSES = {
-    "clipped-ogd": ClippedOGD,
-    "strong-clipped-ogd": StrongClippedOGD,
-    "mahdavi-ogd": MahdaviOGD,
-    "a-ogd": AOGD,
-}
-
-
-def make_algorithm(problem: ProblemSpec, cfg: AlgoConfig) -> _Algorithm:
-    return _CLASSES[cfg.variant](problem, cfg)
+    def trace(self, cfg: AlgoConfig, seed: int) -> RunTrace:
+        key = (cfg, seed)
+        if key not in self._done:
+            if key not in self._pending:
+                raise KeyError(f"cell {key} is not in this batch")
+            group = [c for c in self._pending if _kind(c[0]) == _kind(cfg)]
+            self._pending = [c for c in self._pending if c not in group]
+            traces, _, _ = advance(self.problem, [c for c, _ in group], [s for _, s in group])
+            self._done.update(zip(group, traces))
+        out = self._done[key]
+        if isinstance(out, RunError):
+            raise out
+        return out
 
 
 def run(problem: ProblemSpec, cfg: AlgoConfig, seed: int) -> RunTrace:
-    """Run one algorithm for T steps from the ball center. Deterministic in seed."""
-    algo = make_algorithm(problem, cfg)
-    losses = problem.losses(seed, cfg.T)
-    trace, _ = _drive(problem, algo, losses, algo.init_state(), seed, meta={})
-    return trace
+    """Run one algorithm for T steps from the ball center. Deterministic in seed.
 
-
-def _drive(problem, algo, losses, state, seed, meta, trace_arrays=None, offset=0):
-    """Advance through `losses`, recording each visited state; the step after
-    the final recorded row still executes so callers can carry the state on."""
-    T = len(losses)
-    cfg = algo.cfg
-    if trace_arrays is None:
-        total = T + offset
-        trace_arrays = {
-            "x": np.empty((total, problem.n)),
-            "fx": np.empty(total),
-            "g": np.empty((total, problem.m)),
-            "g_agg": np.empty((total, algo.view.k)),
-            "lam": np.empty((total, algo.view.k)),
-        }
-    a = trace_arrays
-    for i, f_t in enumerate(losses):
-        row = offset + i
-        a["x"][row] = state.x
-        a["fx"][row] = f_t.eval(state.x)
-        a["g"][row] = state.vals
-        a["g_agg"][row] = state.agg
-        a["lam"][row] = state.lam
-        state = algo.step(state, f_t)
-    total = offset + T
-    meta = dict(meta)
-    meta.setdefault("g_bar_x1", float(a["g_agg"][0].max()))
-    meta.setdefault("m_eff", algo.m_eff)
-    meta.setdefault("G_eff", algo.G_eff)
-    trace = RunTrace(
-        problem=problem.name,
-        variant=cfg.variant,
-        seed=seed,
-        config=cfg,
-        t=np.arange(1, total + 1),
-        x=a["x"][:total],
-        fx=a["fx"][:total],
-        g=a["g"][:total],
-        g_agg=a["g_agg"][:total],
-        lam=a["lam"][:total],
-        eta=getattr(algo, "eta", None),
-        sigma=getattr(algo, "sigma", None),
-        meta=meta,
-    )
-    return trace, state
+    ``problem`` may be a Batch holding (cfg, seed), so that every cell of a
+    grid is still one run() call while the grid advances in one kernel call.
+    """
+    if not isinstance(problem, Batch):
+        problem = Batch(problem, [(cfg, seed)])
+    return problem.trace(cfg, seed)
 
 
 def projected_ogd_run(problem: ProblemSpec, seed: int, T: int, eta: float) -> np.ndarray:
     """Plain projected OGD reference, x_{t+1} = proj(x_t - eta grad f_t(x_t)).
 
     Returns the (T, n) iterate matrix; used to verify that clipped-ogd
-    degenerates to it bitwise on never-violated instances.
+    degenerates to it bitwise on never-violated instances. It runs on the
+    problem's ConvexFn closures, independently of the kernel.
     """
     losses = problem.losses(seed, T)
     x = problem.x0()
@@ -446,44 +509,24 @@ def doubling_run(
     tied to the epoch's sigma*eta). The loss sequence is the same one run()
     would see for the full horizon.
     """
-    lengths = doubling_epochs(total)
-    losses = problem.losses(seed, total)
-    arrays = None
-    offset = 0
-    x_carry = None
-    epoch_meta = []
-    trace = None
-    nominal = 1
-    for length in lengths:
+    epochs, epoch_meta = [], []
+    x, offset, nominal = None, 0, 1
+    for length in doubling_epochs(total):
         cfg = cfg_factory(nominal)
         if cfg.T != nominal:
             raise ValueError(f"cfg_factory({nominal}) returned T={cfg.T}")
-        algo = make_algorithm(problem, cfg)
-        state = algo.init_state(x_carry)
-        state.lam = np.zeros(algo.view.k)  # epoch boundary: duals reset
-        if arrays is None:
-            arrays = {
-                "x": np.empty((total, problem.n)),
-                "fx": np.empty(total),
-                "g": np.empty((total, problem.m)),
-                "g_agg": np.empty((total, algo.view.k)),
-                "lam": np.empty((total, algo.view.k)),
-            }
-        trace, state = _drive(
-            problem,
-            algo,
-            losses[offset : offset + length],
-            state,
-            seed,
-            meta={},
-            trace_arrays=arrays,
-            offset=offset,
+        (trace,), x, _ = advance(
+            problem, [cfg], [seed], steps=[length], x0=x, lam0=0.0, start=offset
         )
-        epoch_meta.append(
-            {"nominal": nominal, "length": length, "eta": getattr(algo, "eta", None)}
-        )
+        if isinstance(trace, RunError):
+            raise trace
+        epochs.append(trace)
+        epoch_meta.append({"nominal": nominal, "length": length, "eta": trace.eta})
         offset += length
-        x_carry = state.x
         nominal *= 2
+    trace.t = np.arange(1, total + 1)
+    for name in ("x", "fx", "g", "g_agg", "lam"):
+        setattr(trace, name, np.concatenate([getattr(e, name) for e in epochs]))
+    trace.meta["g_bar_x1"] = epochs[0].meta["g_bar_x1"]
     trace.meta["epochs"] = epoch_meta
     return trace

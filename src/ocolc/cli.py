@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .algorithms import AlgoConfig, RunError, run
+from .algorithms import AlgoConfig, Batch, RunError, run
 from .metrics import summarize
 from .oracle import OracleError, offline_value
 from .problems import (
@@ -242,26 +242,33 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(task: dict) -> dict:
-    """One sweep cell, self-contained so it can run in a worker process."""
-    s = Settings(argparse.Namespace(**task["settings"]))
-    problem = build_problem(s)
-    cfg = build_config(s, T=task["T"], algo=task["algo"])
+def _sweep_cell(batch: Batch, cfg: AlgoConfig, cell: dict) -> dict:
+    """One sweep cell reduced to its sweep.csv row."""
     try:
-        trace = run(problem, cfg, task["seed"])
+        trace = run(batch, cfg, cell["seed"])
     except RunError as e:
-        return dict(task, error=str(e))
+        return dict(cell, error=str(e))
     gmax = trace.g.max(axis=1)
     clip = np.maximum(gmax, 0.0)
     return dict(
-        task,
+        cell,
         error=None,
-        regret=float(trace.fx.sum() - task["offline_value"]),
+        regret=float(trace.fx.sum() - cell["offline_value"]),
         sum_g=float(gmax.sum()),
         sum_clip=float(clip.sum()),
         sum_clip_sq=float((clip * clip).sum()),
         max_step_violation=float(clip.max(initial=0.0)),
     )
+
+
+def _sweep_group(group: dict) -> list:
+    """One algorithm's T x seed grid: one kernel call, one row per cell.
+    Self-contained so it can run in a worker process."""
+    s = Settings(argparse.Namespace(**group["settings"]))
+    problem = build_problem(s)
+    cfgs = [build_config(s, T=c["T"], algo=c["algo"]) for c in group["cells"]]
+    batch = Batch(problem, [(cfg, c["seed"]) for cfg, c in zip(cfgs, group["cells"])])
+    return [_sweep_cell(batch, cfg, c) for cfg, c in zip(cfgs, group["cells"])]
 
 
 def cmd_sweep(s: Settings) -> int:
@@ -286,24 +293,28 @@ def cmd_sweep(s: Settings) -> int:
             oracle_vals[(T, i)] = blob["value"]
 
     settings_snapshot = {k: v for k, v in vars(s.ns).items() if k != "command"}
-    tasks = [
+    groups = [
         {
-            "algo": algo,
-            "T": T,
-            "seed": derive_seed(base_seed, i),
-            "seed_index": i,
-            "offline_value": oracle_vals[(T, i)],
             "settings": settings_snapshot,
+            "cells": [
+                {
+                    "algo": algo,
+                    "T": T,
+                    "seed": derive_seed(base_seed, i),
+                    "seed_index": i,
+                    "offline_value": oracle_vals[(T, i)],
+                }
+                for T in t_grid
+                for i in range(n_seeds)
+            ],
         }
         for algo in algos
-        for T in t_grid
-        for i in range(n_seeds)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+            rows = [row for group in pool.map(_sweep_group, groups) for row in group]
     else:
-        rows = [_sweep_cell(t) for t in tasks]
+        rows = [row for group in groups for row in _sweep_group(group)]
     rows.sort(key=lambda r: (r["algo"], r["T"], r["seed_index"]))
 
     failures = [r for r in rows if r["error"]]
@@ -415,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lagrangian", choices=("clipped", "plain"))
     p_sweep.add_argument("--eta", type=float)
     p_sweep.add_argument("--sigma", type=float)
-    p_sweep.add_argument("--jobs", type=int, help="concurrent sweep cells")
+    p_sweep.add_argument("--jobs", type=int, help="worker processes, one algorithm each")
 
     p_oracle = sub.add_parser("oracle", help="offline optimum for one (problem, seed, T)")
     common(p_oracle)

@@ -8,7 +8,14 @@ parameter H1.
 Randomness: every stream is a pure function of (seed, t). Generators are
 derived through one splitting rule, ``SeedSequence((seed, stream_id))``, and
 consume a fixed number of variates per step, so the loss at step t does not
-depend on the horizon it was generated for.
+depend on the horizon it was generated for, and step t can be drawn alone by
+jumping the generator past the earlier steps.
+
+Besides its ConvexFn closures, each built-in problem has an array form
+(``ArrayForm``) that the batched run kernel reads: loss parameters indexed by
+t, and losses, constraint values and constraint subgradients evaluated over a
+(B, n) batch of points in one call. Problems built from closures alone go
+through ``FnArrays``, which evaluates the same closures row by row.
 """
 
 from __future__ import annotations
@@ -53,17 +60,94 @@ class ProblemSpec:
     project_feasible: Optional[Callable[[Vector], Vector]] = None
     offline_solution: Optional[Callable[[int, int], Vector]] = None  # exact x* when known
     meta: dict = field(default_factory=dict)
+    arrays: Optional["ArrayForm"] = None  # batched form of gs and losses, when built in
 
     @property
     def m(self) -> int:
         return len(self.gs)
 
+    def array_form(self) -> "ArrayForm":
+        """The form the run kernel reads.
+
+        ``arrays`` describes the constraint list it was built with; a copy
+        such as ``dataclasses.replace(spec, gs=...)`` carries a new list and
+        so runs through its ConvexFn closures instead.
+        """
+        if self.arrays is not None and self.arrays.gs is self.gs:
+            return self.arrays
+        return FnArrays(self)
+
     def loss_stream(self, seed: int, t: int) -> ConvexFn:
         """Loss at step t (0-based), independent of any horizon."""
-        return self.losses(seed, t + 1)[t]
+        form = self.array_form()
+        return form.loss_fn(form.params(seed, t + 1, start=t)[0])
 
     def x0(self) -> Vector:
         return np.zeros(self.n)
+
+
+class ArrayForm:
+    """A problem over a batch: row b of every (B, ...) array is one cell.
+
+    Subclasses provide:
+
+    * ``params(seed, stop, start=0)``: loss parameters of steps start..stop-1,
+      one row per step, each a pure function of (seed, t);
+    * ``loss(X, P)``: loss values (B,) and gradients (B, n) at the points
+      X (B, n), row b taking its parameters from P[b];
+    * ``values(X)``: constraint values (B, m), as ``constraint_values``;
+    * ``jacobian(X)``: constraint subgradient rows (B, m, n);
+    * ``loss_fn(row)``: the ConvexFn of one parameter row.
+
+    Each must equal the spec's ConvexFn path bit for bit: per-row dot
+    products go through ``np.vecdot``, which matches ``c @ x``, where
+    ``(C * X).sum(1)`` does not.
+    """
+
+    gs: List[ConvexFn]  # the constraint list this form describes
+
+    def evals(self, X):
+        """Constraint values (B, m) as each ``g.eval`` computes them, which
+        per-constraint duals test for [g]_+ > 0."""
+        return self.values(X)
+
+
+class FnArrays(ArrayForm):
+    """The array form of any ProblemSpec, evaluating its closures row by row."""
+
+    def __init__(self, problem: ProblemSpec):
+        self.problem = problem
+        self.gs = problem.gs
+
+    def params(self, seed, stop, start=0):
+        fns = np.empty(stop - start, dtype=object)
+        fns[:] = self.problem.losses(seed, stop)[start:]
+        return fns
+
+    def loss(self, X, fns):
+        fx = np.array([f.eval(x) for f, x in zip(fns, X)], dtype=float)
+        grad = np.array([np.asarray(f.subgrad(x), dtype=float) for f, x in zip(fns, X)])
+        return fx, grad
+
+    def values(self, X):
+        cv = self.problem.constraint_values
+        return np.array([np.asarray(cv(x), dtype=float) for x in X])
+
+    def evals(self, X):
+        return np.array([[g.eval(x) for g in self.gs] for x in X], dtype=float)
+
+    def jacobian(self, X):
+        return np.array([[np.asarray(g.subgrad(x), dtype=float) for g in self.gs] for x in X])
+
+    def loss_fn(self, f):
+        return f
+
+
+def _uniform_rows(seed: int, stop: int, start: int, width: int) -> np.ndarray:
+    """Rows start..stop-1 of the loss stream's (step, width) uniform draws."""
+    rng = _rng(seed, _STREAM_LOSS)
+    rng.bit_generator.advance(width * start)  # one 64-bit draw per variate
+    return rng.uniform(size=(stop - start, width))
 
 
 # ---------------------------------------------------------------------------
@@ -71,16 +155,43 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def toy_raw_costs(seed: int, T: int) -> np.ndarray:
-    """Cost vectors before normalization: uniform on [0, 1.2] x [0, 1]."""
-    u = _rng(seed, _STREAM_LOSS).uniform(size=(T, 2))
-    return u * np.array([1.2, 1.0])
+def toy_raw_costs(seed: int, T: int, start: int = 0) -> np.ndarray:
+    """Cost vectors of steps start..T-1 before normalization: uniform on
+    [0, 1.2] x [0, 1]."""
+    return _uniform_rows(seed, T, start, 2) * np.array([1.2, 1.0])
 
 
-def toy_costs(seed: int, T: int) -> np.ndarray:
-    """Unit-norm cost vectors c_t, row t depending only on (seed, t)."""
-    raw = toy_raw_costs(seed, T)
+def toy_costs(seed: int, T: int, start: int = 0) -> np.ndarray:
+    """Unit-norm cost vectors c_t of steps start..T-1, row t depending only
+    on (seed, t)."""
+    raw = toy_raw_costs(seed, T, start)
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+class _ToyArrays(ArrayForm):
+    def __init__(self, gs, l1_radius):
+        self.gs = gs
+        self.l1_radius = l1_radius
+
+    def params(self, seed, stop, start=0):
+        return toy_costs(seed, stop, start)
+
+    def loss(self, X, C):
+        return np.vecdot(X, C), C
+
+    def values(self, X):
+        return (np.abs(X).sum(axis=1) - self.l1_radius)[:, None]
+
+    def jacobian(self, X):
+        return np.sign(X)[:, None, :]
+
+    def loss_fn(self, c):
+        return ConvexFn(
+            lambda x: float(c @ x),
+            lambda x: c,
+            lipschitz_hint=1.0,
+            eval_many=lambda X: X @ c,
+        )
 
 
 def project_l1_ball(x: Vector, radius: float = 1.0) -> Vector:
@@ -95,31 +206,26 @@ def project_l1_ball(x: Vector, radius: float = 1.0) -> Vector:
     return np.sign(x) * np.maximum(a - theta, 0.0)
 
 
-def toy_problem(seed: int = 0) -> ProblemSpec:
-    """min sum_t c_t.x  s.t.  |x1| + |x2| - 1 <= 0, decisions in the unit ball.
+def toy_problem(seed: int = 0, l1_radius: float = 1.0) -> ProblemSpec:
+    """min sum_t c_t.x  s.t.  |x1| + |x2| - l1_radius <= 0, decisions in the
+    unit ball.
 
     The l1 unit ball sits inside the l2 unit ball, so R = 1. The constraint
     subgradient is the sign vector (norm at most sqrt(2)), the losses have
-    unit norm, hence G = sqrt(2).
+    unit norm, hence G = sqrt(2). With l1_radius > sqrt(2) the constraint
+    never binds inside the ball.
     """
     g_l1 = ConvexFn(
-        lambda x: float(np.abs(x).sum() - 1.0),
+        lambda x: float(np.abs(x).sum() - l1_radius),
         lambda x: np.sign(x),
         lipschitz_hint=np.sqrt(2.0),
-        eval_many=lambda X: np.abs(X).sum(axis=1) - 1.0,
+        eval_many=lambda X: np.abs(X).sum(axis=1) - l1_radius,
     )
+    gs = [g_l1]
+    arrays = _ToyArrays(gs, l1_radius)
 
     def losses(s, T):
-        C = toy_costs(s, T)
-        return [
-            ConvexFn(
-                lambda x, c=c: float(c @ x),
-                lambda x, c=c: c,
-                lipschitz_hint=1.0,
-                eval_many=lambda X, c=c: X @ c,
-            )
-            for c in C
-        ]
+        return [arrays.loss_fn(c) for c in arrays.params(s, T)]
 
     def mean_loss(s, T):
         cbar = toy_costs(s, T).mean(axis=0)
@@ -131,27 +237,28 @@ def toy_problem(seed: int = 0) -> ProblemSpec:
         )
 
     def offline_solution(s, T):
-        # linear loss over the l1 ball: the optimum is the vertex -sign(c_j) e_j
-        # at the largest |mean cost| coordinate
+        # linear loss over an l1 ball inside the unit ball: the optimum is the
+        # vertex -sign(c_j) r e_j at the largest |mean cost| coordinate
         cbar = toy_costs(s, T).mean(axis=0)
         j = int(np.argmax(np.abs(cbar)))
         x = np.zeros(2)
-        x[j] = -np.sign(cbar[j])
+        x[j] = -np.sign(cbar[j]) * l1_radius
         return x
 
     return ProblemSpec(
         name="toy",
         n=2,
-        gs=[g_l1],
+        gs=gs,
         dom=BallDomain(radius=1.0, dim=2),
         G=float(np.sqrt(2.0)),
         H1=None,
-        constraint_values=lambda x: np.array([np.abs(x).sum() - 1.0]),
+        constraint_values=lambda x: np.array([np.abs(x).sum() - l1_radius]),
         losses=losses,
         mean_loss=mean_loss,
-        project_feasible=lambda x: project_l1_ball(x, 1.0),
-        offline_solution=offline_solution,
-        meta={"seed_hint": seed},
+        project_feasible=lambda x: project_l1_ball(x, l1_radius),
+        offline_solution=offline_solution if l1_radius <= 1.0 else None,
+        meta={"seed_hint": seed, "l1_radius": l1_radius},
+        arrays=arrays,
     )
 
 
@@ -160,21 +267,77 @@ def toy_problem(seed: int = 0) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def permutation_batch(seed: int, T: int, d: int) -> np.ndarray:
-    """T random permutations of range(d), via argsort of iid uniforms.
+def permutation_batch(seed: int, T: int, d: int, start: int = 0) -> np.ndarray:
+    """Random permutations of range(d) for steps start..T-1, via argsort of
+    iid uniforms.
 
     argsort keeps per-step variate consumption fixed at d, preserving the
     (seed, t) purity that rejection-sampling shuffles would break.
     """
-    u = _rng(seed, _STREAM_LOSS).uniform(size=(T, d))
-    return np.argsort(u, axis=1)
+    return np.argsort(_uniform_rows(seed, T, start, d), axis=1)
 
 
-def _perm_matrix(perm: np.ndarray) -> np.ndarray:
-    d = perm.size
-    Y = np.zeros((d, d))
-    Y[np.arange(d), perm] = 1.0
-    return Y
+class _DoublyStochasticArrays(ArrayForm):
+    """Parameters are the flat positions of the ones of each target Y_t.
+
+    The constraints are affine with constant subgradient rows A: row sums
+    <= 1 and >= 1, column sums <= 1 and >= 1, then entrywise x >= 0. Their
+    ConvexFn views evaluate one row of ``evals``.
+    """
+
+    def __init__(self, d, G):
+        self.d = d
+        self.G = G
+        n = d * d
+        self.offsets = np.arange(d) * d
+        rows, cols = np.repeat(np.eye(d), d, axis=1), np.tile(np.eye(d), d)  # (d, n)
+        # 0.0 - M negates the ones and keeps the zeros +0.0
+        self.A = np.concatenate([rows, 0.0 - rows, cols, 0.0 - cols, 0.0 - np.eye(n)])
+        self.A.flags.writeable = False
+        self.gs = [
+            ConvexFn(
+                lambda x, i=i: float(self.evals(x[None])[0, i]),
+                lambda x, i=i: self.A[i],
+                lipschitz_hint=float(np.linalg.norm(a)),
+            )
+            for i, a in enumerate(self.A)
+        ]
+
+    def params(self, seed, stop, start=0):
+        return permutation_batch(seed, stop, self.d, start) + self.offsets
+
+    def loss(self, X, P):
+        Y = np.zeros_like(X)
+        np.put_along_axis(Y, P, 1.0, axis=1)
+        return 0.5 * ((Y - X) ** 2).sum(axis=1), X - Y
+
+    def values(self, X):
+        X3 = X.reshape(len(X), self.d, self.d)
+        rows = X3.sum(axis=2)
+        cols = X3.sum(axis=1)
+        return np.concatenate([rows - 1.0, 1.0 - rows, cols - 1.0, 1.0 - cols, -X], axis=1)
+
+    def evals(self, X):
+        # a column's own evaluator sums it as a 1-D array, pairwise from
+        # d >= 8 on, where values() adds the rows one after another
+        d = self.d
+        V = self.values(X)
+        cols = np.ascontiguousarray(X.reshape(len(X), d, d).transpose(0, 2, 1)).sum(axis=2)
+        V[:, 2 * d : 3 * d] = cols - 1.0
+        V[:, 3 * d : 4 * d] = 1.0 - cols
+        return V
+
+    def jacobian(self, X):
+        return np.broadcast_to(self.A, (len(X),) + self.A.shape)
+
+    def loss_fn(self, pos):
+        y = np.zeros(self.d * self.d)
+        y[pos] = 1.0
+        return ConvexFn(
+            lambda x: float(0.5 * np.sum((y - x) ** 2)),
+            lambda x: x - y,
+            lipschitz_hint=self.G,
+        )
 
 
 def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
@@ -191,79 +354,11 @@ def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
     R = float(d)
     G = float(d + np.sqrt(d))  # sup ||X - Y_t|| <= R + sqrt(d); constraint grads <= sqrt(d)
 
-    gs: List[ConvexFn] = []
-
-    def row_grad(i, sign):
-        M = np.zeros((d, d))
-        M[i, :] = sign
-        return M.ravel()
-
-    def col_grad(j, sign):
-        M = np.zeros((d, d))
-        M[:, j] = sign
-        return M.ravel()
-
-    for i in range(d):  # row sums <= 1
-        gs.append(
-            ConvexFn(
-                lambda x, i=i: float(x.reshape(d, d)[i].sum() - 1.0),
-                lambda x, i=i: row_grad(i, 1.0),
-                lipschitz_hint=float(np.sqrt(d)),
-            )
-        )
-    for i in range(d):  # row sums >= 1
-        gs.append(
-            ConvexFn(
-                lambda x, i=i: float(1.0 - x.reshape(d, d)[i].sum()),
-                lambda x, i=i: row_grad(i, -1.0),
-                lipschitz_hint=float(np.sqrt(d)),
-            )
-        )
-    for j in range(d):  # column sums <= 1
-        gs.append(
-            ConvexFn(
-                lambda x, j=j: float(x.reshape(d, d)[:, j].sum() - 1.0),
-                lambda x, j=j: col_grad(j, 1.0),
-                lipschitz_hint=float(np.sqrt(d)),
-            )
-        )
-    for j in range(d):  # column sums >= 1
-        gs.append(
-            ConvexFn(
-                lambda x, j=j: float(1.0 - x.reshape(d, d)[:, j].sum()),
-                lambda x, j=j: col_grad(j, -1.0),
-                lipschitz_hint=float(np.sqrt(d)),
-            )
-        )
-    for k in range(n):  # entrywise nonnegativity
-        def neg_grad(x, k=k):
-            v = np.zeros(n)
-            v[k] = -1.0
-            return v
-
-        gs.append(
-            ConvexFn(lambda x, k=k: float(-x[k]), neg_grad, lipschitz_hint=1.0)
-        )
-
-    def constraint_values(x):
-        X = x.reshape(d, d)
-        rows = X.sum(axis=1)
-        cols = X.sum(axis=0)
-        return np.concatenate([rows - 1.0, 1.0 - rows, cols - 1.0, 1.0 - cols, -x])
+    arrays = _DoublyStochasticArrays(d, G)
+    gs = arrays.gs
 
     def losses(s, T):
-        perms = permutation_batch(s, T, d)
-        out = []
-        for p in perms:
-            y = _perm_matrix(p).ravel()
-            out.append(
-                ConvexFn(
-                    lambda x, y=y: float(0.5 * np.sum((y - x) ** 2)),
-                    lambda x, y=y: x - y,
-                    lipschitz_hint=G,
-                )
-            )
-        return out
+        return [arrays.loss_fn(pos) for pos in arrays.params(s, T)]
 
     def mean_target(s, T):
         perms = permutation_batch(s, T, d)
@@ -300,12 +395,13 @@ def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
         dom=BallDomain(radius=R, dim=n),
         G=G,
         H1=1.0,
-        constraint_values=constraint_values,
+        constraint_values=lambda x: arrays.values(x[None])[0],
         losses=losses,
         mean_loss=mean_loss,
         project_feasible=project_feasible,
         offline_solution=offline_solution,
         meta={"d": d, "frobenius_bound": float(np.sqrt(d)), "radius_padded_to": R},
+        arrays=arrays,
     )
 
 
@@ -473,6 +569,8 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
 
         return ConvexFn(ev, sg, lipschitz_hint=L_f, eval_many=ev_many)
 
+    arrays = _DispatchArrays(gs, p, make_loss)
+
     def losses(s, T):
         return [make_loss(d_t) for d_t in demand_at(T)]
 
@@ -523,4 +621,40 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
             "d_max": d_max,
             "params": p,
         },
+        arrays=arrays,
     )
+
+
+class _DispatchArrays(ArrayForm):
+    """Parameters are the demand of each step."""
+
+    def __init__(self, gs, p: DispatchParams, make_loss):
+        self.gs = gs
+        self.p = p
+        self.loss_fn = make_loss
+        self.half_a = 0.5 * p.a
+        self.two_d = 2.0 * p.d_coef
+        n = p.x_max.size
+        self.box = np.array([g.subgrad(np.zeros(n)) for g in gs[1:]])  # constant rows
+
+    def params(self, seed, stop, start=0):
+        return self.p.demand[np.arange(start, stop) % self.p.demand.size]
+
+    def loss(self, X, demand):
+        p = self.p
+        r = X.sum(axis=1) - demand
+        # float_power is the scalar power the closures apply to one row;
+        # the array power r ** 2 rounds differently
+        fx = np.vecdot(X * X, self.half_a) + np.vecdot(X, p.b) + p.xi * np.float_power(r, 2.0)
+        return fx, p.a * X + p.b + (2.0 * p.xi * r)[:, None]
+
+    def values(self, X):
+        p = self.p
+        emission = np.vecdot(X * X, p.d_coef) + np.vecdot(X, p.e_coef) - p.e_max
+        return np.concatenate([emission[:, None], -X, X - p.x_max], axis=1)
+
+    def jacobian(self, X):
+        J = np.empty((len(X), 1 + len(self.box), X.shape[1]))
+        J[:, 0] = self.two_d * X + self.p.e_coef
+        J[:, 1:] = self.box
+        return J

@@ -11,6 +11,9 @@ Cases cover every supported (problem, variant, aggregation, lagrangian)
 combination at fixed seeds and small horizons, with the theorem stepsizes
 and with an engaged override pair, plus ``doubling_run`` and a fixed set of
 ``ocolc run`` / ``sweep`` / ``validate --quick`` commands.
+
+Bitwise results depend on the numpy build, its BLAS and the CPU features it
+dispatches to, so the file records the platform it was made on.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +178,14 @@ CLI_COMMANDS = {
     ],
 }
 CLI_OUTPUTS = ("sweep.csv", "sweep_stats.csv", "trace.csv", "summary.json")
+
+
+def platform_fingerprint() -> str:
+    """numpy version, BLAS build, machine and the SIMD extensions in use."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = ",".join(config["SIMD Extensions"]["found"])
+    return f"numpy {np.__version__}; {blas['name']} {blas['version']}; {platform.machine()}; {simd}"
 
 
 def sha(data: bytes) -> str:

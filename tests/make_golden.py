@@ -13,13 +13,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from golden_cases import GOLDEN_PATH, all_digests  # noqa: E402
+from golden_cases import GOLDEN_PATH, all_digests, platform_fingerprint  # noqa: E402
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = all_digests(Path(tmp))
-    GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    blob = {"platform": platform_fingerprint(), "digests": digests}
+    GOLDEN_PATH.write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN_PATH}")
     return 0
 

@@ -5,10 +5,9 @@ grids (toy at two betas, the strongly convex matrix sweep) run once for the
 whole module. Each test prints its criterion's pass/fail line.
 """
 
-import numpy as np
 import pytest
 
-from ocolc.algorithms import FAULT_LAMBDA_ENV
+import ocolc.algorithms
 from ocolc.validation import AcceptanceSuite
 
 
@@ -68,8 +67,29 @@ def test_criterion_11_degeneration_to_projected_ogd(suite):
 
 def test_negative_control_fault_injection(monkeypatch):
     # a corrupted dual update must trip the lambda-identity check
-    monkeypatch.setenv(FAULT_LAMBDA_ENV, "1")
+    exact = ocolc.algorithms.clipped_dual
+    monkeypatch.setattr(
+        ocolc.algorithms, "clipped_dual", lambda agg, sigma_eta: exact(agg, sigma_eta) * 1.5 + 1e-3
+    )
     small = AcceptanceSuite(t_grid=(100, 200, 400), toy_seeds=2, ds_seeds=1)
     result = small.check_lambda_identity()
     print(result.line())
     assert not result.passed
+
+
+def test_negative_control_degeneration_on_a_violated_instance(suite):
+    # at l1 radius 1 the constraint binds inside the ball: the duals move and
+    # the trace must leave the projected-OGD reference
+    result = suite.check_degeneration(l1_radius=1.0)
+    print(result.line())
+    assert not result.passed
+
+
+def test_too_few_points_fails_instead_of_raising():
+    # one toy seed on a short grid leaves 2 positive regret means; the
+    # scaling check has no fit and must say so in a FAIL line
+    small = AcceptanceSuite(t_grid=(60, 120, 240), toy_seeds=1, base_seed=3)
+    result = small.check_theorem1_scaling()
+    print(result.line())
+    assert not result.passed
+    assert "need at least 3 points, got 2" in result.details

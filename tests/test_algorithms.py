@@ -6,9 +6,10 @@ import pytest
 from ocolc.algorithms import (
     AlgoConfig,
     RunError,
+    Schedule,
+    advance,
     doubling_epochs,
     doubling_run,
-    make_algorithm,
     projected_ogd_run,
     run,
     theorem1_params,
@@ -74,16 +75,21 @@ def test_config_validation():
 # ----------------------------------------------------------- hand steps
 
 
+def _one_step(p, cfg, x0=None):
+    """One kernel step on the first loss: the recorded start state and the
+    state after the step."""
+    (trace,), x_next, lam_next = advance(p, [cfg], [0], steps=[1], x0=x0)
+    return trace, x_next[0], lam_next[0]
+
+
 def test_clipped_ogd_hand_step():
     # f = x, g = x - 0.5, x_t = 0, lam = 0, eta = 0.1, sigma = 2
     p = _one_d_problem()
     cfg = AlgoConfig("clipped-ogd", T=10, eta_override=0.1, sigma_override=2.0)
-    algo = make_algorithm(p, cfg)
-    state = algo.init_state()
-    assert state.x[0] == 0.0 and state.lam[0] == 0.0
-    nxt = algo.step(state, p.loss_stream(0, 0))
-    assert nxt.x[0] == pytest.approx(-0.1, abs=1e-15)
-    assert nxt.lam[0] == 0.0  # g(-0.1) = -0.6 < 0
+    start, x, lam = _one_step(p, cfg)
+    assert start.x[0, 0] == 0.0 and start.lam[0, 0] == 0.0
+    assert x[0] == pytest.approx(-0.1, abs=1e-15)
+    assert lam[0] == 0.0  # g(-0.1) = -0.6 < 0
 
 
 def test_clipped_ogd_constant_loss_fixed_point():
@@ -100,7 +106,7 @@ def test_clipped_ogd_constant_loss_fixed_point():
 def test_strong_schedule_values():
     # H1 = 1, m = 1, G = 2: eta_3 = 0.25, theta_3 = 0.25 * 2 * 4 = 2.0
     p = _one_d_problem(G=2.0, H1=1.0)
-    algo = make_algorithm(p, AlgoConfig("strong", T=10))
+    algo = Schedule(p, AlgoConfig("strong", T=10))
     assert algo.eta_t(1) == pytest.approx(0.5)  # 1/(2 H1)
     assert algo.eta_t(3) == pytest.approx(0.25)
     assert algo.theta_t(3) == pytest.approx(2.0)
@@ -110,15 +116,13 @@ def test_strong_schedule_values():
 
 def test_strong_requires_H1():
     with pytest.raises(ValueError, match="H1"):
-        make_algorithm(toy_problem(), AlgoConfig("strong", T=10))
+        Schedule(toy_problem(), AlgoConfig("strong", T=10))
 
 
 def test_strong_feasible_iterate_zero_dual():
     p = _one_d_problem(H1=1.0, slope=0.0)
-    algo = make_algorithm(p, AlgoConfig("strong", T=10))
-    state = algo.init_state()
-    nxt = algo.step(state, p.loss_stream(0, 0))
-    assert nxt.lam[0] == 0.0
+    _, _, lam = _one_step(p, AlgoConfig("strong", T=10))
+    assert lam[0] == 0.0
 
 
 def test_mahdavi_hand_step():
@@ -126,11 +130,9 @@ def test_mahdavi_hand_step():
     # lam' = Pi_{>=0}(0 + 0.1 * (0.5 - 0)) = 0.05
     p = _one_d_problem(R=2.0, slope=0.0)
     cfg = AlgoConfig("mahdavi-ogd", T=10, eta_override=0.1, sigma_override=2.0)
-    algo = make_algorithm(p, cfg)
-    state = algo.init_state(np.array([1.0]))
-    nxt = algo.step(state, p.loss_stream(0, 0))
-    assert nxt.lam[0] == pytest.approx(0.05, abs=1e-15)
-    assert nxt.x[0] == pytest.approx(1.0)  # zero loss, zero dual: x unchanged
+    _, x, lam = _one_step(p, cfg, x0=np.array([[1.0]]))
+    assert lam[0] == pytest.approx(0.05, abs=1e-15)
+    assert x[0] == pytest.approx(1.0)  # zero loss, zero dual: x unchanged
 
 
 def test_mahdavi_feasible_duals_stay_zero():
@@ -148,14 +150,13 @@ def test_aogd_hand_step_frozen():
     # from x=1 (g=0.5, lam=0, plain): lam' = 0.5*(0.5 - 1*0) = 0.25
     p = _one_d_problem(R=2.0, slope=0.0)
     cfg = AlgoConfig("a-ogd", T=16)
-    algo = make_algorithm(p, cfg)
+    algo = Schedule(p, cfg)
     assert algo.eta0 == pytest.approx(0.5)
     assert algo.eta == pytest.approx(0.125)
     assert algo.theta_t(1) == pytest.approx(1.0)
     assert algo.mu_t(1) == pytest.approx(0.5)
-    state = algo.init_state(np.array([1.0]))
-    nxt = algo.step(state, p.loss_stream(0, 0))
-    assert nxt.lam[0] == pytest.approx(0.25, abs=1e-15)
+    _, _, lam = _one_step(p, cfg, x0=np.array([[1.0]]))
+    assert lam[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_aogd_feasible_trajectory_keeps_zero_dual():
@@ -169,13 +170,12 @@ def test_aogd_clipped_dual_nonneg_without_projection(rng):
     # lam >= 0 before the projection even applies
     p = toy_problem()
     cfg = AlgoConfig("a-ogd", T=300, lagrangian="clipped")
-    algo = make_algorithm(p, cfg)
-    state = algo.init_state()
-    losses = p.losses(7, 300)
-    for t, f in enumerate(losses):
-        raw = state.lam + algo.mu_t(state.t) * algo._dual_residual(state, algo.theta_t(state.t))
+    algo = Schedule(p, cfg)
+    tr = run(p, cfg, seed=7)
+    for t, lam, agg in zip(tr.t, tr.lam, tr.g_agg):
+        residual = np.maximum(agg, 0.0) - algo.theta_t(t) * lam
+        raw = lam + algo.mu_t(t) * residual
         assert np.all(raw >= -1e-15)
-        state = algo.step(state, f)
 
 
 # ------------------------------------------------------------- run loop
@@ -262,7 +262,7 @@ def test_per_constraint_duals_on_dispatch():
 
 def test_logsumexp_mode_scales_G():
     p = dispatch_problem()
-    algo = make_algorithm(p, AlgoConfig("clipped-ogd", T=50, aggregation="logsumexp"))
+    algo = Schedule(p, AlgoConfig("clipped-ogd", T=50, aggregation="logsumexp"))
     assert algo.G_eff == pytest.approx(np.sqrt(p.m) * p.G)
     tr = run(p, AlgoConfig("clipped-ogd", T=50, aggregation="logsumexp"), seed=0)
     assert tr.meta["g_bar_x1"] == pytest.approx(

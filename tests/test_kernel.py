@@ -1,0 +1,255 @@
+"""The batched kernel and the array form of the problems.
+
+Property tests: each built-in problem's array form equals its ConvexFn path
+bit for bit, and a B-row kernel call equals B one-row run() calls bit for
+bit. The golden digests pin run() itself to the earlier per-step code.
+"""
+
+import dataclasses
+import functools
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ocolc.aggregation import logsumexp_aggregate, max_aggregate
+from ocolc.algorithms import AlgoConfig, Batch, RunError, _aggregate, _lagrangian_grad, advance, run
+from ocolc.core import ConvexFn, lagrangian_grad_x
+from ocolc.problems import (
+    FnArrays,
+    dispatch_problem,
+    doubly_stochastic_problem,
+    toy_problem,
+)
+
+from conftest import make_problem
+from golden_cases import inline_problem
+
+
+@functools.lru_cache(maxsize=None)
+def problem(name):
+    if name.startswith("ds"):
+        return doubly_stochastic_problem(d=int(name[2:]))
+    return {"toy": toy_problem, "dispatch": dispatch_problem, "inline": inline_problem}[name]()
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+# ------------------------------------------------------ array form vs fns
+
+BUILT_IN = ["toy", "dispatch"] + [f"ds{d}" for d in range(2, 10)]
+
+
+def assert_array_form_matches(p, X, seed, start, per_constraint_rows=None):
+    form, fns = p.array_form(), FnArrays(p)
+    assert form is p.arrays
+    stop = start + len(X)
+    fx, grad = form.loss(X, form.params(seed, stop, start))
+    fx_ref, grad_ref = fns.loss(X, fns.params(seed, stop, start))
+    assert same_bits(fx, fx_ref)
+    assert same_bits(grad, grad_ref)
+    assert same_bits(form.values(X), fns.values(X))
+    X = X[:per_constraint_rows]  # one closure call per constraint and row
+    assert same_bits(form.evals(X), fns.evals(X))
+    assert same_bits(form.jacobian(X), fns.jacobian(X))
+
+
+def points(rng, rows, n):
+    """Generic points at several scales, with some exact (signed) zeros."""
+    X = rng.standard_normal((rows, n)) * rng.choice([0.1, 1.0, 10.0], size=(rows, 1))
+    X[rng.random((rows, n)) < 0.05] = 0.0
+    X[rng.random((rows, n)) < 0.05] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_array_form_matches_convexfn_path_on_many_points(name):
+    # rounding differences show on a small share of generic points (about
+    # 1 in 1000 for a scalar power), so this sweeps thousands of rows
+    p = problem(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    X = points(rng, 20000 if p.n <= 9 else 2000, p.n)
+    assert_array_form_matches(p, X, seed=11, start=int(rng.integers(0, 5000)), per_constraint_rows=200)
+
+
+@st.composite
+def batch_points(draw):
+    name = draw(st.sampled_from(BUILT_IN))
+    p = problem(name)
+    rows = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 0.3, 20.0]))
+    elements = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    X = draw(hnp.arrays(np.float64, (rows, p.n), elements=elements)) * scale
+    return p, X
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_points(), st.integers(0, 2**32 - 1), st.integers(0, 3000))
+def test_array_form_matches_convexfn_path_at_edge_points(case, seed, start):
+    # hypothesis favors zeros, signed zeros, ties and ball-boundary values
+    p, X = case
+    assert_array_form_matches(p, X, seed, start)
+
+
+def reference_grad(p, f, x, lam, mode, clipped):
+    """The per-point Lagrangian gradient on the ConvexFn closures."""
+    if mode == "per_constraint":
+        fns = p.gs
+    else:
+        aggregate = max_aggregate if mode == "max" else logsumexp_aggregate
+        fns = [aggregate(p.gs, p.constraint_values)]
+    if clipped:
+        return lagrangian_grad_x(f, fns, x, lam)
+    grad = np.asarray(f.subgrad(x), dtype=float)
+    for lam_i, g in zip(lam, fns):
+        if lam_i > 0.0:
+            grad = grad + lam_i * np.asarray(g.subgrad(x), dtype=float)
+    return grad
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["toy", "ds3", "ds9", "dispatch", "inline"]),
+    st.sampled_from(["max", "logsumexp", "per_constraint"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped, seed):
+    p = problem(name)
+    rng = np.random.default_rng(seed)
+    X = points(rng, 6, p.n) * (0.3 if name.startswith("ds") else 1.0)
+    form = p.array_form()
+    params = form.params(seed % 1000, 6)
+    fx, fgrad = form.loss(X, params)
+    V = form.values(X)
+    A = _aggregate(V, mode)
+    # some rows with every dual zero, some with every dual positive
+    active = rng.random(A.shape) < rng.choice([0.0, 0.3, 0.6, 1.0], size=(len(X), 1))
+    lam = rng.uniform(0.0, 3.0, size=A.shape) * active
+    got = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped)
+    for b in range(len(X)):
+        f = form.loss_fn(params[b])
+        want = reference_grad(p, f, X[b], lam[b], mode, clipped)
+        assert same_bits(got[b], want)
+
+
+@pytest.mark.parametrize("name", ["toy", "ds3", "dispatch"])
+def test_loss_stream_builds_only_row_t(name, monkeypatch):
+    p = dataclasses.replace(problem(name))  # a copy whose losses may break
+    x = np.linspace(-0.4, 0.6, p.n)
+    want = p.losses(5, 40)[33]
+
+    def no_stream(seed, T):
+        raise AssertionError("loss_stream built the whole stream")
+
+    monkeypatch.setattr(p, "losses", no_stream)
+    got = p.loss_stream(5, 33)
+    assert got.eval(x) == want.eval(x)
+    assert same_bits(got.subgrad(x), want.subgrad(x))
+
+
+def test_replacing_the_constraints_drops_the_array_form():
+    p = toy_problem()
+    slack = ConvexFn(lambda x: float(np.abs(x).sum() - 10.0), lambda x: np.sign(x))
+    q = dataclasses.replace(p, gs=[slack], constraint_values=lambda x: np.array([np.abs(x).sum() - 10.0]))
+    assert isinstance(q.array_form(), FnArrays)
+    assert q.array_form().values(np.array([[0.5, 0.5]]))[0, 0] == -9.0
+    assert dataclasses.replace(p).array_form() is p.arrays
+
+
+# ------------------------------------------------- B rows vs B run() calls
+
+KINDS = [
+    (v, a, lag)
+    for v, a, lag in itertools.product(
+        ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd"),
+        ("max", "logsumexp", "per_constraint"),
+        ("clipped", "plain"),
+    )
+    if not (lag == "plain" and v in ("clipped-ogd", "strong-clipped-ogd"))
+    and not (v == "a-ogd" and a == "per_constraint")
+]
+ENGAGED = {"toy": (0.2, 4.0), "ds3": (0.05, 20.0), "dispatch": (0.01, 100.0), "inline": (0.1, 10.0)}
+
+row_strategy = st.tuples(
+    st.integers(1, 40),  # horizon
+    st.integers(0, 2**32 - 1),  # seed
+    st.sampled_from([0.3, 0.5, 2.0 / 3.0]),  # beta
+    st.sampled_from([0.25, 0.5]),  # alpha
+    st.booleans(),  # engaged stepsize overrides
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["toy", "ds3", "dispatch", "inline"]),
+    st.sampled_from(KINDS),
+    st.lists(row_strategy, min_size=1, max_size=5),
+)
+def test_batch_rows_equal_single_runs(name, kind, rows):
+    variant, aggregation, lagrangian = kind
+    p = problem(name)
+    if variant == "strong-clipped-ogd" and p.H1 is None:
+        return
+    cfgs, seeds = [], []
+    for T, seed, beta, alpha, engaged in rows:
+        eta, sigma = ENGAGED[name] if engaged and variant != "strong-clipped-ogd" else (None, None)
+        cfgs.append(AlgoConfig(variant, T=T, beta=beta, alpha=alpha, lagrangian=lagrangian,
+                               aggregation=aggregation, eta_override=eta, sigma_override=sigma))
+        seeds.append(seed)
+    traces, _, _ = advance(p, cfgs, seeds)
+    for cfg, seed, got in zip(cfgs, seeds, traces):
+        want = run(p, cfg, seed)
+        for field in ("t", "x", "fx", "g", "g_agg", "lam"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+        assert (got.eta, got.sigma, got.meta) == (want.eta, want.sigma, want.meta)
+
+
+def test_advance_rejects_mixed_kinds():
+    p = toy_problem()
+    with pytest.raises(ValueError, match="share"):
+        advance(p, [AlgoConfig("clipped-ogd", T=5), AlgoConfig("mahdavi-ogd", T=5)], [0, 0])
+
+
+def test_failing_row_stops_alone():
+    # the loss gradient is NaN at step 3 for seed 1 only
+    def make_loss(seed, t):
+        bad = seed == 1 and t == 2
+        return ConvexFn(lambda x: float(x[0]), lambda x: np.array([np.nan if bad else 1.0]))
+
+    g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
+    p = make_problem(1, [g], make_loss=make_loss)
+    cells = [(AlgoConfig("clipped-ogd", T=T), seed) for T in (4, 6) for seed in (0, 1, 2)]
+    batch = Batch(p, cells)
+    for cfg, seed in cells:
+        if seed == 1:
+            with pytest.raises(RunError) as ei:
+                run(batch, cfg, seed)
+            assert ei.value.step == 3
+        else:
+            assert same_bits(run(batch, cfg, seed).x, run(p, cfg, seed).x)
+
+
+def test_batch_stands_in_for_its_problem():
+    p = toy_problem()
+    cfg = AlgoConfig("clipped-ogd", T=5)
+    batch = Batch(p, [(cfg, 3)])
+    assert batch.name == "toy" and batch.dom is p.dom
+    with pytest.raises(KeyError):
+        batch.trace(AlgoConfig("clipped-ogd", T=6), 3)
+    assert same_bits(run(batch, cfg, 3).x, run(p, cfg, 3).x)
+
+
+def test_doubling_epochs_carry_x_through_the_kernel():
+    # an epoch is one kernel call started from the previous epoch's last step
+    p = toy_problem()
+    cfg = AlgoConfig("clipped-ogd", T=8, eta_override=0.2, sigma_override=4.0)
+    (whole,), _, _ = advance(p, [cfg], [4], steps=[8])
+    (head,), x_mid, _ = advance(p, [cfg], [4], steps=[3])
+    (tail,), _, _ = advance(p, [cfg], [4], steps=[5], x0=x_mid, start=3)
+    assert same_bits(np.concatenate([head.x, tail.x]), whole.x)
