@@ -295,7 +295,8 @@ def advance(
         eta_x = column([s.eta for s in scheds])
         sigma_eta = column([s.sigma * s.eta for s in scheds])
     if variant == "a-ogd":
-        # t^(beta-1) and t^(-beta), one Python power per (beta, t)
+        # Schedule.mu_t and theta_t of every row and step, computing one
+        # Python power per (beta, t)
         pows = {
             beta: (
                 np.array([t ** (beta - 1.0) for t in range(1, T_max + 1)]),
