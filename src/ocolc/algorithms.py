@@ -396,6 +396,8 @@ def advance(
             if live.size == 0:
                 break
 
+    # each trace owns a copy of its rows, so holding one trace does not keep
+    # the whole padded batch alive
     traces = [None] * B
     for i, b in enumerate(order):
         if b in errors:
@@ -409,11 +411,11 @@ def advance(
             seed=seeds[b],
             config=cfgs[b],
             t=np.arange(1, T_b + 1),
-            x=rec_x[i, :T_b],
-            fx=rec_fx[i, :T_b],
-            g=rec_g[i, :T_b],
-            g_agg=rec_agg[i, :T_b],
-            lam=rec_lam[i, :T_b],
+            x=rec_x[i, :T_b].copy(),
+            fx=rec_fx[i, :T_b].copy(),
+            g=rec_g[i, :T_b].copy(),
+            g_agg=rec_agg[i, :T_b].copy(),
+            lam=rec_lam[i, :T_b].copy(),
             eta=sched.eta,
             sigma=sched.sigma,
             meta={
