@@ -9,8 +9,9 @@ to change:
 
 Cases cover every supported (problem, variant, aggregation, lagrangian)
 combination at fixed seeds and small horizons, with the theorem stepsizes
-and with an engaged override pair, plus ``doubling_run`` and a fixed set of
-``ocolc run`` / ``sweep`` / ``validate --quick`` commands.
+and with an engaged override pair, plus ``doubling_run``, the offline
+oracles (``offline_solve``, ``offline_value``, ``grid_oracle``) and a fixed
+set of ``ocolc run`` / ``sweep`` / ``validate --quick`` commands.
 
 Bitwise results depend on the numpy build, its BLAS and the CPU features it
 dispatches to, so the file records the platform it was made on.
@@ -29,6 +30,7 @@ import numpy as np
 
 from ocolc.algorithms import AlgoConfig, doubling_run, run
 from ocolc.core import BallDomain, ConvexFn
+from ocolc.oracle import grid_oracle, offline_solve, offline_value
 from ocolc.problems import (
     ProblemSpec,
     dispatch_problem,
@@ -151,6 +153,37 @@ def doubling_cases():
     )
 
 
+def check8_ds4_loss(base_seed: int) -> ConvexFn:
+    """The off-polytope quadratic that acceptance check 8 gives the penalty
+    solver on doubly-stochastic(d=4)."""
+    M = np.random.default_rng(base_seed).uniform(-0.3, 1.2, size=(4, 4))
+    return ConvexFn(
+        lambda x: float(0.5 * np.sum((x - M.ravel()) ** 2)),
+        lambda x: x - M.ravel(),
+    )
+
+
+def oracle_cases():
+    """Yield (case id, thunk returning an OracleResult).
+
+    Check 8's toy and ds(d=4) inputs at two base seeds (ds4 needs a second
+    penalty ramp at seed 6), the penalty dispatch oracle with one and with
+    three ramps, and the grid oracle on toy at check 8's resolution and on
+    the 3-D dispatch problem. Iteration counts are cut down from check 8's
+    so the set stays cheap; every iterate still enters the result.
+    """
+    toy, ds4, disp = toy_problem(), doubly_stochastic_problem(d=4), dispatch_problem()
+    for seed in (1, 6):
+        fbar = toy.mean_loss(seed, 50)
+        yield f"oracle/penalty/toy/{seed}", lambda f=fbar: offline_solve(toy, f, iters=2000)
+        f4 = check8_ds4_loss(seed)
+        yield f"oracle/penalty/ds4/{seed}", lambda f=f4: offline_solve(ds4, f, iters=1000)
+    yield "oracle/value/dispatch/1-ramp", lambda: offline_value(disp, 1, 50, iters=200)
+    yield "oracle/value/dispatch/3-ramps", lambda: offline_value(disp, 3, 200, iters=300)
+    yield "oracle/grid/toy", lambda: grid_oracle(toy, toy.mean_loss(1, 50), 1e-3)
+    yield "oracle/grid/dispatch", lambda: grid_oracle(disp, disp.mean_loss(1, 50), 1.0)
+
+
 CLI_COMMANDS = {
     "sweep-toy": [
         "sweep", "--problem", "toy", "--algos", "ogd,a-ogd,clipped-ogd",
@@ -204,6 +237,13 @@ def trace_digest(trace) -> dict:
     return out
 
 
+def oracle_digest(res) -> dict:
+    """sha256 of the answer's bytes, plus value, residual and info as text."""
+    x = np.ascontiguousarray(res.x, dtype=float)
+    scalars = repr((res.value, res.residual, sorted(res.info.items())))
+    return {"x": sha(repr(x.shape).encode() + x.tobytes()), "scalars": sha(scalars.encode())}
+
+
 def cli_digest(argv, out_dir: Path) -> dict:
     from ocolc.cli import main
 
@@ -233,6 +273,8 @@ def all_digests(tmp: Path) -> dict:
         out[case] = trace_digest(run(problem, cfg, seed))
     for case, problem, factory, total, seed in doubling_cases():
         out[case] = trace_digest(doubling_run(problem, factory, total, seed))
+    for case, solve in oracle_cases():
+        out[case] = oracle_digest(solve())
     for name, argv in CLI_COMMANDS.items():
         d = tmp / name
         d.mkdir(parents=True)
