@@ -369,6 +369,13 @@ def advance(
                     break
             if not np.isfinite(Y).all():
                 raise ValueError("cannot project non-finite vector")
+            # finite rows whose squared norm overflows: scale each down by its
+            # largest entry, then project; they land on the sphere
+            huge = ~np.isfinite(nrm)
+            if huge.any():
+                Z = Y[huge] / np.abs(Y[huge]).max(axis=1, keepdims=True)
+                Y[huge] = Z * (R / np.sqrt(np.vecdot(Z, Z)))[:, None]
+                nrm[huge] = R
         over = nrm > R
         if over.any():
             Y[over] = Y[over] * (R / nrm[over])[:, None]

@@ -160,15 +160,47 @@ def _problem_key(s: Settings) -> dict:
     return key
 
 
+def _oracle_settings(s: Settings):
+    """(iters, tol) for the penalty oracle; out-of-range values are usage errors."""
+    iters = s.get("oracle-iters", int, 20000)
+    tol = s.get("oracle-tol", float, 1e-6)
+    if iters < 1:
+        raise UsageError(f"--oracle-iters must be >= 1, got {iters}")
+    if not tol > 0:
+        raise UsageError(f"--oracle-tol must be > 0, got {tol}")
+    return iters, tol
+
+
+def _read_cache_entry(path: str, full_key: dict):
+    """The cached blob at `path`, or None (with a warning) when the file is
+    unreadable JSON or not an entry for `full_key`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except ValueError as e:  # truncated or garbled: JSON or UTF-8 decode error
+        problem = str(e)
+    else:
+        if isinstance(blob, dict) and blob.get("key") == full_key and "value" in blob:
+            return blob
+        problem = "not an entry for this key"
+    print(f"warning: recomputing corrupt oracle cache entry {path}: {problem}", file=sys.stderr)
+    return None
+
+
 def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol: float, cache_dir):
-    """Disk-cached oracle: keyed by (problem identity, seed, T, iters, tol)."""
+    """Disk-cached oracle: keyed by (problem identity, seed, T, iters, tol).
+
+    A corrupt entry is recomputed with a warning on stderr. Entries are
+    written to a temporary file and renamed into place, so a reader never
+    sees a half-written one.
+    """
     full_key = dict(key, seed=seed, T=T, iters=iters, tol=tol)
     digest = hashlib.sha256(json.dumps(full_key, sort_keys=True).encode()).hexdigest()[:24]
     path = os.path.join(cache_dir, f"oracle-{digest}.json") if cache_dir else None
     if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-        return blob, True
+        blob = _read_cache_entry(path, full_key)
+        if blob is not None:
+            return blob, True
     res = offline_value(problem, seed, T, iters=iters, tol=tol)
     blob = {
         "key": full_key,
@@ -177,8 +209,14 @@ def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol:
         "residual": float(res.residual),
     }
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, indent=1, sort_keys=True)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(blob, fh, indent=1, sort_keys=True)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return blob, False
 
 
@@ -189,16 +227,20 @@ def cmd_run(s: Settings) -> int:
     problem = build_problem(s)
     cfg = build_config(s)
     seed = s.get("seed", int, 0)
+    iters, tol = _oracle_settings(s)
     out = _out_dir(s)
     try:
         trace = run(problem, cfg, seed)
     except RunError as e:
         print(f"error: run aborted at {e}", file=sys.stderr)
         return EXIT_FAIL
-    oracle_blob, _ = cached_offline_value(
-        problem, _problem_key(s), seed, cfg.T,
-        s.get("oracle-iters", int, 20000), s.get("oracle-tol", float, 1e-6), out,
-    )
+    try:
+        oracle_blob, _ = cached_offline_value(
+            problem, _problem_key(s), seed, cfg.T, iters, tol, out
+        )
+    except OracleError as e:
+        print(f"error: oracle failed: {e}", file=sys.stderr)
+        return EXIT_FAIL
     summary = summarize(trace, oracle_blob["value"])
     gmax = trace.g.max(axis=1)
     clip = np.maximum(gmax, 0.0)
@@ -277,6 +319,7 @@ def cmd_sweep(s: Settings) -> int:
     n_seeds = s.get("seeds", int, 10)
     base_seed = s.get("seed", int, BASE_SWEEP_SEED)
     jobs = s.get("jobs", int, 1)
+    iters, tol = _oracle_settings(s)
     out = _out_dir(s)
     problem = build_problem(s)
     key = _problem_key(s)
@@ -286,10 +329,11 @@ def cmd_sweep(s: Settings) -> int:
     for T in t_grid:
         for i in range(n_seeds):
             seed = derive_seed(base_seed, i)
-            blob, _ = cached_offline_value(
-                problem, key, seed, T,
-                s.get("oracle-iters", int, 20000), s.get("oracle-tol", float, 1e-6), out,
-            )
+            try:
+                blob, _ = cached_offline_value(problem, key, seed, T, iters, tol, out)
+            except OracleError as e:
+                print(f"error: oracle failed: {e}", file=sys.stderr)
+                return EXIT_FAIL
             oracle_vals[(T, i)] = blob["value"]
 
     settings_snapshot = {k: v for k, v in vars(s.ns).items() if k != "command"}
@@ -355,12 +399,10 @@ def cmd_oracle(s: Settings) -> int:
     problem = build_problem(s)
     seed = s.get("seed", int, 0)
     T = s.get("T", int, required=True)
+    iters, tol = _oracle_settings(s)
     out = _out_dir(s)
     try:
-        blob, hit = cached_offline_value(
-            problem, _problem_key(s), seed, T,
-            s.get("oracle-iters", int, 20000), s.get("oracle-tol", float, 1e-6), out,
-        )
+        blob, hit = cached_offline_value(problem, _problem_key(s), seed, T, iters, tol, out)
     except OracleError as e:
         print(f"error: oracle failed: {e}", file=sys.stderr)
         return EXIT_FAIL

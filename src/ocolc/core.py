@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -55,11 +56,15 @@ class BallDomain:
 
 def project_ball(x: Vector, dom: BallDomain) -> Vector:
     """Euclidean projection onto the ball: rescale iff ||x|| exceeds the radius."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot project non-finite vector")
     nrm = float(np.linalg.norm(x))
     if nrm <= dom.radius:
         return x
+    if not math.isfinite(nrm):
+        if not np.all(np.isfinite(x)):
+            raise ValueError("cannot project non-finite vector")
+        # finite, but the squared norm overflows: scale down before the norm
+        x = x / np.max(np.abs(x))
+        nrm = float(np.linalg.norm(x))
     return x * (dom.radius / nrm)
 
 

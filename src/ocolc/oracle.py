@@ -3,6 +3,7 @@ cumulative loss, with brute-force validators at tiny scale."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -10,6 +11,10 @@ import numpy as np
 
 from .core import ConvexFn, project_ball
 from .problems import ProblemSpec
+
+
+# points per grid_oracle block: a few MiB of work arrays at n <= 3
+GRID_BLOCK = 1 << 16
 
 
 @dataclass
@@ -78,50 +83,54 @@ def offline_solve(
     R = dom.radius
     H1 = problem.H1
 
-    def violations(x):
-        return np.maximum(problem.constraint_values(x), 0.0)
+    def penalized(x, vals, rho):
+        return avg.eval(x) + rho * float(np.maximum(vals, 0.0).sum())
 
-    def penalized(x, rho):
-        return avg.eval(x) + rho * float(violations(x).sum())
-
-    def penalty_subgrad(x, rho):
-        grad = np.asarray(avg.subgrad(x), dtype=float).copy()
-        vals = problem.constraint_values(x)
+    def penalty_subgrad(x, vals, rho):
+        # no in-place add: a loss may hand back an array it keeps
+        grad = np.asarray(avg.subgrad(x), dtype=float)
         for i in np.nonzero(vals > 0.0)[0]:
-            grad += rho * np.asarray(gs[i].subgrad(x), dtype=float)
+            grad = grad + rho * np.asarray(gs[i].subgrad(x), dtype=float)
         return grad
 
+    # the constraints are evaluated once per iterate: the values feed both
+    # its penalized value and the subgradient of the next step. Iterates are
+    # never written in place, so best_x and x_start may share them.
     rho = rho0
     x_start = problem.x0()
     best_overall = None
     for ramp in range(max_ramps):
-        x = x_start.copy()
-        g0 = float(np.linalg.norm(penalty_subgrad(x, rho)))
-        c = R / max(g0, 1e-12)
-        best_x, best_val = x.copy(), penalized(x, rho)
+        x = x_start
+        vals = problem.constraint_values(x)
+        grad = penalty_subgrad(x, vals, rho)
+        c = R / max(float(np.linalg.norm(grad)), 1e-12)
+        best_x, best_val = x, penalized(x, vals, rho)
         tail_sum, tail_count = np.zeros_like(x), 0
         for k in range(1, iters + 1):
-            step = (1.0 / (H1 * k)) if H1 else (c / np.sqrt(k))
-            x = project_ball(x - step * penalty_subgrad(x, rho), dom)
-            val = penalized(x, rho)
+            step = (1.0 / (H1 * k)) if H1 else (c / math.sqrt(k))
+            x = project_ball(x - step * grad, dom)
+            vals = problem.constraint_values(x)
+            val = penalized(x, vals, rho)
             if val < best_val:
-                best_val, best_x = val, x.copy()
+                best_val, best_x = val, x
             if 2 * k > iters:
                 tail_sum += x
                 tail_count += 1
+            grad = penalty_subgrad(x, vals, rho)
         if tail_count:
             x_tail = project_ball(tail_sum / tail_count, dom)
-            val_tail = penalized(x_tail, rho)
+            val_tail = penalized(x_tail, problem.constraint_values(x_tail), rho)
             if val_tail < best_val:
                 best_val, best_x = val_tail, x_tail
 
         candidate = best_x
         if problem.project_feasible is not None:
             polished = project_ball(problem.project_feasible(best_x), dom)
-            if penalized(polished, rho) <= best_val + abs(best_val) * 1e-9 + 1e-9:
+            val_polished = penalized(polished, problem.constraint_values(polished), rho)
+            if val_polished <= best_val + abs(best_val) * 1e-9 + 1e-9:
                 candidate = polished
 
-        residual = float(violations(candidate).max(initial=0.0))
+        residual = float(np.maximum(problem.constraint_values(candidate), 0.0).max(initial=0.0))
         value = float(sum(f.eval(candidate) for f in loss_list))
         result = OracleResult(
             candidate, value, residual, {"rho": rho, "ramps": ramp + 1, "iters": iters}
@@ -147,7 +156,10 @@ def grid_oracle(
     """Exhaustive search over a feasible grid inside the ball; n <= 3 only.
 
     Grid coordinates are -R + resolution * k, so halving the resolution keeps
-    every coarse point (refinement can only improve the value).
+    every coarse point (refinement can only improve the value). The grid is
+    walked in blocks of whole slices along the first coordinate, about
+    GRID_BLOCK points each (at least one slice), so memory stays bounded by
+    the block and not the grid; the first minimiser in grid order wins ties.
     """
     if problem.n > 3:
         raise ValueError(f"grid oracle limited to n <= 3, got n={problem.n}")
@@ -157,28 +169,39 @@ def grid_oracle(
     R = problem.dom.radius
     steps = int(np.floor(2.0 * R / resolution)) + 1
     coords = -R + resolution * np.arange(steps)
-    grids = np.meshgrid(*([coords] * problem.n), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    X = X[np.linalg.norm(X, axis=1) <= R]
+    rows = max(1, GRID_BLOCK // steps ** (problem.n - 1))
 
-    feasible = np.ones(len(X), dtype=bool)
-    for g in problem.gs:
-        if g.eval_many is not None:
-            feasible &= g.eval_many(X) <= 0.0
-        else:
-            feasible &= np.array([g.eval(x) <= 0.0 for x in X])
-    X = X[feasible]
-    if len(X) == 0:
+    best_x, best_val, points = None, None, 0
+    for start in range(0, steps, rows):
+        grids = np.meshgrid(
+            coords[start : start + rows], *([coords] * (problem.n - 1)), indexing="ij"
+        )
+        X = np.stack([g.ravel() for g in grids], axis=1)
+        X = X[np.linalg.norm(X, axis=1) <= R]
+
+        feasible = np.ones(len(X), dtype=bool)
+        for g in problem.gs:
+            if g.eval_many is not None:
+                feasible &= g.eval_many(X) <= 0.0
+            else:
+                feasible &= np.array([g.eval(x) <= 0.0 for x in X], dtype=bool)
+        X = X[feasible]
+        if len(X) == 0:
+            continue
+
+        total = np.zeros(len(X))
+        for f in loss_list:
+            if f.eval_many is not None:
+                total += f.eval_many(X)
+            else:
+                total += np.array([f.eval(x) for x in X])
+        i = int(np.argmin(total))
+        if best_val is None or total[i] < best_val:
+            best_x, best_val = X[i].copy(), total[i]
+        points += len(X)
+    if best_x is None:
         raise ValueError("no feasible grid point at this resolution")
-
-    total = np.zeros(len(X))
-    for f in loss_list:
-        if f.eval_many is not None:
-            total += f.eval_many(X)
-        else:
-            total += np.array([f.eval(x) for x in X])
-    i = int(np.argmin(total))
-    return OracleResult(X[i], float(total[i]), 0.0, {"points": len(X)})
+    return OracleResult(best_x, float(best_val), 0.0, {"points": points})
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,22 @@ def test_clipped_ogd_hand_step():
     assert lam[0] == 0.0  # g(-0.1) = -0.6 < 0
 
 
+def test_kernel_projects_step_whose_norm_overflows():
+    # the step -eta * (3, 4) is finite but its squared norm overflows; the
+    # kernel's ball projection must still land on the sphere, like project_ball
+    p = make_problem(
+        2,
+        [ConvexFn(lambda x: float(x[0] - 10.0), lambda x: np.array([1.0, 0.0]))],
+        R=2.0,
+        make_loss=lambda s, t: ConvexFn(lambda x: float(3 * x[0] + 4 * x[1]),
+                                        lambda x: np.array([3.0, 4.0])),
+    )
+    cfg = AlgoConfig("clipped-ogd", T=10, eta_override=1e300, sigma_override=1.0)
+    with np.errstate(over="ignore"):
+        _, x, _ = _one_step(p, cfg)
+    np.testing.assert_allclose(x, [-1.2, -1.6], rtol=1e-15)
+
+
 def test_clipped_ogd_constant_loss_fixed_point():
     p = make_problem(
         2,

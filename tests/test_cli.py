@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+import ocolc.cli
 from ocolc.cli import main, load_trace_csv, read_config_file
+from ocolc.oracle import OracleError, OracleResult
 
 
 def run_cli(*args):
@@ -163,3 +165,66 @@ def test_outdir_env_default(tmp_path, monkeypatch, capsys):
     code = run_cli("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "20")
     assert code == 0
     assert (tmp_path / "envout" / "summary.json").exists()
+
+
+# ------------------------------------------------------------ oracle failures
+
+DISPATCH_RUN = (
+    "run", "--problem", "dispatch", "--algo", "clipped-ogd", "--T", "50", "--seed", "1",
+    "--oracle-iters", "200",
+)
+ORACLE_COMMANDS = {
+    "run": DISPATCH_RUN,
+    "sweep": ("sweep", "--problem", "dispatch", "--algos", "ogd", "--T-grid", "30",
+              "--seeds", "1", "--oracle-iters", "200"),
+    "oracle": ("oracle", "--problem", "dispatch", "--T", "50", "--oracle-iters", "200"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_COMMANDS))
+@pytest.mark.parametrize("flag", [("--oracle-tol", "-1"), ("--oracle-tol", "0"),
+                                  ("--oracle-iters", "0")])
+def test_bad_oracle_settings_are_usage_errors(tmp_path, capsys, command, flag):
+    code = run_cli(*ORACLE_COMMANDS[command], *flag, "--out", str(tmp_path))
+    assert code == 2
+    assert f"usage error: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_oracle_error_exits_1_with_message(tmp_path, capsys, monkeypatch, command):
+    def fail(problem, seed, T, iters, tol):
+        raise OracleError("feasibility 1e-3 > tol", OracleResult(np.zeros(3), 0.0, 1e-3))
+
+    monkeypatch.setattr(ocolc.cli, "offline_value", fail)
+    code = run_cli(*ORACLE_COMMANDS[command], "--out", str(tmp_path))
+    assert code == 1
+    assert "error: oracle failed: feasibility 1e-3 > tol" in capsys.readouterr().err
+
+
+def test_run_over_corrupt_cache_recomputes(tmp_path, capsys):
+    clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+    assert run_cli(*DISPATCH_RUN, "--out", str(clean)) == 0
+    assert run_cli(*DISPATCH_RUN, "--out", str(dirty)) == 0
+    (entry,) = dirty.glob("oracle-*.json")
+    entry.write_bytes(entry.read_bytes()[:40])  # truncated mid-file
+    capsys.readouterr()
+    assert run_cli(*DISPATCH_RUN, "--out", str(dirty)) == 0
+    assert "warning: recomputing corrupt oracle cache entry" in capsys.readouterr().err
+    assert (dirty / "summary.json").read_bytes() == (clean / "summary.json").read_bytes()
+    assert entry.read_bytes() == next(clean.glob("oracle-*.json")).read_bytes()
+    assert sorted(p.name for p in dirty.iterdir()) == sorted(p.name for p in clean.iterdir())
+
+
+def test_oracle_over_corrupt_cache_recomputes(tmp_path, capsys):
+    args = (*ORACLE_COMMANDS["oracle"], "--out", str(tmp_path))
+    assert run_cli(*args) == 0
+    (entry,) = tmp_path.glob("oracle-*.json")
+    for corrupt in (b'{"key": {"T": 50, "iter', b'\xff\xfe', b'[1, 2]', b'{"value": 1.0}'):
+        entry.write_bytes(corrupt)
+        capsys.readouterr()
+        assert run_cli(*args) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("solved")
+        assert "warning: recomputing corrupt oracle cache entry" in captured.err
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().out.startswith("cached")

@@ -36,6 +36,15 @@ def test_project_ball_rejects_nonfinite():
         project_ball(np.array([np.inf, 0.0]), B2)
 
 
+def test_project_ball_finite_vector_with_overflowing_norm():
+    # ||x||^2 overflows to inf although x is finite: still a projection, not
+    # the centre
+    with np.errstate(over="ignore"):
+        assert np.array_equal(project_ball(np.array([1e200, 0.0]), BallDomain(1, 2)), [1.0, 0.0])
+        got = project_ball(np.array([-3e300, 4e300]), BallDomain(2.0, 2))
+    np.testing.assert_allclose(got, [-1.2, 1.6], rtol=1e-15)
+
+
 def test_project_ball_idempotent(rng):
     for _ in range(200):
         x = rng.normal(size=3) * 10

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ocolc.oracle
 from ocolc.core import ConvexFn
 from ocolc.oracle import (
     OracleError,
+    OracleResult,
     grid_oracle,
     offline_solve,
     offline_value,
@@ -119,6 +123,110 @@ def test_grid_oracle_dimension_guard():
     p = doubly_stochastic_problem(d=2)  # n = 4 > 3
     with pytest.raises(ValueError, match="n <= 3"):
         grid_oracle(p, _linear_loss([1.0, 0.0, 0.0, 0.0]), resolution=0.1)
+
+
+def _grid_oracle_whole(problem, losses, resolution):
+    """Reference: the whole grid built at once, as grid_oracle did before it
+    walked the grid in blocks. The blocked version must match it bit for bit."""
+    loss_list = [losses] if isinstance(losses, ConvexFn) else list(losses)
+    R = problem.dom.radius
+    steps = int(np.floor(2.0 * R / resolution)) + 1
+    coords = -R + resolution * np.arange(steps)
+    grids = np.meshgrid(*([coords] * problem.n), indexing="ij")
+    X = np.stack([g.ravel() for g in grids], axis=1)
+    X = X[np.linalg.norm(X, axis=1) <= R]
+    feasible = np.ones(len(X), dtype=bool)
+    for g in problem.gs:
+        if g.eval_many is not None:
+            feasible &= g.eval_many(X) <= 0.0
+        else:
+            feasible &= np.array([g.eval(x) <= 0.0 for x in X], dtype=bool)
+    X = X[feasible]
+    if len(X) == 0:
+        raise ValueError("no feasible grid point at this resolution")
+    total = np.zeros(len(X))
+    for f in loss_list:
+        if f.eval_many is not None:
+            total += f.eval_many(X)
+        else:
+            total += np.array([f.eval(x) for x in X])
+    i = int(np.argmin(total))
+    return OracleResult(X[i], float(total[i]), 0.0, {"points": len(X)})
+
+
+def _assert_same_grid_answer(problem, losses, resolution):
+    got = grid_oracle(problem, losses, resolution)
+    ref = _grid_oracle_whole(problem, losses, resolution)
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert (got.value, got.residual, got.info) == (ref.value, ref.residual, ref.info)
+    return got
+
+
+def _slack_problem(n, R=1.0):
+    g = ConvexFn(lambda x: -1.0, lambda x: np.zeros(n), eval_many=lambda X: -np.ones(len(X)))
+    return make_problem(n, [g], R=R)
+
+
+def test_grid_oracle_memory_bounded_by_block():
+    # check 8's grid: about 2M feasible points, 244 MiB when built at once
+    p = toy_problem()
+    fbar = p.mean_loss(1, 50)
+    tracemalloc.start()
+    try:
+        grid_oracle(p, fbar, resolution=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("block", [1 << 16, 700, 50])
+def test_grid_oracle_blocks_match_whole_grid(monkeypatch, block):
+    monkeypatch.setattr(ocolc.oracle, "GRID_BLOCK", block)
+    rng = np.random.default_rng(block)
+    toy, disp = toy_problem(), dispatch_problem()
+    for _ in range(8):
+        _assert_same_grid_answer(toy, _linear_loss(rng.normal(size=2)), rng.uniform(0.004, 0.2))
+    for seed in range(3):
+        _assert_same_grid_answer(disp, disp.mean_loss(seed, 40), rng.uniform(1.5, 4.0))
+    # losses without eval_many, one Python call per point
+    p3 = _slack_problem(3)
+    c = rng.normal(size=3)
+    _assert_same_grid_answer(p3, ConvexFn(lambda x: float(np.sum((x - c) ** 2)), None), 0.15)
+
+
+@pytest.mark.parametrize("k", [8, 9, 10])
+def test_grid_oracle_minimiser_on_block_edge(monkeypatch, k):
+    # 21 x 21 grid in blocks of 3 slices: slices 8 | 9 10 11 | 12 ...
+    monkeypatch.setattr(ocolc.oracle, "GRID_BLOCK", 3 * 21)
+    p = _slack_problem(2)
+    coords = -1.0 + 0.1 * np.arange(21)
+    target = np.array([coords[k], coords[4]])
+    loss = ConvexFn(
+        lambda x: float(np.sum((x - target) ** 2)),
+        lambda x: 2 * (x - target),
+        eval_many=lambda X: ((X - target) ** 2).sum(axis=1),
+    )
+    res = _assert_same_grid_answer(p, loss, 0.1)
+    assert np.array_equal(res.x, target) and res.value == 0.0
+
+
+def test_grid_oracle_tie_across_blocks_keeps_first(monkeypatch):
+    monkeypatch.setattr(ocolc.oracle, "GRID_BLOCK", 3 * 21)
+    p = _slack_problem(2)
+    coords = -1.0 + 0.1 * np.arange(21)
+    first, second = np.array([coords[5], coords[10]]), np.array([coords[14], coords[10]])
+
+    def ev_many(X):
+        return -((X == first).all(axis=1) | (X == second).all(axis=1)).astype(float)
+
+    loss = ConvexFn(lambda x: float(ev_many(x[None])[0]), None, eval_many=ev_many)
+    res = _assert_same_grid_answer(p, loss, 0.1)
+    assert np.array_equal(res.x, first)
+    # a loss equal everywhere: the first feasible grid point wins
+    flat = ConvexFn(lambda x: 0.0, None, eval_many=lambda X: np.zeros(len(X)))
+    res = _assert_same_grid_answer(p, flat, 0.1)
+    assert np.array_equal(res.x, [-1.0, 0.0])
 
 
 # -------------------------------------------------------------- Dykstra
