@@ -234,13 +234,7 @@ def cmd_run(s: Settings) -> int:
     except RunError as e:
         print(f"error: run aborted at {e}", file=sys.stderr)
         return EXIT_FAIL
-    try:
-        oracle_blob, _ = cached_offline_value(
-            problem, _problem_key(s), seed, cfg.T, iters, tol, out
-        )
-    except OracleError as e:
-        print(f"error: oracle failed: {e}", file=sys.stderr)
-        return EXIT_FAIL
+    oracle_blob, _ = cached_offline_value(problem, _problem_key(s), seed, cfg.T, iters, tol, out)
     summary = summarize(trace, oracle_blob["value"])
     gmax = trace.g.max(axis=1)
     clip = np.maximum(gmax, 0.0)
@@ -329,11 +323,7 @@ def cmd_sweep(s: Settings) -> int:
     for T in t_grid:
         for i in range(n_seeds):
             seed = derive_seed(base_seed, i)
-            try:
-                blob, _ = cached_offline_value(problem, key, seed, T, iters, tol, out)
-            except OracleError as e:
-                print(f"error: oracle failed: {e}", file=sys.stderr)
-                return EXIT_FAIL
+            blob, _ = cached_offline_value(problem, key, seed, T, iters, tol, out)
             oracle_vals[(T, i)] = blob["value"]
 
     settings_snapshot = {k: v for k, v in vars(s.ns).items() if k != "command"}
@@ -401,11 +391,7 @@ def cmd_oracle(s: Settings) -> int:
     T = s.get("T", int, required=True)
     iters, tol = _oracle_settings(s)
     out = _out_dir(s)
-    try:
-        blob, hit = cached_offline_value(problem, _problem_key(s), seed, T, iters, tol, out)
-    except OracleError as e:
-        print(f"error: oracle failed: {e}", file=sys.stderr)
-        return EXIT_FAIL
+    blob, hit = cached_offline_value(problem, _problem_key(s), seed, T, iters, tol, out)
     tag = "cached" if hit else "solved"
     print(
         f"{tag}: {problem.name} seed={seed} T={T} value={_fmt(blob['value'])} "
@@ -500,6 +486,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except OracleError as e:
+        print(f"error: oracle failed: {e}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
