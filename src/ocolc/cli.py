@@ -80,6 +80,13 @@ class UsageError(Exception):
     pass
 
 
+def _positive(key: str, value: int) -> int:
+    """A horizon or a count of seeds or workers: anything below 1 is a usage error."""
+    if value < 1:
+        raise UsageError(f"--{key} must be a positive integer, got {value}")
+    return value
+
+
 def build_problem(s: Settings):
     name = s.get("problem", str, required=True)
     if name == "toy":
@@ -97,7 +104,7 @@ def build_problem(s: Settings):
 def build_config(s: Settings, T=None, algo=None) -> AlgoConfig:
     return AlgoConfig(
         variant=algo if algo is not None else s.get("algo", str, required=True),
-        T=T if T is not None else s.get("T", int, required=True),
+        T=T if T is not None else _positive("T", s.get("T", int, required=True)),
         beta=s.get("beta", float, 0.5),
         alpha=s.get("alpha", float, 0.5),
         lagrangian=s.get("lagrangian", str),
@@ -236,8 +243,6 @@ def cmd_run(s: Settings) -> int:
         return EXIT_FAIL
     oracle_blob, _ = cached_offline_value(problem, _problem_key(s), seed, cfg.T, iters, tol, out)
     summary = summarize(trace, oracle_blob["value"])
-    gmax = trace.g.max(axis=1)
-    clip = np.maximum(gmax, 0.0)
     blob = {
         "problem": problem.name,
         "algo": cfg.variant,
@@ -255,9 +260,9 @@ def cmd_run(s: Settings) -> int:
         "sum_clip": [float(v) for v in summary.sum_clip],
         "sum_clip_sq": [float(v) for v in summary.sum_clip_sq],
         "max_step_violation": summary.max_step_violation,
-        "agg_sum_g": float(gmax.sum()),
-        "agg_sum_clip": float(clip.sum()),
-        "agg_sum_clip_sq": float((clip * clip).sum()),
+        "agg_sum_g": summary.agg_sum_g,
+        "agg_sum_clip": summary.agg_sum_clip,
+        "agg_sum_clip_sq": summary.agg_sum_clip_sq,
         "g_bar_x1": trace.meta["g_bar_x1"],
     }
     trace_path = os.path.join(out, "trace.csv")
@@ -266,7 +271,7 @@ def cmd_run(s: Settings) -> int:
         json.dump(blob, fh, indent=1, sort_keys=True)
     print(
         f"{problem.name}/{cfg.variant} T={cfg.T} seed={seed}: "
-        f"regret={_fmt(summary.regret)} sum_clip={_fmt(clip.sum())} "
+        f"regret={_fmt(summary.regret)} sum_clip={_fmt(summary.agg_sum_clip)} "
         f"max_viol={_fmt(summary.max_step_violation)}"
     )
     print(f"wrote {trace_path} and summary.json")
@@ -279,21 +284,20 @@ _SWEEP_COLUMNS = (
 
 
 def _sweep_cell(batch: Batch, cfg: AlgoConfig, cell: dict) -> dict:
-    """One sweep cell reduced to its sweep.csv row."""
+    """One sweep cell reduced to its sweep.csv row (max-aggregated sums)."""
     try:
         trace = run(batch, cfg, cell["seed"])
     except RunError as e:
         return dict(cell, error=str(e))
-    gmax = trace.g.max(axis=1)
-    clip = np.maximum(gmax, 0.0)
+    summary = summarize(trace, cell["offline_value"])
     return dict(
         cell,
         error=None,
-        regret=float(trace.fx.sum() - cell["offline_value"]),
-        sum_g=float(gmax.sum()),
-        sum_clip=float(clip.sum()),
-        sum_clip_sq=float((clip * clip).sum()),
-        max_step_violation=float(clip.max(initial=0.0)),
+        regret=summary.regret,
+        sum_g=summary.agg_sum_g,
+        sum_clip=summary.agg_sum_clip,
+        sum_clip_sq=summary.agg_sum_clip_sq,
+        max_step_violation=summary.max_step_violation,
     )
 
 
@@ -308,11 +312,15 @@ def _sweep_group(group: dict) -> list:
 
 
 def cmd_sweep(s: Settings) -> int:
-    t_grid = [int(v) for v in s.get("T-grid", str, required=True).split(",")]
+    raw_grid = s.get("T-grid", str, required=True)
+    try:
+        t_grid = [_positive("T-grid", int(v)) for v in raw_grid.split(",")]
+    except ValueError:
+        raise UsageError(f"--T-grid must be positive integers, got {raw_grid!r}") from None
     algos = [a.strip() for a in s.get("algos", str, required=True).split(",")]
-    n_seeds = s.get("seeds", int, 10)
+    n_seeds = _positive("seeds", s.get("seeds", int, 10))
     base_seed = s.get("seed", int, BASE_SWEEP_SEED)
-    jobs = s.get("jobs", int, 1)
+    jobs = _positive("jobs", s.get("jobs", int, 1))
     iters, tol = _oracle_settings(s)
     out = _out_dir(s)
     problem = build_problem(s)
@@ -388,7 +396,7 @@ def cmd_sweep(s: Settings) -> int:
 def cmd_oracle(s: Settings) -> int:
     problem = build_problem(s)
     seed = s.get("seed", int, 0)
-    T = s.get("T", int, required=True)
+    T = _positive("T", s.get("T", int, required=True))
     iters, tol = _oracle_settings(s)
     out = _out_dir(s)
     blob, hit = cached_offline_value(problem, _problem_key(s), seed, T, iters, tol, out)
@@ -429,17 +437,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--oracle-iters", type=int)
         p.add_argument("--oracle-tol", type=float)
 
+    def algo_settings(p):
+        p.add_argument("--beta", type=float)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--aggregation", choices=("max", "logsumexp", "per_constraint"))
+        p.add_argument("--lagrangian", choices=("clipped", "plain"))
+        p.add_argument("--eta", type=float, help="override the stepsize")
+        p.add_argument("--sigma", type=float, help="override the dual constant")
+
     p_run = sub.add_parser("run", help="one run: trace.csv + summary.json")
     common(p_run)
     p_run.add_argument("--algo")
     p_run.add_argument("--T", type=int)
-    p_run.add_argument("--beta", type=float)
-    p_run.add_argument("--alpha", type=float)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--aggregation", choices=("max", "logsumexp", "per_constraint"))
-    p_run.add_argument("--lagrangian", choices=("clipped", "plain"))
-    p_run.add_argument("--eta", type=float, help="override the stepsize")
-    p_run.add_argument("--sigma", type=float, help="override the dual constant")
+    algo_settings(p_run)
     p_run.add_argument("--per-constraint-columns", action="store_true", default=None)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs: sweep.csv + sweep_stats.csv")
@@ -448,12 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algos", help="comma-separated algorithm names")
     p_sweep.add_argument("--seeds", type=int, help="number of random sequences")
     p_sweep.add_argument("--seed", type=int, help="base seed for the splitting rule")
-    p_sweep.add_argument("--beta", type=float)
-    p_sweep.add_argument("--alpha", type=float)
-    p_sweep.add_argument("--aggregation", choices=("max", "logsumexp", "per_constraint"))
-    p_sweep.add_argument("--lagrangian", choices=("clipped", "plain"))
-    p_sweep.add_argument("--eta", type=float)
-    p_sweep.add_argument("--sigma", type=float)
+    algo_settings(p_sweep)
     p_sweep.add_argument("--jobs", type=int, help="worker processes, one algorithm each")
 
     p_oracle = sub.add_parser("oracle", help="offline optimum for one (problem, seed, T)")

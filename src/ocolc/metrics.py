@@ -12,30 +12,44 @@ from .algorithms import RunTrace
 
 @dataclass
 class RunSummary:
-    """Aggregates of one run: regret and the three violation sums per constraint."""
+    """Aggregates of one run: regret, the three violation sums per constraint
+    and of the max-aggregated constraint max_i g_i, and the worst step."""
 
     regret: float
     sum_g: np.ndarray  # (m,) plain sums, cancellations allowed
     sum_clip: np.ndarray  # (m,) sums of [g]_+
     sum_clip_sq: np.ndarray  # (m,) sums of ([g]_+)^2
+    agg_sum_g: float  # sum_t max_i g_i
+    agg_sum_clip: float  # sum_t [max_i g_i]_+
+    agg_sum_clip_sq: float  # sum_t ([max_i g_i]_+)^2
     max_step_violation: float  # max over steps and constraints of [g]_+
+    burnin_max_violation: float  # the same max over steps T//10 onward
     T: int
 
 
 def summarize(trace: RunTrace, offline_value: float) -> RunSummary:
-    """Reduce a trace against the offline optimum sum_t f_t(x*)."""
+    """Reduce a trace against the offline optimum sum_t f_t(x*) (nan when
+    there is none); the one place a trace becomes sums."""
     T = trace.T
     if T == 0:
         raise ValueError("empty trace")
     if not (trace.x.shape[0] == trace.fx.size == trace.g.shape[0] == trace.lam.shape[0] == T):
         raise ValueError("trace row arrays disagree on length")
     clip = np.maximum(trace.g, 0.0)
+    sum_clip = clip.sum(axis=0)
+    sum_clip_sq = np.square(clip, out=clip).sum(axis=0)  # in place: one (T, m) temporary
+    gmax = trace.g.max(axis=1)
+    agg_clip = np.maximum(gmax, 0.0)
     summary = RunSummary(
         regret=float(trace.fx.sum() - offline_value),
         sum_g=trace.g.sum(axis=0),
-        sum_clip=clip.sum(axis=0),
-        sum_clip_sq=(clip * clip).sum(axis=0),
-        max_step_violation=float(clip.max(initial=0.0)),
+        sum_clip=sum_clip,
+        sum_clip_sq=sum_clip_sq,
+        agg_sum_g=float(gmax.sum()),
+        agg_sum_clip=float(agg_clip.sum()),
+        agg_sum_clip_sq=float((agg_clip * agg_clip).sum()),
+        max_step_violation=float(agg_clip.max(initial=0.0)),
+        burnin_max_violation=float(agg_clip[T // 10 :].max(initial=0.0)),
         T=T,
     )
     # Cauchy-Schwarz must hold on every real trace; a violation means the

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algorithms import AlgoConfig, Batch, projected_ogd_run, run
 from .core import ConvexFn, finite_diff_grad
-from .metrics import fit_slope, positive_points
+from .metrics import RunSummary, fit_slope, positive_points, summarize
 from .oracle import grid_oracle, offline_solve, offline_value, project_birkhoff
 from .problems import (
     derive_seed,
@@ -34,6 +34,15 @@ BASE_SEED = 2024
 CONTRAST_ETA = 0.01
 CONTRAST_SIGMA = 100.0
 CONTRAST_T = 2880
+
+
+@dataclass
+class Cell:
+    """One run's summary plus its two trace checks (lambda_err: NaN if not clipped-ogd)."""
+
+    summary: RunSummary
+    ball_ok: bool
+    lambda_err: float
 
 
 @dataclass
@@ -62,7 +71,7 @@ class AcceptanceSuite:
         self.ds_seeds = ds_seeds
         self.base_seed = base_seed
         self.toy = toy_problem()
-        self._cells: Dict[tuple, dict] = {}
+        self._cells: Dict[tuple, Cell] = {}
         self._ds = None
 
     @property
@@ -73,49 +82,28 @@ class AcceptanceSuite:
 
     # ------------------------------------------------------------- cells
 
-    def _cell(self, problem, cfg: AlgoConfig, seed: int, with_oracle=True, batch=None) -> dict:
-        """One (problem, config, seed) run reduced to scalar metrics; the run
-        comes from `batch` when one holds the cell."""
+    def _cell(self, problem, cfg: AlgoConfig, seed: int, with_oracle=True, batch=None) -> Cell:
+        """One (problem, config, seed) run, from `batch` when one holds it."""
         key = (problem.name, cfg, seed)
         if key in self._cells:
             return self._cells[key]
         trace = run(problem if batch is None else batch, cfg, seed)
-        T = cfg.T
-        gmax = trace.g.max(axis=1)
-        clip = np.maximum(gmax, 0.0)
-        cell = {
-            "T": T,
-            "sum_g": float(gmax.sum()),
-            "sum_clip": float(clip.sum()),
-            "sum_clip_sq": float((clip * clip).sum()),
-            "max_step_violation": float(clip.max(initial=0.0)),
-            "burnin_max_violation": float(clip[T // 10 :].max(initial=0.0)),
-            "ball_ok": bool(
-                np.linalg.norm(trace.x, axis=1).max()
-                <= problem.dom.radius * (1.0 + 1e-12)
-            ),
-            "cs_ok": bool(
-                clip.sum() ** 2 <= T * (clip * clip).sum() * (1.0 + 1e-12) + 1e-18
-            ),
-            "lambda_err": float("nan"),
-        }
+        lambda_err = float("nan")
         if cfg.variant == "clipped-ogd":
             lhs = trace.lam * trace.sigma * trace.eta
-            rhs = np.maximum(trace.g_agg, 0.0)
-            cell["lambda_err"] = float(np.abs(lhs - rhs).max())
-        if with_oracle:
-            ov = offline_value(problem, seed, T)
-            cell["regret"] = float(trace.fx.sum() - ov.value)
-        self._cells[key] = cell
+            lambda_err = float(np.abs(lhs - np.maximum(trace.g_agg, 0.0)).max())
+        ov = offline_value(problem, seed, cfg.T).value if with_oracle else float("nan")
+        ball_ok = np.linalg.norm(trace.x, axis=1).max() <= problem.dom.radius * (1.0 + 1e-12)
+        cell = self._cells[key] = Cell(summarize(trace, ov), bool(ball_ok), lambda_err)
         return cell
 
-    def _grid_cells(self, problem, cells) -> List[dict]:
+    def _grid_cells(self, problem, cells) -> List[Cell]:
         """Cells of one grid; those not cached yet run in one kernel call."""
         todo = [(cfg, seed) for cfg, seed in cells if (problem.name, cfg, seed) not in self._cells]
         batch = Batch(problem, todo)
         return [self._cell(problem, cfg, seed, batch=batch) for cfg, seed in cells]
 
-    def toy_cells(self, beta: float, variant="clipped-ogd", t_grid=None) -> List[dict]:
+    def toy_cells(self, beta: float, variant="clipped-ogd", t_grid=None) -> List[Cell]:
         grid = self.t_grid if t_grid is None else t_grid
         cells = [
             (AlgoConfig(variant, T=T, beta=beta), derive_seed(self.base_seed, i))
@@ -124,7 +112,7 @@ class AcceptanceSuite:
         ]
         return self._grid_cells(self.toy, cells)
 
-    def ds_cells(self) -> List[dict]:
+    def ds_cells(self) -> List[Cell]:
         cells = [
             (AlgoConfig("strong-clipped-ogd", T=T), derive_seed(self.base_seed, 100 + i))
             for T in self.t_grid
@@ -132,7 +120,7 @@ class AcceptanceSuite:
         ]
         return self._grid_cells(self.ds, cells)
 
-    def contrast_cells(self) -> Dict[str, dict]:
+    def contrast_cells(self) -> Dict[str, Cell]:
         problem = dispatch_problem()
         out = {}
         for variant in ("clipped-ogd", "mahdavi-ogd"):
@@ -145,10 +133,10 @@ class AcceptanceSuite:
             out[variant] = self._cell(problem, cfg, self.base_seed, with_oracle=False)
         return out
 
-    def _mean_series(self, cells: List[dict], key: str) -> List[Tuple[int, float]]:
+    def _mean_series(self, cells: List[Cell], field: str) -> List[Tuple[int, float]]:
         byT: Dict[int, list] = {}
         for c in cells:
-            byT.setdefault(c["T"], []).append(c[key])
+            byT.setdefault(c.summary.T, []).append(getattr(c.summary, field))
         return [(T, float(np.mean(vs))) for T, vs in sorted(byT.items())]
 
     @staticmethod
@@ -164,17 +152,18 @@ class AcceptanceSuite:
             return float("nan"), f"{note} [need at least 3 points, got {len(kept)}]"
         return fit_slope(kept), note
 
+    def _regret_slope(self, cells: List[Cell]) -> Tuple[float, str]:
+        """Slope of the mean regret; negative means clamp to 0 and drop out."""
+        return self._slope([(T, max(v, 0.0)) for T, v in self._mean_series(cells, "regret")])
+
     # ------------------------------------------------------------ checks
 
     def check_lambda_identity(self) -> CheckResult:
-        errs = [c["lambda_err"] for c in self.toy_cells(0.5) if not np.isnan(c["lambda_err"])]
+        cells = self.toy_cells(0.5)
         # per-constraint duals must satisfy the identity componentwise too
         cfg = AlgoConfig("clipped-ogd", T=200, aggregation="per_constraint")
-        trace = run(dispatch_problem(), cfg, self.base_seed)
-        errs.append(
-            float(np.abs(trace.lam * trace.sigma * trace.eta - np.maximum(trace.g, 0.0)).max())
-        )
-        worst = max(errs)
+        cells.append(self._cell(dispatch_problem(), cfg, self.base_seed, with_oracle=False))
+        worst = max(c.lambda_err for c in cells if not np.isnan(c.lambda_err))
         return CheckResult(
             "1 lambda-update identity",
             worst <= 1e-12,
@@ -182,53 +171,41 @@ class AcceptanceSuite:
         )
 
     def check_ball_feasibility(self) -> CheckResult:
-        cells = list(self.toy_cells(0.5)) + list(self.ds_cells())
-        cells += list(self.contrast_cells().values())
+        cells = self.toy_cells(0.5) + self.ds_cells() + list(self.contrast_cells().values())
         for variant in ("mahdavi-ogd", "a-ogd"):
             cfg = AlgoConfig(variant, T=max(self.t_grid))
             cells.append(self._cell(self.toy, cfg, derive_seed(self.base_seed, 0), with_oracle=False))
-        bad = sum(not c["ball_ok"] for c in cells)
+        bad = sum(not c.ball_ok for c in cells)
         return CheckResult(
             "2 ball feasibility",
             bad == 0,
             f"{len(cells)} runs, {bad} with ||x|| > R(1+1e-12)",
         )
 
-    def check_theorem1_scaling(self) -> CheckResult:
-        cells = self.toy_cells(0.5)
-        s_v, n_v = self._slope(self._mean_series(cells, "sum_clip_sq"))
-        s_r, n_r = self._slope(
-            [(T, max(v, 0.0)) for T, v in self._mean_series(cells, "regret")]
-        )
-        ok = s_v <= 0.65 and s_r <= 0.65
+    def _tradeoff(self, name: str, beta: float) -> CheckResult:
+        """Toy slopes of sum([g]+)^2 and regret against 1-beta and max(beta, 1-beta), + 0.15."""
+        cells = self.toy_cells(beta)
+        s_v, n_v = self._slope(self._mean_series(cells, "agg_sum_clip_sq"))
+        s_r, n_r = self._regret_slope(cells)
+        bound_v = (1.0 - beta) + 0.15
+        bound_r = max(beta, 1.0 - beta) + 0.15
         return CheckResult(
-            "3 theorem-1 scaling (beta=1/2)",
-            ok,
-            f"slope sum([g]+)^2 = {s_v:.3f} (<= 0.65){n_v}, "
-            f"regret slope = {s_r:.3f} (<= 0.65){n_r}",
+            name,
+            s_v <= bound_v and s_r <= bound_r,
+            f"slope sum([g]+)^2 = {s_v:.3f} (<= {bound_v:.2f}){n_v}, "
+            f"regret slope = {s_r:.3f} (<= {bound_r:.2f}){n_r}",
         )
 
+    def check_theorem1_scaling(self) -> CheckResult:
+        return self._tradeoff("3 theorem-1 scaling (beta=1/2)", 0.5)
+
     def check_prop3_tradeoff(self) -> CheckResult:
-        beta = 2.0 / 3.0
-        cells = self.toy_cells(beta)
-        s_v, n_v = self._slope(self._mean_series(cells, "sum_clip_sq"))
-        s_r, n_r = self._slope(
-            [(T, max(v, 0.0)) for T, v in self._mean_series(cells, "regret")]
-        )
-        ok = s_v <= (1.0 - beta) + 0.15 and s_r <= max(beta, 1.0 - beta) + 0.15
-        return CheckResult(
-            "4 proposition-3 trade-off (beta=2/3)",
-            ok,
-            f"slope sum([g]+)^2 = {s_v:.3f} (<= 0.48){n_v}, "
-            f"regret slope = {s_r:.3f} (<= 0.82){n_r}",
-        )
+        return self._tradeoff("4 proposition-3 trade-off (beta=2/3)", 2.0 / 3.0)
 
     def check_theorem2_strong(self) -> CheckResult:
         cells = self.ds_cells()
-        s_r, n_r = self._slope(
-            [(T, max(v, 0.0)) for T, v in self._mean_series(cells, "regret")]
-        )
-        s_c, n_c = self._slope(self._mean_series(cells, "sum_clip"))
+        s_r, n_r = self._regret_slope(cells)
+        s_c, n_c = self._slope(self._mean_series(cells, "agg_sum_clip"))
         ok = s_r <= 0.25 and s_c <= 0.65
         return CheckResult(
             "5 theorem-2 strongly convex",
@@ -238,9 +215,9 @@ class AcceptanceSuite:
         )
 
     def check_lemma1_per_step(self) -> CheckResult:
-        cells = self.toy_cells(0.5)
-        slope, note = self._slope(self._mean_series(cells, "burnin_max_violation"))
-        pts = positive_points(self._mean_series(cells, "burnin_max_violation"))
+        series = self._mean_series(self.toy_cells(0.5), "burnin_max_violation")
+        slope, note = self._slope(series)
+        pts = positive_points(series)
         final = pts[-1][1] if pts else float("nan")
         ok = slope <= 0.0 and final <= 0.05
         return CheckResult(
@@ -251,12 +228,12 @@ class AcceptanceSuite:
 
     def check_baseline_contrast(self) -> CheckResult:
         T = max(self.t_grid)
-        toy_clip = self._mean_series(self.toy_cells(0.5), "sum_clip_sq")[-1][1]
+        toy_clip = self._mean_series(self.toy_cells(0.5), "agg_sum_clip_sq")[-1][1]
         mah_cells = self.toy_cells(0.5, variant="mahdavi-ogd", t_grid=(T,))
-        toy_mah = self._mean_series(mah_cells, "sum_clip_sq")[-1][1]
+        toy_mah = self._mean_series(mah_cells, "agg_sum_clip_sq")[-1][1]
         contrast = self.contrast_cells()
-        mv_clip = contrast["clipped-ogd"]["max_step_violation"]
-        mv_mah = contrast["mahdavi-ogd"]["max_step_violation"]
+        mv_clip = contrast["clipped-ogd"].summary.max_step_violation
+        mv_mah = contrast["mahdavi-ogd"].summary.max_step_violation
         ok = toy_clip < toy_mah and mv_clip <= 0.5 * mv_mah
         return CheckResult(
             "7 baseline contrast",
@@ -325,9 +302,11 @@ class AcceptanceSuite:
         )
 
     def check_cauchy_schwarz(self) -> CheckResult:
-        cells = list(self.toy_cells(0.5)) + list(self.ds_cells())
-        cells += list(self.contrast_cells().values())
-        bad = sum(not c["cs_ok"] for c in cells)
+        cells = self.toy_cells(0.5) + self.ds_cells() + list(self.contrast_cells().values())
+        bad = sum(
+            not s.agg_sum_clip**2 <= s.T * s.agg_sum_clip_sq * (1.0 + 1e-12) + 1e-18
+            for s in (c.summary for c in cells)
+        )
         return CheckResult(
             "10 Cauchy-Schwarz metric invariant",
             bad == 0,

@@ -5,9 +5,12 @@ grids (toy at two betas, the strongly convex matrix sweep) run once for the
 whole module. Each test prints its criterion's pass/fail line.
 """
 
+import dataclasses
+
 import pytest
 
 import ocolc.algorithms
+import ocolc.validation
 from ocolc.validation import AcceptanceSuite
 
 
@@ -75,6 +78,23 @@ def test_negative_control_fault_injection(monkeypatch):
     result = small.check_lambda_identity()
     print(result.line())
     assert not result.passed
+
+
+def test_negative_control_cauchy_schwarz(monkeypatch):
+    # summaries whose aggregated sum of squares shrank below (sum [g]+)^2 / T
+    # must fail check 10, not raise
+    exact = ocolc.validation.summarize
+
+    def shrunk(trace, offline_value):
+        s = exact(trace, offline_value)
+        return dataclasses.replace(s, agg_sum_clip_sq=s.agg_sum_clip_sq / (2 * s.T))
+
+    monkeypatch.setattr(ocolc.validation, "summarize", shrunk)
+    small = AcceptanceSuite(t_grid=(100, 200, 400), toy_seeds=2, ds_seeds=1)
+    result = small.check_cauchy_schwarz()
+    print(result.line())
+    assert not result.passed
+    assert " 0 violations" not in result.details
 
 
 def test_negative_control_degeneration_on_a_violated_instance(suite):

@@ -228,3 +228,61 @@ def test_oracle_over_corrupt_cache_recomputes(tmp_path, capsys):
         assert "warning: recomputing corrupt oracle cache entry" in captured.err
     assert run_cli(*args) == 0
     assert capsys.readouterr().out.startswith("cached")
+
+
+# ------------------------------------------------------------ bad input
+
+TOY_SWEEP = ("sweep", "--problem", "toy", "--algos", "ogd")
+BAD_COUNTS = {
+    "T-grid entry not an integer": (*TOY_SWEEP, "--T-grid", "50,x", "--seeds", "1"),
+    "T-grid entry zero": (*TOY_SWEEP, "--T-grid", "0", "--seeds", "1"),
+    "zero seeds": (*TOY_SWEEP, "--T-grid", "50", "--seeds", "0"),
+    "negative seeds": (*TOY_SWEEP, "--T-grid", "50", "--seeds", "-2"),
+    "zero jobs": (*TOY_SWEEP, "--T-grid", "50", "--seeds", "1", "--jobs", "0"),
+    "oracle at T 0": ("oracle", "--problem", "toy", "--T", "0"),
+    "run at T 0": ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_bad_counts_are_usage_errors_before_any_oracle_call(tmp_path, capsys, monkeypatch, case):
+    def fail(*args, **kwargs):
+        raise AssertionError("oracle called on bad input")
+
+    monkeypatch.setattr(ocolc.cli, "offline_value", fail)
+    assert run_cli(*BAD_COUNTS[case], "--out", str(tmp_path)) == 2
+    assert "usage error: --" in capsys.readouterr().err
+    assert not list(tmp_path.glob("oracle-*.json"))
+
+
+# ------------------------------------------------------ one metric reduction
+
+
+def test_sweep_row_matches_run_summary(tmp_path):
+    # sweep.csv's sum columns are the aggregated agg_* sums of summary.json,
+    # to the last bit, for the same (algo, T, seed) cell
+    from ocolc.cli import BASE_SWEEP_SEED, _fmt
+    from ocolc.problems import derive_seed
+
+    sweep_out, run_out = tmp_path / "sweep", tmp_path / "run"
+    assert run_cli(
+        "sweep", "--problem", "toy", "--algos", "clipped-ogd", "--T-grid", "150",
+        "--seeds", "2", "--out", str(sweep_out),
+    ) == 0
+    seed = derive_seed(BASE_SWEEP_SEED, 1)
+    assert run_cli(
+        "run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "150",
+        "--seed", str(seed), "--out", str(run_out),
+    ) == 0
+    header, *rows = (sweep_out / "sweep.csv").read_text().strip().splitlines()
+    row = dict(zip(header.split(","), rows[1].split(",")))
+    assert row["seed"] == str(seed)
+    summary = json.loads((run_out / "summary.json").read_text())
+    for column, key in (
+        ("regret", "regret"),
+        ("sum_g", "agg_sum_g"),
+        ("sum_clip", "agg_sum_clip"),
+        ("sum_clip_sq", "agg_sum_clip_sq"),
+        ("max_step_violation", "max_step_violation"),
+    ):
+        assert row[column] == _fmt(summary[key]), column

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ocolc.algorithms import AlgoConfig, RunTrace
 from ocolc.metrics import fit_slope, positive_points, summarize
@@ -74,6 +76,42 @@ def test_summarize_invariants_on_random_traces(rng):
         assert np.all(s.sum_clip >= s.sum_g - 1e-12)
         assert np.all(s.sum_clip_sq >= 0)
         assert np.all(s.sum_clip**2 <= T * s.sum_clip_sq + 1e-9)
+
+
+@st.composite
+def traces(draw):
+    T = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 5))
+    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    g = draw(hnp.arrays(np.float64, (T, m), elements=elements))
+    fx = draw(hnp.arrays(np.float64, (T,), elements=elements))
+    return _trace(fx, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+def test_summarize_aggregated_sums_are_consistent(trace):
+    s = summarize(trace, float("nan"))
+    T = trace.T
+    # Cauchy-Schwarz on the sums of the aggregated clip
+    assert s.agg_sum_clip**2 <= T * s.agg_sum_clip_sq * (1.0 + 1e-12) + 1e-18
+    # [max_i g_i]_+ is at least each [g_i]_+ and at most their sum
+    tol = 1e-9 * max(1.0, s.sum_clip.sum())
+    assert s.sum_clip.max() <= s.agg_sum_clip + tol
+    assert s.agg_sum_clip <= s.sum_clip.sum() + tol
+    agg_clip = np.maximum(trace.g.max(axis=1), 0.0)
+    assert s.max_step_violation == agg_clip.max()
+    assert 0.0 <= s.burnin_max_violation <= s.max_step_violation
+    assert s.agg_sum_g == trace.g.max(axis=1).sum()
+    assert np.isnan(s.regret)
+
+
+def test_summarize_burnin_skips_the_first_tenth():
+    g = np.array([5.0] + [0.25] * 9 + [0.5] * 10)  # T = 20: rows 2.. count
+    s = summarize(_trace(np.zeros(20), g), 0.0)
+    assert s.max_step_violation == 5.0
+    assert s.burnin_max_violation == 0.5
+    assert s.agg_sum_clip == 5.0 + 9 * 0.25 + 10 * 0.5
 
 
 def test_summarize_rejects_empty_and_mismatched():
