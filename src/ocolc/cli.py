@@ -8,6 +8,7 @@ built-in defaults. Exit codes: 0 success, 1 run/check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -70,7 +71,8 @@ class Settings:
             raw = self.file[key]
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes")
-            return cast(raw)
+            with _setting(key):
+                return cast(raw)
         if required and default is None:
             raise UsageError(f"missing required setting --{key}")
         return default
@@ -80,38 +82,71 @@ class UsageError(Exception):
     pass
 
 
-def _positive(key: str, value: int) -> int:
-    """A horizon or a count of seeds or workers: anything below 1 is a usage error."""
-    if value < 1:
-        raise UsageError(f"--{key} must be a positive integer, got {value}")
+def _at_least(key: str, value: int, low: int = 1) -> int:
+    """A horizon or a count of seeds or workers (low 1), or a seed (low 0, as
+    numpy's seed sequences require): anything below low is a usage error."""
+    if value < low:
+        raise UsageError(f"--{key} must be an integer >= {low}, got {value}")
     return value
 
 
+@contextlib.contextmanager
+def _setting(key: str):
+    """A ValueError raised while applying setting `key` is a usage error naming it."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(f"--{key}: {e}") from None
+
+
 def build_problem(s: Settings):
+    """The problem the settings name, and the key that identifies it in the
+    oracle cache. The demand CSV is read once, for both."""
     name = s.get("problem", str, required=True)
+    key = {"problem": name}
     if name == "toy":
-        return toy_problem()
+        return toy_problem(), key
     if name == "doubly-stochastic":
-        return doubly_stochastic_problem(d=s.get("d", int, 5))
+        key["d"] = s.get("d", int, 5)
+        with _setting("d"):
+            return doubly_stochastic_problem(d=key["d"]), key
     if name == "dispatch":
         csv = s.get("demand-csv", str)
-        demand = load_demand_csv(csv) if csv else None
-        rescale = s.get("demand-rescale", float, 1.0)
-        return dispatch_problem(DispatchParams(demand=demand, demand_rescale=rescale))
+        rescale = key["rescale"] = s.get("demand-rescale", float, 1.0)
+        if not 0.0 < rescale < float("inf"):
+            raise UsageError(f"--demand-rescale must be positive and finite, got {rescale}")
+        with _setting("demand-csv"):
+            demand = load_demand_csv(csv) if csv else None
+            problem = dispatch_problem(DispatchParams(demand=demand, demand_rescale=rescale))
+        if csv:
+            key["demand_sha"] = hashlib.sha256(demand.tobytes()).hexdigest()[:16]
+        return problem, key
     raise UsageError(f"unknown problem {name!r}; expected one of {PROBLEMS}")
 
 
 def build_config(s: Settings, T=None, algo=None) -> AlgoConfig:
-    return AlgoConfig(
-        variant=algo if algo is not None else s.get("algo", str, required=True),
-        T=T if T is not None else _positive("T", s.get("T", int, required=True)),
-        beta=s.get("beta", float, 0.5),
-        alpha=s.get("alpha", float, 0.5),
-        lagrangian=s.get("lagrangian", str),
-        aggregation=s.get("aggregation", str, "max"),
-        eta_override=s.get("eta", float),
-        sigma_override=s.get("sigma", float),
-    )
+    """The AlgoConfig of the settings (sweep passes each T and algorithm).
+
+    A value AlgoConfig rejects is a usage error naming the setting that
+    brings the rejection on: the settings are added one at a time, in the
+    order below, to a config that is valid so far.
+    """
+    fields = {"T": 1}
+    for key, name, value in (
+        ("algos" if algo is not None else "algo", "variant",
+         algo if algo is not None else s.get("algo", str, required=True)),
+        ("T", "T", T if T is not None else _at_least("T", s.get("T", int, required=True))),
+        ("beta", "beta", s.get("beta", float, 0.5)),
+        ("alpha", "alpha", s.get("alpha", float, 0.5)),
+        ("aggregation", "aggregation", s.get("aggregation", str, "max")),
+        ("lagrangian", "lagrangian", s.get("lagrangian", str)),
+        ("eta", "eta_override", s.get("eta", float)),
+        ("sigma", "sigma_override", s.get("sigma", float)),
+    ):
+        fields[name] = value
+        with _setting(key):
+            cfg = AlgoConfig(**fields)
+    return cfg
 
 
 def _out_dir(s: Settings) -> str:
@@ -153,18 +188,6 @@ def load_trace_csv(path: str) -> dict:
 
 
 # ---------------------------------------------------------- oracle cache
-
-
-def _problem_key(s: Settings) -> dict:
-    key = {"problem": s.get("problem", str, required=True)}
-    if key["problem"] == "doubly-stochastic":
-        key["d"] = s.get("d", int, 5)
-    elif key["problem"] == "dispatch":
-        csv = s.get("demand-csv", str)
-        if csv:
-            key["demand_sha"] = hashlib.sha256(load_demand_csv(csv).tobytes()).hexdigest()[:16]
-        key["rescale"] = s.get("demand-rescale", float, 1.0)
-    return key
 
 
 def _oracle_settings(s: Settings):
@@ -231,9 +254,9 @@ def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol:
 
 
 def cmd_run(s: Settings) -> int:
-    problem = build_problem(s)
+    problem, key = build_problem(s)
     cfg = build_config(s)
-    seed = s.get("seed", int, 0)
+    seed = _at_least("seed", s.get("seed", int, 0), 0)
     iters, tol = _oracle_settings(s)
     out = _out_dir(s)
     try:
@@ -241,7 +264,7 @@ def cmd_run(s: Settings) -> int:
     except RunError as e:
         print(f"error: run aborted at {e}", file=sys.stderr)
         return EXIT_FAIL
-    oracle_blob, _ = cached_offline_value(problem, _problem_key(s), seed, cfg.T, iters, tol, out)
+    oracle_blob, _ = cached_offline_value(problem, key, seed, cfg.T, iters, tol, out)
     summary = summarize(trace, oracle_blob["value"])
     blob = {
         "problem": problem.name,
@@ -301,30 +324,30 @@ def _sweep_cell(batch: Batch, cfg: AlgoConfig, cell: dict) -> dict:
     )
 
 
-def _sweep_group(group: dict) -> list:
+def _sweep_group(group: dict, problem=None) -> list:
     """One algorithm's T x seed grid: one kernel call, one row per cell.
-    Self-contained so it can run in a worker process."""
-    s = Settings(argparse.Namespace(**group["settings"]))
-    problem = build_problem(s)
-    cfgs = [build_config(s, T=c["T"], algo=c["algo"]) for c in group["cells"]]
-    batch = Batch(problem, [(cfg, c["seed"]) for cfg, c in zip(cfgs, group["cells"])])
-    return [_sweep_cell(batch, cfg, c) for cfg, c in zip(cfgs, group["cells"])]
+    In a worker process, which is given no problem, it builds its own."""
+    if problem is None:
+        problem, _ = build_problem(Settings(argparse.Namespace(**group["settings"])))
+    cfgs, cells = group["cfgs"], group["cells"]
+    batch = Batch(problem, [(cfg, c["seed"]) for cfg, c in zip(cfgs, cells)])
+    return [_sweep_cell(batch, cfg, c) for cfg, c in zip(cfgs, cells)]
 
 
 def cmd_sweep(s: Settings) -> int:
     raw_grid = s.get("T-grid", str, required=True)
     try:
-        t_grid = [_positive("T-grid", int(v)) for v in raw_grid.split(",")]
+        t_grid = [_at_least("T-grid", int(v)) for v in raw_grid.split(",")]
     except ValueError:
         raise UsageError(f"--T-grid must be positive integers, got {raw_grid!r}") from None
     algos = [a.strip() for a in s.get("algos", str, required=True).split(",")]
-    n_seeds = _positive("seeds", s.get("seeds", int, 10))
-    base_seed = s.get("seed", int, BASE_SWEEP_SEED)
-    jobs = _positive("jobs", s.get("jobs", int, 1))
+    n_seeds = _at_least("seeds", s.get("seeds", int, 10))
+    base_seed = _at_least("seed", s.get("seed", int, BASE_SWEEP_SEED), 0)
+    jobs = _at_least("jobs", s.get("jobs", int, 1))
     iters, tol = _oracle_settings(s)
     out = _out_dir(s)
-    problem = build_problem(s)
-    key = _problem_key(s)
+    problem, key = build_problem(s)
+    cfgs = {(algo, T): build_config(s, T=T, algo=algo) for algo in algos for T in t_grid}
 
     # the offline value is shared by every algorithm in a (T, seed) cell
     oracle_vals = {}
@@ -338,6 +361,7 @@ def cmd_sweep(s: Settings) -> int:
     groups = [
         {
             "settings": settings_snapshot,
+            "cfgs": [cfgs[(algo, T)] for T in t_grid for i in range(n_seeds)],
             "cells": [
                 {
                     "algo": algo,
@@ -356,7 +380,7 @@ def cmd_sweep(s: Settings) -> int:
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             rows = [row for group in pool.map(_sweep_group, groups) for row in group]
     else:
-        rows = [row for group in groups for row in _sweep_group(group)]
+        rows = [row for group in groups for row in _sweep_group(group, problem)]
     rows.sort(key=lambda r: (r["algo"], r["T"], r["seed_index"]))
 
     failures = [r for r in rows if r["error"]]
@@ -394,12 +418,12 @@ def cmd_sweep(s: Settings) -> int:
 
 
 def cmd_oracle(s: Settings) -> int:
-    problem = build_problem(s)
-    seed = s.get("seed", int, 0)
-    T = _positive("T", s.get("T", int, required=True))
+    problem, key = build_problem(s)
+    seed = _at_least("seed", s.get("seed", int, 0), 0)
+    T = _at_least("T", s.get("T", int, required=True))
     iters, tol = _oracle_settings(s)
     out = _out_dir(s)
-    blob, hit = cached_offline_value(problem, _problem_key(s), seed, T, iters, tol, out)
+    blob, hit = cached_offline_value(problem, key, seed, T, iters, tol, out)
     tag = "cached" if hit else "solved"
     print(
         f"{tag}: {problem.name} seed={seed} T={T} value={_fmt(blob['value'])} "

@@ -18,8 +18,8 @@ class ConvexFn:
     ``subgrad(x) -> ndarray``. ``lipschitz_hint`` is an upper bound on the
     subgradient norm over the domain of interest, when known analytically.
     ``eval_many``, if given, evaluates a batch of points (k, n) -> (k,) and
-    must agree with ``eval`` row by row; it exists so grid searches do not
-    pay a Python call per point.
+    must agree with ``eval`` row by row; it lets the grid oracle evaluate a
+    loss without a Python call per point.
     """
 
     __slots__ = ("eval", "subgrad", "lipschitz_hint", "eval_many")

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,7 +19,7 @@ GRID_BLOCK = 1 << 16
 @dataclass
 class OracleResult:
     x: np.ndarray
-    value: float  # sum of the given losses at x
+    value: float  # the given loss at x
     residual: float  # max_i [g_i(x)]_+
     info: dict = field(default_factory=dict)
 
@@ -33,40 +32,17 @@ class OracleError(RuntimeError):
         self.best = best
 
 
-def _as_loss_list(losses: Union[ConvexFn, Sequence[ConvexFn]]) -> List[ConvexFn]:
-    if isinstance(losses, ConvexFn):
-        return [losses]
-    return list(losses)
-
-
-def _average_fn(losses: List[ConvexFn]) -> ConvexFn:
-    if len(losses) == 1:
-        return losses[0]
-    T = len(losses)
-
-    def ev(x):
-        return sum(f.eval(x) for f in losses) / T
-
-    def sg(x):
-        out = np.asarray(losses[0].subgrad(x), dtype=float).copy()
-        for f in losses[1:]:
-            out += f.subgrad(x)
-        return out / T
-
-    return ConvexFn(ev, sg)
-
-
 def offline_solve(
     problem: ProblemSpec,
-    losses: Union[ConvexFn, Sequence[ConvexFn]],
+    loss: ConvexFn,
     iters: int = 20000,
     tol: float = 1e-6,
     rho0: float = 1.0,
     max_ramps: int = 20,
 ) -> OracleResult:
-    """Minimize the average loss over the feasible set by exact penalty.
+    """Minimize the loss over the feasible set by exact penalty.
 
-    Projected subgradient descent on F(x) = avg(x) + rho * sum_i [g_i(x)]_+
+    Projected subgradient descent on F(x) = loss(x) + rho * sum_i [g_i(x)]_+
     inside the ball, with rho doubled until the returned point is feasible to
     `tol`. Stepsize c/sqrt(k), or 1/(H1 k) when the problem is strongly
     convex. Keeps the best iterate by penalized value and also considers the
@@ -76,19 +52,17 @@ def offline_solve(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    loss_list = _as_loss_list(losses)
-    avg = _average_fn(loss_list)
     gs = problem.gs
     dom = problem.dom
     R = dom.radius
     H1 = problem.H1
 
     def penalized(x, vals, rho):
-        return avg.eval(x) + rho * float(np.maximum(vals, 0.0).sum())
+        return loss.eval(x) + rho * float(np.maximum(vals, 0.0).sum())
 
     def penalty_subgrad(x, vals, rho):
         # no in-place add: a loss may hand back an array it keeps
-        grad = np.asarray(avg.subgrad(x), dtype=float)
+        grad = np.asarray(loss.subgrad(x), dtype=float)
         for i in np.nonzero(vals > 0.0)[0]:
             grad = grad + rho * np.asarray(gs[i].subgrad(x), dtype=float)
         return grad
@@ -131,7 +105,7 @@ def offline_solve(
                 candidate = polished
 
         residual = float(np.maximum(problem.constraint_values(candidate), 0.0).max(initial=0.0))
-        value = float(sum(f.eval(candidate) for f in loss_list))
+        value = float(loss.eval(candidate))
         result = OracleResult(
             candidate, value, residual, {"rho": rho, "ramps": ramp + 1, "iters": iters}
         )
@@ -150,7 +124,7 @@ def offline_solve(
 
 def grid_oracle(
     problem: ProblemSpec,
-    losses: Union[ConvexFn, Sequence[ConvexFn]],
+    loss: ConvexFn,
     resolution: float,
 ) -> OracleResult:
     """Exhaustive search over a feasible grid inside the ball; n <= 3 only.
@@ -160,12 +134,13 @@ def grid_oracle(
     walked in blocks of whole slices along the first coordinate, about
     GRID_BLOCK points each (at least one slice), so memory stays bounded by
     the block and not the grid; the first minimiser in grid order wins ties.
+    Feasibility is one ``values`` call of the problem's array form per block.
     """
     if problem.n > 3:
         raise ValueError(f"grid oracle limited to n <= 3, got n={problem.n}")
     if not (resolution > 0):
         raise ValueError("resolution must be positive")
-    loss_list = _as_loss_list(losses)
+    form = problem.array_form()
     R = problem.dom.radius
     steps = int(np.floor(2.0 * R / resolution)) + 1
     coords = -R + resolution * np.arange(steps)
@@ -178,23 +153,12 @@ def grid_oracle(
         )
         X = np.stack([g.ravel() for g in grids], axis=1)
         X = X[np.linalg.norm(X, axis=1) <= R]
-
-        feasible = np.ones(len(X), dtype=bool)
-        for g in problem.gs:
-            if g.eval_many is not None:
-                feasible &= g.eval_many(X) <= 0.0
-            else:
-                feasible &= np.array([g.eval(x) <= 0.0 for x in X], dtype=bool)
-        X = X[feasible]
+        X = X[(form.values(X) <= 0.0).all(axis=1)]
         if len(X) == 0:
             continue
 
-        total = np.zeros(len(X))
-        for f in loss_list:
-            if f.eval_many is not None:
-                total += f.eval_many(X)
-            else:
-                total += np.array([f.eval(x) for x in X])
+        fx = loss.eval_many(X) if loss.eval_many is not None else [loss.eval(x) for x in X]
+        total = np.zeros(len(X)) + fx  # a -0.0 loss sums to +0.0, as it always has
         i = int(np.argmin(total))
         if best_val is None or total[i] < best_val:
             best_x, best_val = X[i].copy(), total[i]

@@ -11,17 +11,20 @@ consume a fixed number of variates per step, so the loss at step t does not
 depend on the horizon it was generated for, and step t can be drawn alone by
 jumping the generator past the earlier steps.
 
-Besides its ConvexFn closures, each built-in problem has an array form
-(``ArrayForm``) that the batched run kernel reads: loss parameters indexed by
-t, and losses, constraint values and constraint subgradients evaluated over a
-(B, n) batch of points in one call. Problems built from closures alone go
-through ``FnArrays``, which evaluates the same closures row by row.
+Each built-in problem is an array form (``ArrayForm``), which the batched
+run kernel reads: loss parameters indexed by t, and losses, constraint values
+and constraint subgradients evaluated over a (B, n) batch of points in one
+call. ``ArrayForm.loss`` is the only definition of a built-in per-step loss;
+the ConvexFn losses of ``ProblemSpec.losses`` are its one-row views. The
+per-point constraint closures stay, for the penalty oracle, which evaluates
+them one point at a time. Problems built from closures alone go through
+``FnArrays``, which evaluates their closures row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -55,12 +58,18 @@ class ProblemSpec:
     G: float
     H1: Optional[float]
     constraint_values: Callable[[Vector], np.ndarray]
-    losses: Callable[[int, int], List[ConvexFn]]  # (seed, T) -> T loss fns
     mean_loss: Callable[[int, int], ConvexFn]  # closed-form average of the T losses
+    # (seed, T) -> T loss fns; by default the one-row views of arrays.loss
+    losses: Optional[Callable[[int, int], List[ConvexFn]]] = None
     project_feasible: Optional[Callable[[Vector], Vector]] = None
     offline_solution: Optional[Callable[[int, int], Vector]] = None  # exact x* when known
     meta: dict = field(default_factory=dict)
     arrays: Optional["ArrayForm"] = None  # batched form of gs and losses, when built in
+
+    def __post_init__(self):
+        if self.losses is None:
+            form = self.arrays
+            self.losses = lambda seed, T: [form.loss_fn(row) for row in form.params(seed, T)]
 
     @property
     def m(self) -> int:
@@ -96,15 +105,24 @@ class ArrayForm:
     * ``loss(X, P)``: loss values (B,) and gradients (B, n) at the points
       X (B, n), row b taking its parameters from P[b];
     * ``values(X)``: constraint values (B, m), as ``constraint_values``;
-    * ``jacobian(X)``: constraint subgradient rows (B, m, n);
-    * ``loss_fn(row)``: the ConvexFn of one parameter row.
+    * ``jacobian(X)``: constraint subgradient rows (B, m, n).
 
-    Each must equal the spec's ConvexFn path bit for bit: per-row dot
-    products go through ``np.vecdot``, which matches ``c @ x``, where
+    ``loss`` is the one definition of a built-in per-step loss: ``loss_fn``
+    views one parameter row of it as a ConvexFn. Constraint values and
+    subgradients must equal the spec's ConvexFn closures bit for bit: per-row
+    dot products go through ``np.vecdot``, which matches ``c @ x``, where
     ``(C * X).sum(1)`` does not.
     """
 
     gs: List[ConvexFn]  # the constraint list this form describes
+
+    def loss_fn(self, row):
+        """The ConvexFn of one parameter row: ``loss`` on a one-row batch."""
+        P = np.asarray(row)[None]
+        return ConvexFn(
+            lambda x: float(self.loss(x[None], P)[0][0]),
+            lambda x: self.loss(x[None], P)[1][0],
+        )
 
     def evals(self, X):
         """Constraint values (B, m) as each ``g.eval`` computes them, which
@@ -113,7 +131,8 @@ class ArrayForm:
 
 
 class FnArrays(ArrayForm):
-    """The array form of any ProblemSpec, evaluating its closures row by row."""
+    """The array form of any ProblemSpec, evaluating its closures row by row.
+    Results are reshaped so that an empty batch keeps its trailing axes."""
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
@@ -127,17 +146,20 @@ class FnArrays(ArrayForm):
     def loss(self, X, fns):
         fx = np.array([f.eval(x) for f, x in zip(fns, X)], dtype=float)
         grad = np.array([np.asarray(f.subgrad(x), dtype=float) for f, x in zip(fns, X)])
-        return fx, grad
+        return fx, grad.reshape(X.shape)
 
     def values(self, X):
         cv = self.problem.constraint_values
-        return np.array([np.asarray(cv(x), dtype=float) for x in X])
+        V = np.array([np.asarray(cv(x), dtype=float) for x in X])
+        return V.reshape(len(X), len(self.gs))
 
     def evals(self, X):
-        return np.array([[g.eval(x) for g in self.gs] for x in X], dtype=float)
+        V = np.array([[g.eval(x) for g in self.gs] for x in X], dtype=float)
+        return V.reshape(len(X), len(self.gs))
 
     def jacobian(self, X):
-        return np.array([[np.asarray(g.subgrad(x), dtype=float) for g in self.gs] for x in X])
+        J = np.array([[np.asarray(g.subgrad(x), dtype=float) for g in self.gs] for x in X])
+        return J.reshape(len(X), len(self.gs), X.shape[1])
 
     def loss_fn(self, f):
         return f
@@ -185,14 +207,6 @@ class _ToyArrays(ArrayForm):
     def jacobian(self, X):
         return np.sign(X)[:, None, :]
 
-    def loss_fn(self, c):
-        return ConvexFn(
-            lambda x: float(c @ x),
-            lambda x: c,
-            lipschitz_hint=1.0,
-            eval_many=lambda X: X @ c,
-        )
-
 
 def project_l1_ball(x: Vector, radius: float = 1.0) -> Vector:
     """Euclidean projection onto {x : ||x||_1 <= radius} (sort-based)."""
@@ -219,13 +233,9 @@ def toy_problem(seed: int = 0, l1_radius: float = 1.0) -> ProblemSpec:
         lambda x: float(np.abs(x).sum() - l1_radius),
         lambda x: np.sign(x),
         lipschitz_hint=np.sqrt(2.0),
-        eval_many=lambda X: np.abs(X).sum(axis=1) - l1_radius,
     )
     gs = [g_l1]
     arrays = _ToyArrays(gs, l1_radius)
-
-    def losses(s, T):
-        return [arrays.loss_fn(c) for c in arrays.params(s, T)]
 
     def mean_loss(s, T):
         cbar = toy_costs(s, T).mean(axis=0)
@@ -253,7 +263,6 @@ def toy_problem(seed: int = 0, l1_radius: float = 1.0) -> ProblemSpec:
         G=float(np.sqrt(2.0)),
         H1=None,
         constraint_values=lambda x: np.array([np.abs(x).sum() - l1_radius]),
-        losses=losses,
         mean_loss=mean_loss,
         project_feasible=lambda x: project_l1_ball(x, l1_radius),
         offline_solution=offline_solution if l1_radius <= 1.0 else None,
@@ -285,9 +294,8 @@ class _DoublyStochasticArrays(ArrayForm):
     ConvexFn views evaluate one row of ``evals``.
     """
 
-    def __init__(self, d, G):
+    def __init__(self, d):
         self.d = d
-        self.G = G
         n = d * d
         self.offsets = np.arange(d) * d
         rows, cols = np.repeat(np.eye(d), d, axis=1), np.tile(np.eye(d), d)  # (d, n)
@@ -330,15 +338,6 @@ class _DoublyStochasticArrays(ArrayForm):
     def jacobian(self, X):
         return np.broadcast_to(self.A, (len(X),) + self.A.shape)
 
-    def loss_fn(self, pos):
-        y = np.zeros(self.d * self.d)
-        y[pos] = 1.0
-        return ConvexFn(
-            lambda x: float(0.5 * np.sum((y - x) ** 2)),
-            lambda x: x - y,
-            lipschitz_hint=self.G,
-        )
-
 
 def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
     """Track random permutation matrices with a doubly stochastic X.
@@ -354,11 +353,8 @@ def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
     R = float(d)
     G = float(d + np.sqrt(d))  # sup ||X - Y_t|| <= R + sqrt(d); constraint grads <= sqrt(d)
 
-    arrays = _DoublyStochasticArrays(d, G)
+    arrays = _DoublyStochasticArrays(d)
     gs = arrays.gs
-
-    def losses(s, T):
-        return [arrays.loss_fn(pos) for pos in arrays.params(s, T)]
 
     def mean_target(s, T):
         perms = permutation_batch(s, T, d)
@@ -396,7 +392,6 @@ def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
         G=G,
         H1=1.0,
         constraint_values=lambda x: arrays.values(x[None])[0],
-        losses=losses,
         mean_loss=mean_loss,
         project_feasible=project_feasible,
         offline_solution=offline_solution,
@@ -515,67 +510,28 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
             lambda x: emission(x) - p.e_max,
             lambda x: 2.0 * p.d_coef * x + p.e_coef,
             lipschitz_hint=L_g,
-            eval_many=lambda X: (X * X) @ p.d_coef + X @ p.e_coef - p.e_max,
         )
     ]
-    for i in range(n):  # x_i >= 0
-        def low_grad(x, i=i):
-            v = np.zeros(n)
-            v[i] = -1.0
-            return v
-
-        gs.append(
-            ConvexFn(
-                lambda x, i=i: float(-x[i]),
-                low_grad,
-                lipschitz_hint=1.0,
-                eval_many=lambda X, i=i: -X[:, i],
-            )
-        )
-    for i in range(n):  # x_i <= x_max_i
-        def up_grad(x, i=i):
-            v = np.zeros(n)
-            v[i] = 1.0
-            return v
-
-        gs.append(
-            ConvexFn(
-                lambda x, i=i: float(x[i] - p.x_max[i]),
-                up_grad,
-                lipschitz_hint=1.0,
-                eval_many=lambda X, i=i: X[:, i] - p.x_max[i],
-            )
-        )
+    eye = np.eye(n)
+    gs += [  # x_i >= 0
+        ConvexFn(lambda x, i=i: float(-x[i]), lambda x, i=i: 0.0 - eye[i], lipschitz_hint=1.0)
+        for i in range(n)
+    ]
+    gs += [  # x_i <= x_max_i
+        ConvexFn(lambda x, i=i: float(x[i] - p.x_max[i]), lambda x, i=i: eye[i].copy(),
+                 lipschitz_hint=1.0)
+        for i in range(n)
+    ]
 
     def constraint_values(x):
         return np.concatenate(
             [[p.d_coef @ (x * x) + p.e_coef @ x - p.e_max], -x, x - p.x_max]
         )
 
-    def demand_at(T):
-        return p.demand[np.arange(T) % p.demand.size]
-
-    def make_loss(d_t):
-        def ev(x):
-            s = x.sum()
-            return float(0.5 * p.a @ (x * x) + p.b @ x + p.xi * (s - d_t) ** 2)
-
-        def sg(x):
-            return p.a * x + p.b + 2.0 * p.xi * (x.sum() - d_t)
-
-        def ev_many(X):
-            s = X.sum(axis=1)
-            return 0.5 * (X * X) @ p.a + X @ p.b + p.xi * (s - d_t) ** 2
-
-        return ConvexFn(ev, sg, lipschitz_hint=L_f, eval_many=ev_many)
-
-    arrays = _DispatchArrays(gs, p, make_loss)
-
-    def losses(s, T):
-        return [make_loss(d_t) for d_t in demand_at(T)]
+    arrays = _DispatchArrays(gs, p)
 
     def mean_loss(s, T):
-        d_run = demand_at(T)
+        d_run = arrays.params(s, T)
         d_bar = float(d_run.mean())
         d_var = float(np.mean((d_run - d_bar) ** 2))
 
@@ -612,7 +568,6 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
         G=G,
         H1=H1,
         constraint_values=constraint_values,
-        losses=losses,
         mean_loss=mean_loss,
         project_feasible=project_feasible,
         meta={
@@ -628,14 +583,13 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
 class _DispatchArrays(ArrayForm):
     """Parameters are the demand of each step."""
 
-    def __init__(self, gs, p: DispatchParams, make_loss):
+    def __init__(self, gs, p: DispatchParams):
         self.gs = gs
         self.p = p
-        self.loss_fn = make_loss
         self.half_a = 0.5 * p.a
         self.two_d = 2.0 * p.d_coef
-        n = p.x_max.size
-        self.box = np.array([g.subgrad(np.zeros(n)) for g in gs[1:]])  # constant rows
+        eye = np.eye(p.x_max.size)
+        self.box = np.concatenate([0.0 - eye, eye])  # constant rows of -x <= 0, x <= x_max
 
     def params(self, seed, stop, start=0):
         return self.p.demand[np.arange(start, stop) % self.p.demand.size]

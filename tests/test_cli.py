@@ -150,8 +150,7 @@ def test_oracle_dispatch_residual(tmp_path, capsys):
 
 
 def test_dispatch_demand_csv_flag(tmp_path):
-    demand = tmp_path / "d.csv"
-    demand.write_text("t,demand\n" + "\n".join(f"{i},{30 + i % 5}" for i in range(40)) + "\n")
+    demand = write_demand(tmp_path / "d.csv")
     out = tmp_path / "o"
     code = run_cli(
         "run", "--problem", "dispatch", "--demand-csv", str(demand),
@@ -233,14 +232,44 @@ def test_oracle_over_corrupt_cache_recomputes(tmp_path, capsys):
 # ------------------------------------------------------------ bad input
 
 TOY_SWEEP = ("sweep", "--problem", "toy", "--algos", "ogd")
+TOY_RUN = ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "10")
+# case -> (the setting the usage error names, argv); {tmp} is the test's directory
 BAD_COUNTS = {
-    "T-grid entry not an integer": (*TOY_SWEEP, "--T-grid", "50,x", "--seeds", "1"),
-    "T-grid entry zero": (*TOY_SWEEP, "--T-grid", "0", "--seeds", "1"),
-    "zero seeds": (*TOY_SWEEP, "--T-grid", "50", "--seeds", "0"),
-    "negative seeds": (*TOY_SWEEP, "--T-grid", "50", "--seeds", "-2"),
-    "zero jobs": (*TOY_SWEEP, "--T-grid", "50", "--seeds", "1", "--jobs", "0"),
-    "oracle at T 0": ("oracle", "--problem", "toy", "--T", "0"),
-    "run at T 0": ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "0"),
+    "T-grid entry not an integer": ("T-grid", (*TOY_SWEEP, "--T-grid", "50,x", "--seeds", "1")),
+    "T-grid entry zero": ("T-grid", (*TOY_SWEEP, "--T-grid", "0", "--seeds", "1")),
+    "zero seeds": ("seeds", (*TOY_SWEEP, "--T-grid", "50", "--seeds", "0")),
+    "negative seeds": ("seeds", (*TOY_SWEEP, "--T-grid", "50", "--seeds", "-2")),
+    "zero jobs": ("jobs", (*TOY_SWEEP, "--T-grid", "50", "--seeds", "1", "--jobs", "0")),
+    "oracle at T 0": ("T", ("oracle", "--problem", "toy", "--T", "0")),
+    "run at T 0": ("T", ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "0")),
+    "doubly-stochastic at d 0": (
+        "d", ("run", "--problem", "doubly-stochastic", "--d", "0", "--algo", "clipped-ogd", "--T", "10"),
+    ),
+    "run at seed -1": ("seed", (*TOY_RUN, "--seed", "-1")),
+    "oracle at seed -1": ("seed", ("oracle", "--problem", "toy", "--T", "10", "--seed", "-1")),
+    "sweep at base seed -1": ("seed", (*TOY_SWEEP, "--T-grid", "50", "--seeds", "1", "--seed", "-1")),
+    "beta above 1": ("beta", (*TOY_RUN, "--beta", "1.5")),
+    "unknown algorithm": ("algo", ("run", "--problem", "toy", "--algo", "nope", "--T", "10")),
+    "unknown algorithm in a sweep": (
+        "algos", ("sweep", "--problem", "toy", "--algos", "ogd,nope", "--T-grid", "50", "--seeds", "1"),
+    ),
+    "plain lagrangian on clipped-ogd": ("lagrangian", (*TOY_RUN, "--lagrangian", "plain")),
+    "per-constraint a-ogd in a sweep": (
+        "aggregation",
+        (*TOY_SWEEP, "--T-grid", "50", "--seeds", "1", "--algos", "a-ogd", "--aggregation", "per_constraint"),
+    ),
+    "config T not an integer": (
+        "T", ("run", "--problem", "toy", "--algo", "clipped-ogd", "--config", "{tmp}/bad.cfg"),
+    ),
+    "demand CSV not numeric": (
+        "demand-csv", ("oracle", "--problem", "dispatch", "--T", "10", "--demand-csv", "{tmp}/bad.csv"),
+    ),
+    "zero demand rescale": (
+        "demand-rescale", ("oracle", "--problem", "dispatch", "--T", "10", "--demand-rescale", "0"),
+    ),
+    "infinite demand rescale": (
+        "demand-rescale", ("oracle", "--problem", "dispatch", "--T", "10", "--demand-rescale", "inf"),
+    ),
 }
 
 
@@ -250,9 +279,76 @@ def test_bad_counts_are_usage_errors_before_any_oracle_call(tmp_path, capsys, mo
         raise AssertionError("oracle called on bad input")
 
     monkeypatch.setattr(ocolc.cli, "offline_value", fail)
-    assert run_cli(*BAD_COUNTS[case], "--out", str(tmp_path)) == 2
-    assert "usage error: --" in capsys.readouterr().err
+    (tmp_path / "bad.cfg").write_text("T=ten\n")
+    (tmp_path / "bad.csv").write_text("t,demand\n0,30\n1,x\n")
+    key, argv = BAD_COUNTS[case]
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path)) == 2
+    assert f"usage error: --{key}" in capsys.readouterr().err
     assert not list(tmp_path.glob("oracle-*.json"))
+
+
+def test_value_error_in_a_run_still_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("bad step")
+
+    monkeypatch.setattr(ocolc.cli, "run", fail)
+    assert run_cli(*TOY_RUN, "--out", str(tmp_path)) == 1
+    assert "error: bad step" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- problem building
+
+
+def write_demand(path):
+    path.write_text("t,demand\n" + "\n".join(f"{i},{30 + i % 5}" for i in range(40)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "sweep"])
+def test_demand_csv_is_read_once(tmp_path, monkeypatch, command):
+    reads = []
+    load = ocolc.cli.load_demand_csv
+    monkeypatch.setattr(ocolc.cli, "load_demand_csv", lambda path: reads.append(path) or load(path))
+    argv = {
+        "run": DISPATCH_RUN,
+        "oracle": ORACLE_COMMANDS["oracle"],
+        "sweep": ORACLE_COMMANDS["sweep"][:4] + ("ogd,clipped-ogd",) + ORACLE_COMMANDS["sweep"][5:],
+    }[command]
+    demand = write_demand(tmp_path / "d.csv")
+    assert run_cli(*argv, "--demand-csv", str(demand), "--out", str(tmp_path / "o")) == 0
+    assert reads == [str(demand)]
+
+
+# case -> (the cache entry's name, argv): names as written before problem
+# building returned the cache key, so existing caches still hit
+CACHE_NAMES = {
+    "toy": (
+        "oracle-c37ed1214ba3e6c418026104.json",
+        ("oracle", "--problem", "toy", "--T", "20", "--seed", "3"),
+    ),
+    "doubly-stochastic": (
+        "oracle-36fed091a81dfa978f012313.json",
+        ("oracle", "--problem", "doubly-stochastic", "--d", "3", "--T", "20"),
+    ),
+    "dispatch": (
+        "oracle-d81cbc72a7265ee666bb5cd1.json",
+        ("oracle", "--problem", "dispatch", "--T", "20", "--oracle-iters", "200"),
+    ),
+    "dispatch CSV": (
+        "oracle-408699fe9c8a57770f38fed2.json",
+        ("oracle", "--problem", "dispatch", "--T", "20", "--oracle-iters", "200",
+         "--demand-csv", "{tmp}/d.csv", "--demand-rescale", "0.5"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_NAMES))
+def test_oracle_cache_names_are_unchanged(tmp_path, case):
+    write_demand(tmp_path / "d.csv")
+    name, argv = CACHE_NAMES[case]
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path / "o")) == 0
+    (entry,) = (tmp_path / "o").glob("oracle-*.json")
+    assert entry.name == name
 
 
 # ------------------------------------------------------ one metric reduction

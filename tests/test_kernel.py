@@ -1,8 +1,9 @@
 """The batched kernel and the array form of the problems.
 
-Property tests: each built-in problem's array form equals its ConvexFn path
-bit for bit, and a B-row kernel call equals B one-row run() calls bit for
-bit. The golden digests pin run() itself to the earlier per-step code.
+Property tests: each built-in problem's array form equals hand-written
+per-point closures bit for bit (the loss closures below, the problem's own
+constraint closures), and a B-row kernel call equals B one-row run() calls
+bit for bit. The golden digests pin run() itself to the earlier per-step code.
 """
 
 import dataclasses
@@ -21,6 +22,8 @@ from ocolc.problems import (
     FnArrays,
     dispatch_problem,
     doubly_stochastic_problem,
+    permutation_batch,
+    toy_costs,
     toy_problem,
 )
 
@@ -40,13 +43,52 @@ def same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+# ------------------------------------------------ per-point reference losses
+# The built-in per-step losses as the closures they were written as before
+# ArrayForm.loss became their only definition. Their parameters come from the
+# stream functions, never from an array form.
+
+
+def toy_loss(c):
+    return ConvexFn(lambda x: float(c @ x), lambda x: c)
+
+
+def ds_loss(d, pos):
+    y = np.zeros(d * d)
+    y[pos] = 1.0
+    return ConvexFn(lambda x: float(0.5 * np.sum((y - x) ** 2)), lambda x: x - y)
+
+
+def dispatch_loss(p, d_t):
+    def ev(x):
+        s = x.sum()
+        return float(0.5 * p.a @ (x * x) + p.b @ x + p.xi * (s - d_t) ** 2)
+
+    def sg(x):
+        return p.a * x + p.b + 2.0 * p.xi * (x.sum() - d_t)
+
+    return ConvexFn(ev, sg)
+
+
+def reference_losses(problem):
+    """(seed, T) -> the T per-point loss closures of a built-in problem."""
+    if problem.name == "toy":
+        return lambda s, T: [toy_loss(c) for c in toy_costs(s, T)]
+    if problem.name == "doubly-stochastic":
+        d = problem.meta["d"]
+        return lambda s, T: [ds_loss(d, perm + np.arange(d) * d) for perm in permutation_batch(s, T, d)]
+    p = problem.meta["params"]
+    return lambda s, T: [dispatch_loss(p, d_t) for d_t in p.demand[np.arange(T) % p.demand.size]]
+
+
 # ------------------------------------------------------ array form vs fns
 
 BUILT_IN = ["toy", "dispatch"] + [f"ds{d}" for d in range(2, 10)]
 
 
 def assert_array_form_matches(p, X, seed, start, per_constraint_rows=None):
-    form, fns = p.array_form(), FnArrays(p)
+    form = p.array_form()
+    fns = FnArrays(dataclasses.replace(p, losses=reference_losses(p)))
     assert form is p.arrays
     stop = start + len(X)
     fx, grad = form.loss(X, form.params(seed, stop, start))
@@ -142,7 +184,7 @@ def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped, seed):
 def test_loss_stream_builds_only_row_t(name, monkeypatch):
     p = dataclasses.replace(problem(name))  # a copy whose losses may break
     x = np.linspace(-0.4, 0.6, p.n)
-    want = p.losses(5, 40)[33]
+    want = reference_losses(p)(5, 40)[33]
 
     def no_stream(seed, T):
         raise AssertionError("loss_stream built the whole stream")
@@ -151,6 +193,18 @@ def test_loss_stream_builds_only_row_t(name, monkeypatch):
     got = p.loss_stream(5, 33)
     assert got.eval(x) == want.eval(x)
     assert same_bits(got.subgrad(x), want.subgrad(x))
+
+
+@pytest.mark.parametrize("name", ["toy", "ds3", "dispatch"])
+def test_fn_arrays_keep_their_shapes_on_an_empty_batch(name):
+    # a grid block whose points all leave the ball is such a batch
+    p = problem(name)
+    form, fns = p.arrays, FnArrays(p)
+    X = np.empty((0, p.n))
+    for got, want in zip(fns.loss(X, fns.params(0, 0)), form.loss(X, form.params(0, 0))):
+        assert got.shape == want.shape
+    for method in ("values", "evals", "jacobian"):
+        assert getattr(fns, method)(X).shape == getattr(form, method)(X).shape, method
 
 
 def test_replacing_the_constraints_drops_the_array_form():

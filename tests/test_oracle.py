@@ -84,14 +84,6 @@ def test_offline_solve_infeasible_raises_with_best():
     assert ei.value.best.residual >= 1.0
 
 
-def test_offline_solve_value_sums_losses():
-    p = toy_problem()
-    losses = [_linear_loss([1.0, 0.0]), _linear_loss([0.0, 1.0])]
-    res = offline_solve(p, losses, iters=5000)
-    total = sum(f.eval(res.x) for f in losses)
-    assert res.value == pytest.approx(total, abs=1e-12)
-
-
 # ----------------------------------------------------------------- grid
 
 
@@ -103,9 +95,7 @@ def test_grid_oracle_toy_single_cost():
 
 
 def test_grid_oracle_infeasible_everywhere():
-    g_impossible = ConvexFn(
-        lambda x: 1.0, lambda x: np.zeros(2), eval_many=lambda X: np.ones(len(X))
-    )
+    g_impossible = ConvexFn(lambda x: 1.0, lambda x: np.zeros(2))
     p = make_problem(2, [g_impossible], R=1.0, G=1.0)
     with pytest.raises(ValueError, match="no feasible grid point"):
         grid_oracle(p, _linear_loss([1.0, 0.0]), resolution=0.1)
@@ -125,45 +115,37 @@ def test_grid_oracle_dimension_guard():
         grid_oracle(p, _linear_loss([1.0, 0.0, 0.0, 0.0]), resolution=0.1)
 
 
-def _grid_oracle_whole(problem, losses, resolution):
+def _grid_oracle_whole(problem, loss, resolution):
     """Reference: the whole grid built at once, as grid_oracle did before it
     walked the grid in blocks. The blocked version must match it bit for bit."""
-    loss_list = [losses] if isinstance(losses, ConvexFn) else list(losses)
     R = problem.dom.radius
     steps = int(np.floor(2.0 * R / resolution)) + 1
     coords = -R + resolution * np.arange(steps)
     grids = np.meshgrid(*([coords] * problem.n), indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
     X = X[np.linalg.norm(X, axis=1) <= R]
-    feasible = np.ones(len(X), dtype=bool)
-    for g in problem.gs:
-        if g.eval_many is not None:
-            feasible &= g.eval_many(X) <= 0.0
-        else:
-            feasible &= np.array([g.eval(x) <= 0.0 for x in X], dtype=bool)
-    X = X[feasible]
+    X = X[(problem.array_form().values(X) <= 0.0).all(axis=1)]
     if len(X) == 0:
         raise ValueError("no feasible grid point at this resolution")
     total = np.zeros(len(X))
-    for f in loss_list:
-        if f.eval_many is not None:
-            total += f.eval_many(X)
-        else:
-            total += np.array([f.eval(x) for x in X])
+    if loss.eval_many is not None:
+        total += loss.eval_many(X)
+    else:
+        total += np.array([loss.eval(x) for x in X])
     i = int(np.argmin(total))
     return OracleResult(X[i], float(total[i]), 0.0, {"points": len(X)})
 
 
-def _assert_same_grid_answer(problem, losses, resolution):
-    got = grid_oracle(problem, losses, resolution)
-    ref = _grid_oracle_whole(problem, losses, resolution)
+def _assert_same_grid_answer(problem, loss, resolution):
+    got = grid_oracle(problem, loss, resolution)
+    ref = _grid_oracle_whole(problem, loss, resolution)
     assert got.x.tobytes() == ref.x.tobytes()
     assert (got.value, got.residual, got.info) == (ref.value, ref.residual, ref.info)
     return got
 
 
 def _slack_problem(n, R=1.0):
-    g = ConvexFn(lambda x: -1.0, lambda x: np.zeros(n), eval_many=lambda X: -np.ones(len(X)))
+    g = ConvexFn(lambda x: -1.0, lambda x: np.zeros(n))
     return make_problem(n, [g], R=R)
 
 
@@ -227,6 +209,10 @@ def test_grid_oracle_tie_across_blocks_keeps_first(monkeypatch):
     flat = ConvexFn(lambda x: 0.0, None, eval_many=lambda X: np.zeros(len(X)))
     res = _assert_same_grid_answer(p, flat, 0.1)
     assert np.array_equal(res.x, [-1.0, 0.0])
+    # a loss of -0.0 everywhere sums to +0.0
+    minus_zero = ConvexFn(lambda x: -0.0, None, eval_many=lambda X: np.full(len(X), -0.0))
+    res = _assert_same_grid_answer(p, minus_zero, 0.1)
+    assert np.copysign(1.0, res.value) == 1.0
 
 
 # -------------------------------------------------------------- Dykstra
