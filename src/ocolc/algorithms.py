@@ -74,6 +74,10 @@ class AlgoConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.aggregation not in ("max", "logsumexp", "per_constraint"):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
+        for name in ("eta_override", "sigma_override"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         lag = self.lagrangian
         if lag is None:
             lag = "clipped" if self.variant in ("clipped-ogd", "strong-clipped-ogd") else "plain"
@@ -276,20 +280,33 @@ def advance(
     k, n, m = scheds[0].m_eff, problem.n, problem.m
 
     # rows sorted by horizon, longest first: the live rows are then a prefix
-    # until a row fails
+    # until a row fails. Records are step-major with sum(steps) rows: step s
+    # holds the rows still running at s, row i of them at off[s] + i, so a
+    # row keeps its slot at every step and nothing is padded
     order = sorted(range(B), key=lambda b: -steps[b])
-    T_max = steps[order[0]]
+    ends = np.array([steps[b] for b in order])
+    if ends[-1] < 1:
+        raise ValueError(f"every row needs at least one step, got {ends[-1]}")
+    T_max = int(ends[0])
+    running = B - np.searchsorted(ends[::-1], np.arange(T_max), side="right")
+    off = np.concatenate(([0], np.cumsum(running)[:-1]))
+    total = int(running.sum())
+
+    def slots(i):
+        """The record rows of sorted row i, one per step."""
+        return off[: ends[i]] + i
+
     params = None
     for i, b in enumerate(order):
         p_b = form.params(seeds[b], start + steps[b], start)
         if params is None:
-            params = np.empty((B, T_max) + p_b.shape[1:], dtype=p_b.dtype)
-        params[i, : steps[b]] = p_b
+            params = np.empty((total,) + p_b.shape[1:], dtype=p_b.dtype)
+        params[slots(i)] = p_b
 
     def column(values):
         return np.array([values[b] for b in order], dtype=float)[:, None]
 
-    # per-row stepsizes, as (B, 1) columns or (B, T_max) tables
+    # per-row stepsizes, as (B, 1) columns or step-major tables
     eta_x = sigma_eta = mu = theta = None
     if variant != "strong-clipped-ogd":  # that one has the same eta_t on every row
         eta_x = column([s.eta for s in scheds])
@@ -304,8 +321,11 @@ def advance(
             )
             for beta in {cfg.beta for cfg in cfgs}
         }
-        mu = np.array([scheds[b].eta0 * pows[cfgs[b].beta][0] for b in order])
-        theta = np.array([scheds[b].theta0 * pows[cfgs[b].beta][1] for b in order])
+        mu, theta = np.empty(total), np.empty(total)
+        for i, b in enumerate(order):
+            mu_pow, theta_pow = pows[cfgs[b].beta]
+            mu[slots(i)] = scheds[b].eta0 * mu_pow[: ends[i]]
+            theta[slots(i)] = scheds[b].theta0 * theta_pow[: ends[i]]
 
     X = np.tile(problem.x0(), (B, 1)) if x0 is None else np.asarray(x0, dtype=float)[order]
     V = form.values(X)
@@ -319,41 +339,46 @@ def advance(
     else:
         lam = np.zeros((B, k))
 
-    rec_x = np.empty((B, T_max, n))
-    rec_fx = np.empty((B, T_max))
-    rec_g = np.empty((B, T_max, m))
-    rec_agg = np.empty((B, T_max, k))
-    rec_lam = np.empty((B, T_max, k))
+    rec = {
+        "x": np.empty((total, n)),
+        "fx": np.empty(total),
+        "g": np.empty((total, m)),
+        "g_agg": np.empty((total, k)),
+        "lam": np.empty((total, k)),
+    }
     x_next = np.empty((B, n))
     lam_next = np.empty((B, k))
     errors = {}
 
     live = np.arange(B)  # sorted positions of the rows still running
-    sel = slice(0, B)  # the same rows, as a slice while they are a prefix
-    ends = np.array([steps[b] for b in order])
-    next_end = ends.min()
+    prefix = True  # whether they are 0, 1, ..., live.size - 1
+    next_end = ends[-1]
 
     def keep(mask):
-        nonlocal live, sel, next_end, X, V, A, lam, eta_x, sigma_eta, mu, theta
+        nonlocal live, prefix, next_end, X, V, A, lam, eta_x, sigma_eta
         live = live[mask]
-        sel = slice(0, live.size) if np.array_equal(live, np.arange(live.size)) else live
+        prefix = live.size == 0 or live[-1] == live.size - 1
         next_end = ends[live].min(initial=T_max)
         X, V, A, lam = X[mask], V[mask], A[mask], lam[mask]
         if eta_x is not None:
             eta_x, sigma_eta = eta_x[mask], sigma_eta[mask]
-        if mu is not None:
-            mu, theta = mu[mask], theta[mask]
+
+    def rows_at(s):
+        """The record rows of the live rows at step s, as a slice while
+        they are a prefix."""
+        return slice(off[s], off[s] + live.size) if prefix else off[s] + live
 
     ascent = variant in ("mahdavi-ogd", "a-ogd")
     clip = lagrangian == "clipped"
     for s in range(T_max):
         t = s + 1
-        fx, fgrad = form.loss(X, params[sel, s])
-        rec_x[sel, s] = X
-        rec_fx[sel, s] = fx
-        rec_g[sel, s] = V
-        rec_agg[sel, s] = A
-        rec_lam[sel, s] = lam
+        at = rows_at(s)
+        fx, fgrad = form.loss(X, params[at])
+        rec["x"][at] = X
+        rec["fx"][at] = fx
+        rec["g"][at] = V
+        rec["g_agg"][at] = A
+        rec["lam"][at] = lam
 
         grad = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clip)
         Y = X - (scheds[0].eta_t(t) if eta_x is None else eta_x) * grad
@@ -365,6 +390,7 @@ def advance(
                     errors[order[i]] = RunError(t, "non-finite Lagrangian gradient")
                 Y, nrm = Y[~bad], nrm[~bad]
                 keep(~bad)
+                at = rows_at(s)
                 if live.size == 0:
                     break
             if not np.isfinite(Y).all():
@@ -384,7 +410,7 @@ def advance(
             if variant == "mahdavi-ogd":
                 step, reg = eta_x, sigma_eta
             else:
-                step, reg = mu[:, s : s + 1], theta[:, s : s + 1]
+                step, reg = mu[at][:, None], theta[at][:, None]
             resid = (np.maximum(A, 0.0) if clip else A) - reg * lam
             lam = np.maximum(lam + step * resid, 0.0)
         X = Y
@@ -403,30 +429,32 @@ def advance(
             if live.size == 0:
                 break
 
-    # each trace owns a copy of its rows, so holding one trace does not keep
-    # the whole padded batch alive
-    traces = [None] * B
-    for i, b in enumerate(order):
-        if b in errors:
-            traces[b] = errors[b]
-            continue
-        T_b = steps[b]
+    # each trace gathers its own rows into arrays it owns, so holding one
+    # trace keeps no other alive. One record is dropped before the next is
+    # gathered, so the records and all the copies never coexist
+    del params, mu, theta
+    kept = [(i, b) for i, b in enumerate(order) if b not in errors]
+    fields = {b: {} for _, b in kept}
+    for name in ("x", "fx", "g", "g_agg", "lam"):
+        record = rec.pop(name)
+        for i, b in kept:
+            fields[b][name] = record[slots(i)]
+    del record
+
+    traces = [errors.get(b) for b in range(B)]
+    for i, b in kept:
         sched = scheds[b]
         traces[b] = RunTrace(
             problem=problem.name,
             variant=variant,
             seed=seeds[b],
             config=cfgs[b],
-            t=np.arange(1, T_b + 1),
-            x=rec_x[i, :T_b].copy(),
-            fx=rec_fx[i, :T_b].copy(),
-            g=rec_g[i, :T_b].copy(),
-            g_agg=rec_agg[i, :T_b].copy(),
-            lam=rec_lam[i, :T_b].copy(),
+            t=np.arange(1, steps[b] + 1),
+            **fields[b],
             eta=sched.eta,
             sigma=sched.sigma,
             meta={
-                "g_bar_x1": float(rec_agg[i, 0].max()),
+                "g_bar_x1": float(fields[b]["g_agg"][0].max()),
                 "m_eff": sched.m_eff,
                 "G_eff": sched.G_eff,
             },

@@ -61,7 +61,10 @@ class Settings:
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
-        self.file = read_config_file(ns.config) if getattr(ns, "config", None) else {}
+        self.file = {}
+        if getattr(ns, "config", None):
+            with _setting("config"):
+                self.file = read_config_file(ns.config)
 
     def get(self, key: str, cast, default=None, required=False):
         cli_val = getattr(self.ns, key.replace("-", "_"), None)
@@ -92,10 +95,11 @@ def _at_least(key: str, value: int, low: int = 1) -> int:
 
 @contextlib.contextmanager
 def _setting(key: str):
-    """A ValueError raised while applying setting `key` is a usage error naming it."""
+    """A ValueError raised while applying setting `key`, or an OSError raised
+    while reading the file it names, is a usage error naming it."""
     try:
         yield
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         raise UsageError(f"--{key}: {e}") from None
 
 
@@ -347,6 +351,11 @@ def cmd_sweep(s: Settings) -> int:
     iters, tol = _oracle_settings(s)
     out = _out_dir(s)
     problem, key = build_problem(s)
+    if key["problem"] == "dispatch" and n_seeds > 1:
+        raise UsageError(
+            f"--seeds must be 1 for dispatch, got {n_seeds}: its demand stream "
+            "does not depend on the seed, so every seed would repeat the same cells"
+        )
     cfgs = {(algo, T): build_config(s, T=T, algo=algo) for algo in algos for T in t_grid}
 
     # the offline value is shared by every algorithm in a (T, seed) cell

@@ -7,6 +7,7 @@ whole module. Each test prints its criterion's pass/fail line.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import ocolc.algorithms
@@ -78,6 +79,27 @@ def test_negative_control_fault_injection(monkeypatch):
     result = small.check_lambda_identity()
     print(result.line())
     assert not result.passed
+
+
+def figure(details, label):
+    """The number a check's details print right after `label`."""
+    return float(details.split(label, 1)[1].split()[0].rstrip(";,"))
+
+
+def test_negative_control_frozen_dual(monkeypatch):
+    # with the clipped-ogd dual frozen at 0 the iterates are plain OGD, which
+    # leaves the l1 ball: each violation figure must cross its bound, and the
+    # checks must report FAIL, not raise
+    monkeypatch.setattr(ocolc.algorithms, "clipped_dual", lambda agg, sigma_eta: np.zeros_like(agg))
+    quick = AcceptanceSuite(t_grid=(250, 500, 1000, 2000, 4000), toy_seeds=3, ds_seeds=2)
+    results = [quick.check_theorem1_scaling(), quick.check_lemma1_per_step(), quick.check_baseline_contrast()]
+    for result in results:
+        print(result.line())
+        assert not result.passed
+    scaling, per_step, contrast = (r.details for r in results)
+    assert figure(scaling, "slope sum([g]+)^2 =") > 0.65
+    assert figure(per_step, "final max [g]_+ =") > 0.05
+    assert figure(contrast, "toy sum([g]+)^2") > figure(contrast, "<")
 
 
 def test_negative_control_cauchy_schwarz(monkeypatch):

@@ -67,6 +67,11 @@ def test_config_validation():
         AlgoConfig("clipped-ogd", T=10, lagrangian="plain")
     with pytest.raises(ValueError):
         AlgoConfig("a-ogd", T=10, aggregation="per_constraint")
+    for bad in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="eta_override"):
+            AlgoConfig("clipped-ogd", T=10, eta_override=bad)
+        with pytest.raises(ValueError, match="sigma_override"):
+            AlgoConfig("mahdavi-ogd", T=10, sigma_override=bad)
     # aliases resolve
     assert AlgoConfig("ogd", T=10).variant == "mahdavi-ogd"
     assert AlgoConfig("strong", T=10).variant == "strong-clipped-ogd"

@@ -270,6 +270,18 @@ BAD_COUNTS = {
     "infinite demand rescale": (
         "demand-rescale", ("oracle", "--problem", "dispatch", "--T", "10", "--demand-rescale", "inf"),
     ),
+    "negative eta": ("eta", (*TOY_RUN, "--eta", "-1", "--sigma", "-1")),
+    "zero eta": ("eta", (*TOY_RUN, "--eta", "0")),
+    "zero sigma": ("sigma", (*TOY_RUN, "--sigma", "0")),
+    "infinite sigma in a sweep": ("sigma", (*TOY_SWEEP, "--T-grid", "50", "--seeds", "1", "--sigma", "inf")),
+    "missing demand CSV": (
+        "demand-csv", ("run", "--problem", "dispatch", "--algo", "clipped-ogd", "--T", "10",
+                       "--demand-csv", "{tmp}/nope.csv"),
+    ),
+    "missing config file": ("config", (*TOY_RUN, "--config", "{tmp}/nope.cfg")),
+    "dispatch sweep over seeds": (
+        "seeds", ("sweep", "--problem", "dispatch", "--algos", "ogd", "--T-grid", "50", "--seeds", "3"),
+    ),
 }
 
 

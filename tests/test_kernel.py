@@ -9,6 +9,7 @@ bit for bit. The golden digests pin run() itself to the earlier per-step code.
 import dataclasses
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,28 @@ def test_failing_row_stops_alone():
             assert same_bits(run(batch, cfg, seed).x, run(p, cfg, seed).x)
 
 
+def test_failing_row_leaves_aogd_schedules_aligned():
+    # a-ogd reads per-step tables of mu_t and theta_t; after a row fails, the
+    # others must still read their own entries. The loss pushes x into
+    # violation, so the duals move
+    def make_loss(seed, t):
+        bad = seed == 1 and t == 2
+        return ConvexFn(lambda x: float(-x[0]), lambda x: np.array([np.nan if bad else -1.0 - seed]))
+
+    g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
+    p = make_problem(1, [g], make_loss=make_loss)
+    cells = [(AlgoConfig("a-ogd", T=T, beta=beta), seed) for T in (6, 30) for beta in (0.3, 0.6) for seed in (0, 1, 2)]
+    batch = Batch(p, cells)
+    for cfg, seed in cells:
+        if seed == 1:
+            with pytest.raises(RunError):
+                run(batch, cfg, seed)
+        else:
+            got, want = run(batch, cfg, seed), run(p, cfg, seed)
+            assert want.lam.any()
+            assert same_bits(got.lam, want.lam) and same_bits(got.x, want.x)
+
+
 def test_batch_stands_in_for_its_problem():
     p = toy_problem()
     cfg = AlgoConfig("clipped-ogd", T=5)
@@ -307,3 +330,40 @@ def test_doubling_epochs_carry_x_through_the_kernel():
     (head,), x_mid, _ = advance(p, [cfg], [4], steps=[3])
     (tail,), _, _ = advance(p, [cfg], [4], steps=[5], x0=x_mid, start=3)
     assert same_bits(np.concatenate([head.x, tail.x]), whole.x)
+
+
+# ------------------------------------------------------------ record memory
+
+# the quick acceptance grid's doubly-stochastic call has horizons
+# [4000] + [250] * 9; a quarter of that keeps the spread and runs in 1 s
+# under tracemalloc instead of 3
+UNEVEN = [1000] + [62] * 9
+
+
+def test_records_are_not_padded_to_the_longest_row():
+    # records padded to (B, T_max) would take 6.4 times the steps run here;
+    # the exact records are sum(T) rows of x, fx, g, g_agg and lam (k = 1)
+    p = problem("ds5")
+    cfgs = [AlgoConfig("strong-clipped-ogd", T=T) for T in UNEVEN]
+    advance(p, cfgs[:1], [0], steps=[1])  # lazy state of the problem, if any
+    tracemalloc.start()
+    try:
+        advance(p, cfgs, list(range(len(cfgs))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exact = sum(UNEVEN) * (p.n + p.m + 3) * 8
+    assert peak <= 2 * exact, f"peak {peak / exact:.2f} times the exact records"
+
+
+def test_traces_of_one_call_own_their_memory():
+    # holding one trace must keep neither the records nor another trace alive
+    p = problem("ds3")
+    cfgs = [AlgoConfig("clipped-ogd", T=T) for T in (30, 7, 30, 12)]
+    traces, _, _ = advance(p, cfgs, [0, 1, 2, 3])
+    arrays = [
+        (j, getattr(tr, name)) for j, tr in enumerate(traces) for name in ("t", "x", "fx", "g", "g_agg", "lam")
+    ]
+    assert all(a.flags.owndata for _, a in arrays)
+    for (j, a), (l, b) in itertools.combinations(arrays, 2):
+        assert j == l or not np.shares_memory(a, b)
