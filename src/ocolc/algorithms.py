@@ -16,8 +16,9 @@ The baselines run with either the plain Lagrangian term lambda*g (their
 original form, the default) or the clipped term lambda*[g]_+ (the retrofit).
 
 ``advance`` is the one kernel: it moves a (B, n) batch of iterates, one row
-per (config, seed) cell, through the problem's array form. ``run`` is a
-one-row call; a ``Batch`` lets many ``run`` calls share one kernel call.
+per (config, seed) cell, through the problem's array form; the rows may mix
+variants and Lagrangians but share an aggregation. ``run`` is a one-row
+call; a ``Batch`` lets many ``run`` calls share one kernel call.
 """
 
 from __future__ import annotations
@@ -181,7 +182,6 @@ class RunTrace:
     variant: str
     seed: int
     config: AlgoConfig
-    t: np.ndarray  # (T,)
     x: np.ndarray  # (T, n)
     fx: np.ndarray  # (T,)
     g: np.ndarray  # (T, m) raw constraint values
@@ -193,12 +193,12 @@ class RunTrace:
 
     @property
     def T(self) -> int:
-        return self.t.size
+        return self.fx.size
 
-
-def _kind(cfg: AlgoConfig) -> tuple:
-    """What the rows of one kernel call must share."""
-    return cfg.variant, cfg.aggregation, cfg.lagrangian
+    @property
+    def t(self) -> np.ndarray:
+        """The step indices 1..T, computed on each access rather than stored."""
+        return np.arange(1, self.T + 1)
 
 
 def _aggregate(V: np.ndarray, mode: str) -> np.ndarray:
@@ -218,10 +218,12 @@ def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
 
     fgrad plus lam_i times the subgradient of dual-facing constraint i, over
     the i with lam_i > 0, added in index order; under the clipped Lagrangian
-    a satisfied constraint contributes zero. max takes the lowest-index
-    argmax row; logsumexp sums the softmax-weighted rows in index order from
-    zero, skipping zero weights. Skipped terms are -0.0, which leaves every
-    sum unchanged, so each result matches adding the terms one at a time.
+    a satisfied constraint contributes zero. ``clipped`` is True or False
+    for every row, or a (B, 1) mask of the rows whose Lagrangian clips. max
+    takes the lowest-index argmax row; logsumexp sums the softmax-weighted
+    rows in index order from zero, skipping zero weights. Skipped terms are
+    -0.0, which leaves every sum unchanged, so each result matches adding
+    the terms one at a time.
     """
     pos = lam > 0.0
     if not np.count_nonzero(pos):
@@ -237,13 +239,76 @@ def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
         D = np.add.accumulate(np.concatenate([zero, terms], axis=1), axis=1)[:, -1:]
     else:
         D = J
-    if clipped:
-        checked = form.evals(X) if mode == "per_constraint" else A
-        D = np.where((checked <= 0.0)[:, :, None], 0.0, D)
+    if clipped is not False:
+        satisfied = (form.evals(X) if mode == "per_constraint" else A) <= 0.0
+        if clipped is not True:
+            satisfied &= clipped
+        D = np.where(satisfied[:, :, None], 0.0, D)
     if lam.shape[1] == 1:
         return np.where(pos, fgrad + lam * D[:, 0], fgrad)
     terms = np.where(pos[:, :, None], lam[:, :, None] * D, -0.0)
     return np.add.accumulate(np.concatenate([fgrad[:, None], terms], axis=1), axis=1)[:, -1]
+
+
+def _uniform(mask):
+    """True or False when every row of `mask` agrees, else the mask."""
+    if mask.all():
+        return True
+    return mask if mask.any() else False
+
+
+class _Rows:
+    """The per-row constants of a kernel call's live rows.
+
+    Stepsizes and row masks are (B, 1) columns that broadcast against the
+    (B, k) duals; ``stream`` is each row's offset into the loss parameters.
+    Each mask is also kept resolved over the live rows: True or False when
+    they all agree, so that the step loop uses the plain expression and
+    skips np.where, else the mask itself. ``keep`` drops rows and resolves
+    again. Every row sets its duals in exactly one way: as the clipped-ogd
+    maximizer (``cdual``), as the strongly convex one (``strong``), or by
+    ascent (``ascent``, mahdavi-ogd and a-ogd).
+    """
+
+    def __init__(self, betas, **columns):
+        self.betas = betas  # distinct a-ogd betas; other rows' beta_idx is len(betas)
+        self._set(columns)
+
+    def keep(self, mask):
+        self._set({name: col[mask] for name, col in self.columns.items()})
+
+    def _set(self, columns):
+        self.columns = columns
+        self.__dict__.update(columns)
+        self.cdual = _uniform(self.is_cdual)
+        self.strong = _uniform(self.is_strong)
+        self.ascent = _uniform(self.is_ascent)
+        self.clip = _uniform(self.is_clip)
+        # only the ascent rows decide the ascent's Lagrangian and powers: the
+        # other rows' ascent values are overwritten
+        asc_clip = self.is_clip[self.is_ascent]
+        self.asc_clip = True if asc_clip.all() else self.is_clip if asc_clip.any() else False
+        asc_beta = np.unique(self.beta_idx[self.is_ascent])
+        if asc_beta.size == 0 or asc_beta[0] == len(self.betas):
+            self.beta = None  # no a-ogd row
+        elif asc_beta.size == 1:
+            self.beta = self.betas[asc_beta[0]]
+        else:
+            self.beta = self.beta_idx
+
+    def ascent_steps(self, t):
+        """The dual ascent stepsize and regularization of every row at step
+        t: a-ogd's mu_t and theta_t, one Python power per (beta, t), and
+        mahdavi-ogd's constant eta and sigma eta."""
+        beta = self.beta
+        if beta is None:
+            return self.asc_step, self.asc_reg
+        if isinstance(beta, np.ndarray):
+            mu = np.array([t ** (b - 1.0) for b in self.betas] + [1.0]).take(beta)
+            theta = np.array([t ** (-b) for b in self.betas] + [1.0]).take(beta)
+        else:
+            mu, theta = t ** (beta - 1.0), t ** (-beta)
+        return self.asc_step * mu, self.asc_reg * theta
 
 
 def advance(
@@ -261,10 +326,11 @@ def advance(
     (default cfgs[b].T), reading losses start, start+1, ... of the stream.
     It starts from x0[b] (default the problem's x0) with duals lam0,
     broadcast to (B, m_eff) (default the variant's initial duals). All rows
-    share variant, aggregation and lagrangian; eta, sigma, beta, alpha and
-    horizon may differ per row. Each row is recorded before each of its
-    steps, and the step after its last recorded row still runs, so its
-    state can be carried on.
+    share one aggregation, which fixes the dual width m_eff; variant,
+    Lagrangian, eta, sigma, beta, alpha, seed and horizon may differ per
+    row. Each row computes exactly what its one-row call computes. Each row
+    is recorded before each of its steps, and the step after its last
+    recorded row still runs, so its state can be carried on.
 
     Returns (traces, x_next, lam_next): per row, in input order, its RunTrace
     or the RunError that stopped it, and its state after its final step.
@@ -272,9 +338,9 @@ def advance(
     B = len(cfgs)
     steps = [cfg.T for cfg in cfgs] if steps is None else list(steps)
     scheds = [Schedule(problem, cfg) for cfg in cfgs]
-    variant, mode, lagrangian = _kind(cfgs[0])
-    if any(_kind(cfg) != _kind(cfgs[0]) for cfg in cfgs):
-        raise ValueError("rows of one kernel call must share variant, aggregation and lagrangian")
+    mode = cfgs[0].aggregation
+    if any(cfg.aggregation != mode for cfg in cfgs):
+        raise ValueError("rows of one kernel call must share an aggregation")
     form = problem.array_form()
     R = problem.dom.radius
     k, n, m = scheds[0].m_eff, problem.n, problem.m
@@ -296,56 +362,80 @@ def advance(
         """The record rows of sorted row i, one per step."""
         return off[: ends[i]] + i
 
-    params = None
+    # one loss-parameter stream per seed, as long as its longest row (its
+    # first in sorted order); row i reads step s at params[s + stream[i]]
+    lengths = {}
     for i, b in enumerate(order):
-        p_b = form.params(seeds[b], start + steps[b], start)
-        if params is None:
-            params = np.empty((total,) + p_b.shape[1:], dtype=p_b.dtype)
-        params[slots(i)] = p_b
+        lengths.setdefault(seeds[b], int(ends[i]))
+    stream_at = dict(zip(lengths, np.cumsum([0, *lengths.values()])))
+    params = np.concatenate([form.params(seed, start + length, start) for seed, length in lengths.items()])
 
-    def column(values):
-        return np.array([values[b] for b in order], dtype=float)[:, None]
+    cfg_of = [cfgs[b] for b in order]
+    sched_of = [scheds[b] for b in order]
+    variant_of = [cfg.variant for cfg in cfg_of]
+    betas = sorted({cfg.beta for cfg in cfg_of if cfg.variant == "a-ogd"})
+    strong = next((s for s, v in zip(sched_of, variant_of) if v == "strong-clipped-ogd"), None)
 
-    # per-row stepsizes, as (B, 1) columns or step-major tables
-    eta_x = sigma_eta = mu = theta = None
-    if variant != "strong-clipped-ogd":  # that one has the same eta_t on every row
-        eta_x = column([s.eta for s in scheds])
-        sigma_eta = column([s.sigma * s.eta for s in scheds])
-    if variant == "a-ogd":
-        # Schedule.mu_t and theta_t of every row and step, computing one
-        # Python power per (beta, t)
-        pows = {
-            beta: (
-                np.array([t ** (beta - 1.0) for t in range(1, T_max + 1)]),
-                np.array([t ** (-beta) for t in range(1, T_max + 1)]),
-            )
-            for beta in {cfg.beta for cfg in cfgs}
-        }
-        mu, theta = np.empty(total), np.empty(total)
-        for i, b in enumerate(order):
-            mu_pow, theta_pow = pows[cfgs[b].beta]
-            mu[slots(i)] = scheds[b].eta0 * mu_pow[: ends[i]]
-            theta[slots(i)] = scheds[b].theta0 * theta_pow[: ends[i]]
+    def column(values, dtype=float):
+        return np.array(values, dtype=dtype)[:, None]
+
+    def stepsizes(sched):
+        """(eta, sigma eta, ascent step, ascent regularization) of a row;
+        a stepsize its variant does not use is 1.0, computed but never kept."""
+        if sched.eta is None:  # strong-clipped-ogd: eta_t and theta_t are per step
+            return 1.0, 1.0, 1.0, 1.0
+        sigma_eta = sched.sigma * sched.eta
+        if sched.cfg.variant == "a-ogd":
+            return sched.eta, sigma_eta, sched.eta0, sched.theta0
+        return sched.eta, sigma_eta, sched.eta, sigma_eta
+
+    eta, sigma_eta, asc_step, asc_reg = zip(*map(stepsizes, sched_of))
+    rows = _Rows(
+        betas,
+        stream=np.array([stream_at[seeds[b]] for b in order]),
+        is_cdual=column([v == "clipped-ogd" for v in variant_of], bool),
+        is_strong=column([v == "strong-clipped-ogd" for v in variant_of], bool),
+        is_ascent=column([v in ("mahdavi-ogd", "a-ogd") for v in variant_of], bool),
+        is_clip=column([cfg.lagrangian == "clipped" for cfg in cfg_of], bool),
+        beta_idx=column(
+            [betas.index(cfg.beta) if cfg.variant == "a-ogd" else len(betas) for cfg in cfg_of], int
+        ),
+        eta=column(eta),
+        sigma_eta=column(sigma_eta),
+        asc_step=column(asc_step),
+        asc_reg=column(asc_reg),
+    )
+
+    def set_duals(A, lam, t):
+        """lam with the duals of the rows that set them from A before step t;
+        ascent rows keep theirs."""
+        if rows.cdual is not False:
+            new = clipped_dual(A, rows.sigma_eta)
+            lam = new if rows.cdual is True else np.where(rows.is_cdual, new, lam)
+        if rows.strong is not False:
+            new = np.maximum(A, 0.0) / strong.theta_t(t)
+            lam = new if rows.strong is True else np.where(rows.is_strong, new, lam)
+        return lam
 
     X = np.tile(problem.x0(), (B, 1)) if x0 is None else np.asarray(x0, dtype=float)[order]
     V = form.values(X)
     A = _aggregate(V, mode)
     if lam0 is not None:
         lam = np.broadcast_to(np.asarray(lam0, dtype=float), (B, k))[order]
-    elif variant == "clipped-ogd":
-        lam = clipped_dual(A, sigma_eta)
-    elif variant == "strong-clipped-ogd":
-        lam = np.maximum(A, 0.0) / scheds[0].theta_t(1)
     else:
-        lam = np.zeros((B, k))
+        lam = set_duals(A, np.zeros((B, k)), 1)
 
+    # when the aggregation passes the values through, g_agg is a copy of g
+    # and is not recorded
+    through = A is V
     rec = {
         "x": np.empty((total, n)),
         "fx": np.empty(total),
         "g": np.empty((total, m)),
-        "g_agg": np.empty((total, k)),
         "lam": np.empty((total, k)),
     }
+    if not through:
+        rec["g_agg"] = np.empty((total, k))
     x_next = np.empty((B, n))
     lam_next = np.empty((B, k))
     errors = {}
@@ -355,33 +445,37 @@ def advance(
     next_end = ends[-1]
 
     def keep(mask):
-        nonlocal live, prefix, next_end, X, V, A, lam, eta_x, sigma_eta
+        nonlocal live, prefix, next_end, X, V, A, lam
         live = live[mask]
         prefix = live.size == 0 or live[-1] == live.size - 1
         next_end = ends[live].min(initial=T_max)
         X, V, A, lam = X[mask], V[mask], A[mask], lam[mask]
-        if eta_x is not None:
-            eta_x, sigma_eta = eta_x[mask], sigma_eta[mask]
+        rows.keep(mask)
 
     def rows_at(s):
         """The record rows of the live rows at step s, as a slice while
         they are a prefix."""
         return slice(off[s], off[s] + live.size) if prefix else off[s] + live
 
-    ascent = variant in ("mahdavi-ogd", "a-ogd")
-    clip = lagrangian == "clipped"
     for s in range(T_max):
         t = s + 1
         at = rows_at(s)
-        fx, fgrad = form.loss(X, params[at])
+        fx, fgrad = form.loss(X, params[s:].take(rows.stream, axis=0))  # cheaper than params[stream + s]
         rec["x"][at] = X
         rec["fx"][at] = fx
         rec["g"][at] = V
-        rec["g_agg"][at] = A
+        if not through:
+            rec["g_agg"][at] = A
         rec["lam"][at] = lam
 
-        grad = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clip)
-        Y = X - (scheds[0].eta_t(t) if eta_x is None else eta_x) * grad
+        grad = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, rows.clip)
+        if rows.strong is False:
+            eta = rows.eta
+        elif rows.strong is True:
+            eta = strong.eta_t(t)
+        else:
+            eta = np.where(rows.is_strong, strong.eta_t(t), rows.eta)
+        Y = X - eta * grad
         nrm = np.sqrt(np.vecdot(Y, Y))
         if not math.isfinite(np.add.reduce(nrm)):  # a non-finite gradient, or overflow
             bad = ~np.isfinite(grad).all(axis=1)
@@ -390,7 +484,6 @@ def advance(
                     errors[order[i]] = RunError(t, "non-finite Lagrangian gradient")
                 Y, nrm = Y[~bad], nrm[~bad]
                 keep(~bad)
-                at = rows_at(s)
                 if live.size == 0:
                     break
             if not np.isfinite(Y).all():
@@ -406,20 +499,21 @@ def advance(
         if over.any():
             Y[over] = Y[over] * (R / nrm[over])[:, None]
 
-        if ascent:
-            if variant == "mahdavi-ogd":
-                step, reg = eta_x, sigma_eta
+        if rows.ascent is not False:
+            # every row's ascent; set_duals then overwrites the other rows
+            step, reg = rows.ascent_steps(t)
+            clip = rows.asc_clip
+            if clip is False:
+                G = A
+            elif clip is True:
+                G = np.maximum(A, 0.0)
             else:
-                step, reg = mu[at][:, None], theta[at][:, None]
-            resid = (np.maximum(A, 0.0) if clip else A) - reg * lam
-            lam = np.maximum(lam + step * resid, 0.0)
+                G = np.where(clip, np.maximum(A, 0.0), A)
+            lam = np.maximum(lam + step * (G - reg * lam), 0.0)
         X = Y
         V = form.values(X)
         A = _aggregate(V, mode)
-        if variant == "clipped-ogd":
-            lam = clipped_dual(A, sigma_eta)
-        elif variant == "strong-clipped-ogd":
-            lam = np.maximum(A, 0.0) / scheds[0].theta_t(t + 1)
+        lam = set_duals(A, lam, t + 1)
 
         if t == next_end:
             done = ends[live] == t
@@ -431,25 +525,28 @@ def advance(
 
     # each trace gathers its own rows into arrays it owns, so holding one
     # trace keeps no other alive. One record is dropped before the next is
-    # gathered, so the records and all the copies never coexist
-    del params, mu, theta
+    # gathered, largest first, so the gather's peak is the records plus
+    # one field of copies
+    del params
     kept = [(i, b) for i, b in enumerate(order) if b not in errors]
     fields = {b: {} for _, b in kept}
-    for name in ("x", "fx", "g", "g_agg", "lam"):
+    for name in sorted(rec, key=lambda name: -rec[name].size):
         record = rec.pop(name)
         for i, b in kept:
             fields[b][name] = record[slots(i)]
     del record
+    if through:
+        for _, b in kept:
+            fields[b]["g_agg"] = fields[b]["g"].copy()
 
     traces = [errors.get(b) for b in range(B)]
     for i, b in kept:
         sched = scheds[b]
         traces[b] = RunTrace(
             problem=problem.name,
-            variant=variant,
+            variant=cfgs[b].variant,
             seed=seeds[b],
             config=cfgs[b],
-            t=np.arange(1, steps[b] + 1),
             **fields[b],
             eta=sched.eta,
             sigma=sched.sigma,
@@ -467,9 +564,9 @@ class Batch:
     """Cells (config, seed) on one problem that share kernel calls.
 
     ``run(batch, cfg, seed)`` returns the trace of one cell. The first such
-    call advances every cell of its (variant, aggregation, lagrangian) group
-    in one kernel call; later calls return rows already computed. For any
-    other attribute a batch stands in for its problem.
+    call advances every cell of its aggregation in one kernel call, whatever
+    their variants; later calls return rows already computed. For any other
+    attribute a batch stands in for its problem.
     """
 
     def __init__(self, problem: ProblemSpec, cells):
@@ -485,7 +582,7 @@ class Batch:
         if key not in self._done:
             if key not in self._pending:
                 raise KeyError(f"cell {key} is not in this batch")
-            group = [c for c in self._pending if _kind(c[0]) == _kind(cfg)]
+            group = [c for c in self._pending if c[0].aggregation == cfg.aggregation]
             self._pending = [c for c in self._pending if c not in group]
             traces, _, _ = advance(self.problem, [c for c, _ in group], [s for _, s in group])
             self._done.update(zip(group, traces))
@@ -562,7 +659,6 @@ def doubling_run(
         epoch_meta.append({"nominal": nominal, "length": length, "eta": trace.eta})
         offset += length
         nominal *= 2
-    trace.t = np.arange(1, total + 1)
     for name in ("x", "fx", "g", "g_agg", "lam"):
         setattr(trace, name, np.concatenate([getattr(e, name) for e in epochs]))
     trace.meta["g_bar_x1"] = epochs[0].meta["g_bar_x1"]

@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -329,7 +329,7 @@ def _sweep_cell(batch: Batch, cfg: AlgoConfig, cell: dict) -> dict:
 
 
 def _sweep_group(group: dict, problem=None) -> list:
-    """One algorithm's T x seed grid: one kernel call, one row per cell.
+    """Sweep cells of any algorithms: one kernel call, one row per cell.
     In a worker process, which is given no problem, it builds its own."""
     if problem is None:
         problem, _ = build_problem(Settings(argparse.Namespace(**group["settings"])))
@@ -366,11 +366,16 @@ def cmd_sweep(s: Settings) -> int:
             blob, _ = cached_offline_value(problem, key, seed, T, iters, tol, out)
             oracle_vals[(T, i)] = blob["value"]
 
+    # every cell, longest horizon first; --jobs J deals them round-robin into
+    # J groups, so that each worker gets a share of every horizon. Cells are
+    # reduced in this order, so the trace reduced last, which a caller of
+    # run() may still hold during the next call, is a short one
+    cells = sorted(itertools.product(algos, t_grid, range(n_seeds)), key=lambda cell: -cell[1])
     settings_snapshot = {k: v for k, v in vars(s.ns).items() if k != "command"}
     groups = [
         {
             "settings": settings_snapshot,
-            "cfgs": [cfgs[(algo, T)] for T in t_grid for i in range(n_seeds)],
+            "cfgs": [cfgs[(algo, T)] for algo, T, _ in share],
             "cells": [
                 {
                     "algo": algo,
@@ -379,17 +384,19 @@ def cmd_sweep(s: Settings) -> int:
                     "seed_index": i,
                     "offline_value": oracle_vals[(T, i)],
                 }
-                for T in t_grid
-                for i in range(n_seeds)
+                for algo, T, i in share
             ],
         }
-        for algo in algos
+        for share in (cells[j::jobs] for j in range(min(jobs, len(cells))))
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
             rows = [row for group in pool.map(_sweep_group, groups) for row in group]
     else:
-        rows = [row for group in groups for row in _sweep_group(group, problem)]
+        (group,) = groups
+        rows = _sweep_group(group, problem)
     rows.sort(key=lambda r: (r["algo"], r["T"], r["seed_index"]))
 
     failures = [r for r in rows if r["error"]]
@@ -493,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, help="number of random sequences")
     p_sweep.add_argument("--seed", type=int, help="base seed for the splitting rule")
     algo_settings(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, help="worker processes, one algorithm each")
+    p_sweep.add_argument("--jobs", type=int,
+                         help="worker processes; the cells are dealt among them in horizon order")
 
     p_oracle = sub.add_parser("oracle", help="offline optimum for one (problem, seed, T)")
     common(p_oracle)

@@ -3,8 +3,8 @@
 One check per criterion; the `validate` CLI subcommand and the acceptance
 test module both call into AcceptanceSuite so they can never drift apart.
 Sweep cells are cached inside the suite instance, letting several checks
-share the same runs; each (variant, beta) grid of cells advances in one
-kernel call.
+share the same runs; each grid of cells advances in one kernel call,
+whatever the variants in it.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ class AcceptanceSuite:
         cell = self._cells[key] = Cell(summarize(trace, ov), bool(ball_ok), lambda_err)
         return cell
 
-    def _grid_cells(self, problem, cells) -> List[Cell]:
+    def _grid_cells(self, problem, cells, with_oracle=True) -> List[Cell]:
         """Cells of one grid; those not cached yet run in one kernel call."""
         todo = [(cfg, seed) for cfg, seed in cells if (problem.name, cfg, seed) not in self._cells]
         batch = Batch(problem, todo)
-        return [self._cell(problem, cfg, seed, batch=batch) for cfg, seed in cells]
+        return [self._cell(problem, cfg, seed, with_oracle, batch) for cfg, seed in cells]
 
     def toy_cells(self, beta: float, variant="clipped-ogd", t_grid=None) -> List[Cell]:
         grid = self.t_grid if t_grid is None else t_grid
@@ -121,17 +121,15 @@ class AcceptanceSuite:
         return self._grid_cells(self.ds, cells)
 
     def contrast_cells(self) -> Dict[str, Cell]:
-        problem = dispatch_problem()
-        out = {}
-        for variant in ("clipped-ogd", "mahdavi-ogd"):
-            cfg = AlgoConfig(
-                variant,
-                T=CONTRAST_T,
-                eta_override=CONTRAST_ETA,
-                sigma_override=CONTRAST_SIGMA,
+        variants = ("clipped-ogd", "mahdavi-ogd")
+        cells = [
+            (
+                AlgoConfig(v, T=CONTRAST_T, eta_override=CONTRAST_ETA, sigma_override=CONTRAST_SIGMA),
+                self.base_seed,
             )
-            out[variant] = self._cell(problem, cfg, self.base_seed, with_oracle=False)
-        return out
+            for v in variants
+        ]
+        return dict(zip(variants, self._grid_cells(dispatch_problem(), cells, with_oracle=False)))
 
     def _mean_series(self, cells: List[Cell], field: str) -> List[Tuple[int, float]]:
         byT: Dict[int, list] = {}
@@ -172,9 +170,11 @@ class AcceptanceSuite:
 
     def check_ball_feasibility(self) -> CheckResult:
         cells = self.toy_cells(0.5) + self.ds_cells() + list(self.contrast_cells().values())
-        for variant in ("mahdavi-ogd", "a-ogd"):
-            cfg = AlgoConfig(variant, T=max(self.t_grid))
-            cells.append(self._cell(self.toy, cfg, derive_seed(self.base_seed, 0), with_oracle=False))
+        baselines = [
+            (AlgoConfig(variant, T=max(self.t_grid)), derive_seed(self.base_seed, 0))
+            for variant in ("mahdavi-ogd", "a-ogd")
+        ]
+        cells += self._grid_cells(self.toy, baselines, with_oracle=False)
         bad = sum(not c.ball_ok for c in cells)
         return CheckResult(
             "2 ball feasibility",

@@ -135,3 +135,50 @@ def test_too_few_points_fails_instead_of_raising():
     print(result.line())
     assert not result.passed
     assert "need at least 3 points, got 2" in result.details
+
+
+def test_negative_control_gradient_sign(monkeypatch):
+    # finite differences of the wrong sign disagree with every subgradient:
+    # check 9 must report FAIL, with a relative error near 2
+    exact = ocolc.validation.finite_diff_grad
+    monkeypatch.setattr(ocolc.validation, "finite_diff_grad", lambda fn, x, h: -exact(fn, x, h=h))
+    result = AcceptanceSuite(base_seed=1).check_gradient_correctness()
+    print(result.line())
+    assert not result.passed
+    assert figure(result.details, "worst rel err =") > 1.0
+
+
+_penalty_answers = {}
+
+
+@pytest.mark.parametrize("half", ["grid", "dykstra"])
+def test_negative_control_oracle_cross_check(monkeypatch, half):
+    # a reference answer moved off the optimum must fail check 8's half
+    # that compares against it, and only that half. The penalty answers do
+    # not depend on the references, so both cases solve them once
+    solve = ocolc.validation.offline_solve
+
+    def solved_once(problem, f, iters):
+        key = (problem.name, iters)
+        if key not in _penalty_answers:
+            _penalty_answers[key] = solve(problem, f, iters=iters)
+        return _penalty_answers[key]
+
+    monkeypatch.setattr(ocolc.validation, "offline_solve", solved_once)
+    if half == "grid":
+        exact = ocolc.validation.grid_oracle
+
+        def raised(*args, **kwargs):
+            res = exact(*args, **kwargs)
+            return dataclasses.replace(res, value=res.value + 1e-2)
+
+        monkeypatch.setattr(ocolc.validation, "grid_oracle", raised)
+    else:
+        exact = ocolc.validation.project_birkhoff
+        monkeypatch.setattr(ocolc.validation, "project_birkhoff", lambda M: exact(M) + 1e-2)
+    result = AcceptanceSuite(base_seed=1).check_oracle_crosscheck()
+    print(result.line())
+    assert not result.passed
+    d_toy = figure(result.details, "toy |penalty - grid| =")
+    d_ds = figure(result.details, "ds(d=4) |penalty - dykstra| =")
+    assert (d_toy > 1e-3, d_ds > 1e-4) == (half == "grid", half == "dykstra")

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,15 +120,50 @@ def test_sweep_cardinality_and_determinism(tmp_path):
     assert (out / "sweep.csv").read_bytes() == body1
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    base = (
-        "sweep", "--problem", "toy", "--T-grid", "100,200",
-        "--algos", "clipped-ogd,ogd", "--seeds", "2",
-    )
-    assert run_cli(*base, "--out", str(out1)) == 0
-    assert run_cli(*base, "--out", str(out2), "--jobs", "2") == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+SWEEP_TOY = ("sweep", "--problem", "toy", "--T-grid", "200,50,100", "--seeds", "2")
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3], ids=lambda j: f"jobs{j}")
+@pytest.mark.parametrize("algos", ["clipped-ogd,ogd,a-ogd", "ogd"], ids=["three-algos", "one-algo"])
+def test_sweep_parallel_matches_serial(tmp_path, algos, jobs):
+    # the reference computes each algorithm in its own serial sweep; its
+    # rows, sorted by algorithm, are the rows of the mixed sweep
+    want = {"sweep.csv": "", "sweep_stats.csv": ""}
+    for algo in sorted(algos.split(",")):
+        out = tmp_path / algo
+        assert run_cli(*SWEEP_TOY, "--algos", algo, "--out", str(out)) == 0
+        for name in want:
+            header, *rows = (out / name).read_text().splitlines(keepends=True)
+            want[name] = (want[name] or header) + "".join(rows)
+    out = tmp_path / "mixed"
+    assert run_cli(*SWEEP_TOY, "--algos", algos, "--jobs", str(jobs), "--out", str(out)) == 0
+    for name, text in want.items():
+        assert (out / name).read_text() == text, name
+
+
+def test_serial_sweep_is_one_kernel_call(tmp_path, monkeypatch):
+    import ocolc.algorithms
+
+    calls = []
+    exact = ocolc.algorithms.advance
+
+    def counted(problem, cfgs, seeds, **kw):
+        calls.append(len(cfgs))
+        return exact(problem, cfgs, seeds, **kw)
+
+    monkeypatch.setattr(ocolc.algorithms, "advance", counted)
+    assert run_cli(*SWEEP_TOY, "--algos", "clipped-ogd,ogd,a-ogd", "--out", str(tmp_path)) == 0
+    assert calls == [18]
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # the process pool is imported only for a sweep with --jobs > 1
+    code = "import sys, ocolc.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    src = str(Path(ocolc.cli.__file__).resolve().parents[1])  # the ocolc under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_oracle_caches(tmp_path, capsys):

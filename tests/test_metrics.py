@@ -20,7 +20,6 @@ def _trace(fx, g, lam=None):
         variant="clipped-ogd",
         seed=0,
         config=AlgoConfig("clipped-ogd", T=T),
-        t=np.arange(1, T + 1),
         x=np.zeros((T, 2)),
         fx=fx,
         g=g,
