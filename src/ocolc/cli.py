@@ -124,6 +124,8 @@ def build_problem(s: Settings):
             problem = dispatch_problem(DispatchParams(demand=demand, demand_rescale=rescale))
         if csv:
             key["demand_sha"] = hashlib.sha256(demand.tobytes()).hexdigest()[:16]
+        if problem.offline_solution is not None:
+            key["oracle"] = "kkt"
         return problem, key
     raise UsageError(f"unknown problem {name!r}; expected one of {PROBLEMS}")
 
@@ -224,11 +226,19 @@ def _read_cache_entry(path: str, full_key: dict):
 def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol: float, cache_dir):
     """Disk-cached oracle: keyed by (problem identity, seed, T, iters, tol).
 
+    A key that names the exact dispatch solver (``"oracle": "kkt"``) holds
+    only the problem identity and T: the dispatch stream ignores the seed,
+    and that solver the penalty settings. The tag keeps penalty answers
+    cached before it from being read back as exact ones.
+
     A corrupt entry is recomputed with a warning on stderr. Entries are
     written to a temporary file and renamed into place, so a reader never
     sees a half-written one.
     """
-    full_key = dict(key, seed=seed, T=T, iters=iters, tol=tol)
+    if key.get("oracle") == "kkt":
+        full_key = dict(key, T=T)
+    else:
+        full_key = dict(key, seed=seed, T=T, iters=iters, tol=tol)
     digest = hashlib.sha256(json.dumps(full_key, sort_keys=True).encode()).hexdigest()[:24]
     path = os.path.join(cache_dir, f"oracle-{digest}.json") if cache_dir else None
     if path and os.path.exists(path):
@@ -241,6 +251,7 @@ def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol:
         "x_star": [float(v) for v in res.x],
         "value": float(res.value),
         "residual": float(res.residual),
+        "solver": res.info["solver"],
     }
     if path:
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -443,7 +454,7 @@ def cmd_oracle(s: Settings) -> int:
     tag = "cached" if hit else "solved"
     print(
         f"{tag}: {problem.name} seed={seed} T={T} value={_fmt(blob['value'])} "
-        f"residual={_fmt(blob['residual'])}"
+        f"residual={_fmt(blob['residual'])} solver={blob.get('solver', 'unrecorded')}"
     )
     return EXIT_OK
 
@@ -474,8 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, help="matrix dimension for doubly-stochastic")
         p.add_argument("--demand-csv", help="demand series CSV for dispatch")
         p.add_argument("--demand-rescale", type=float)
-        p.add_argument("--oracle-iters", type=int)
-        p.add_argument("--oracle-tol", type=float)
+        p.add_argument("--oracle-iters", type=int,
+                       help="penalty-oracle iterations per ramp; no built-in problem uses it")
+        p.add_argument("--oracle-tol", type=float,
+                       help="penalty-oracle feasibility tolerance; no built-in problem uses it")
 
     def algo_settings(p):
         p.add_argument("--beta", type=float)

@@ -205,14 +205,113 @@ def project_birkhoff(M: np.ndarray, iters: int = 20000, tol: float = 1e-12) -> n
     return X
 
 
+# ---------------------------------------------------------------------------
+# exact dispatch optimum: a one-dimensional dual in the emission multiplier
+# ---------------------------------------------------------------------------
+
+# bound on the certified answer's constraint residual and on its duality gap
+# relative to max(1, |f|)
+KKT_TOL = 1e-9
+
+
+def _emission(p, x) -> float:
+    # the arithmetic of the emission entry of constraint_values, so that
+    # emission(x) <= e_max holds exactly when that entry is <= 0
+    return float(p.d_coef @ (x * x) + p.e_coef @ x)
+
+
+def dispatch_argmin(p, d_bar: float, mu: float) -> np.ndarray:
+    """Minimiser over the box 0 <= x <= x_max of the dispatch mean loss (mean
+    demand d_bar) plus mu times the emission; needs every a_i > 0.
+
+    Stationarity gives x_i(nu) = clip(-(b_i + mu e_i + nu) / k_i, 0, x_max_i)
+    with k_i = a_i + 2 mu c_i and nu = 2 xi (sum x - d_bar). The residual
+    h(nu) = nu - 2 xi (sum x(nu) - d_bar) increases, piecewise linearly, with
+    kinks where an x_i meets a bound; its root is read off exactly on the
+    piece between the two sorted kinks that bracket it.
+    """
+    k = p.a + 2.0 * mu * p.d_coef
+    u = p.b + mu * p.e_coef
+
+    def x_at(nu):
+        return np.clip(-(u + nu) / k, 0.0, p.x_max)
+
+    if p.xi == 0.0:
+        return x_at(0.0)
+    kinks = np.sort(np.concatenate([-u - k * p.x_max, -u]))
+    h = kinks - 2.0 * p.xi * (x_at(kinks[:, None]).sum(axis=1) - d_bar)
+    j = int(np.searchsorted(h, 0.0))  # h[j - 1] < 0 <= h[j]
+    if j == 0:  # every x_i at x_max_i: h has slope 1
+        nu = kinks[0] - h[0]
+    elif j == kinks.size:  # every x_i at 0: slope 1 again
+        nu = kinks[-1] - h[-1]
+    else:
+        nu = kinks[j - 1] - h[j - 1] * (kinks[j] - kinks[j - 1]) / (h[j] - h[j - 1])
+    return x_at(nu)
+
+
+def dispatch_kkt(p, d_bar: float):
+    """(x, mu): the dispatch optimum and its emission multiplier.
+
+    The emission of the Lagrangian minimiser does not increase with mu. When
+    the cap is slack at mu = 0, mu = 0. Otherwise mu is bracketed by
+    doubling and the bracket halved until its midpoint equals an end; the
+    answer is the minimiser at the feasible end.
+    """
+    x = dispatch_argmin(p, d_bar, 0.0)
+    if _emission(p, x) <= p.e_max:
+        return x, 0.0
+    if not p.e_max > 0.0:  # x = 0 is the least emission: no interior point
+        raise OracleError(
+            f"emission cap {p.e_max} leaves no finite multiplier",
+            OracleResult(x, math.nan, _emission(p, x) - p.e_max),
+        )
+    lo, hi = 0.0, 1.0
+    x_hi = dispatch_argmin(p, d_bar, hi)
+    while _emission(p, x_hi) > p.e_max:
+        lo, hi = hi, 2.0 * hi
+        x_hi = dispatch_argmin(p, d_bar, hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        x_mid = dispatch_argmin(p, d_bar, mid)
+        if _emission(p, x_mid) <= p.e_max:
+            hi, x_hi = mid, x_mid
+        else:
+            lo = mid
+    return x_hi, hi
+
+
+def dispatch_optimum(p, fbar: ConvexFn, d_bar: float) -> np.ndarray:
+    """Exact minimiser of the dispatch mean loss `fbar` (mean demand d_bar)
+    over the box and the emission cap, by ``dispatch_kkt``; needs every
+    a_i > 0.
+
+    The answer carries a certificate, checked here: a constraint residual
+    of at most KKT_TOL, and a duality gap f(x) - L(x(mu), mu) of at most
+    KKT_TOL * max(1, |f(x)|), where x(mu) minimises the Lagrangian
+    L(., mu) = f + mu (emission - e_max) over the box and mu >= 0, so that
+    L(x(mu), mu) bounds the optimum from below. Raises OracleError otherwise.
+    """
+    x, mu = dispatch_kkt(p, d_bar)
+    f = fbar.eval(x)
+    residual = max(_emission(p, x) - p.e_max, float(np.max(-x)), float(np.max(x - p.x_max)), 0.0)
+    y = dispatch_argmin(p, d_bar, mu)
+    gap = f - (fbar.eval(y) + mu * (_emission(p, y) - p.e_max))
+    if not (mu >= 0.0 and residual <= KKT_TOL and gap <= KKT_TOL * max(1.0, abs(f))):
+        raise OracleError(
+            f"dispatch certificate failed at mu={mu!r}: residual {residual:.3e}, duality gap {gap:.3e}",
+            OracleResult(x, f, residual),
+        )
+    return x
+
+
 def offline_value(
     problem: ProblemSpec, seed: int, T: int, iters: int = 20000, tol: float = 1e-6
 ) -> OracleResult:
     """Cumulative optimal loss sum_t f_t(x*) for a realized stream.
 
     Uses the problem's closed-form average loss, and the problem-specific
-    exact solver when one exists (the matrix problem's optimum is the
-    projection of the mean target onto the polytope); otherwise the penalty
+    exact solver when one exists (the toy vertex, the projection of the mean
+    target onto the polytope, the dispatch KKT point); otherwise the penalty
     solver. The returned value is scaled back to the T-step sum.
     """
     fbar = problem.mean_loss(seed, T)

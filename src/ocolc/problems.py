@@ -486,7 +486,8 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
     f_t(x) = sum_i (0.5 a_i x_i^2 + b_i x_i) + xi (sum_i x_i - demand_t)^2;
     constraints: total emission <= e_max, then 0 <= x_i <= x_max_i, all fed to
     the Lagrangian as ordinary g_i (only the ball is hard). Demand repeats
-    cyclically when the horizon exceeds the series length.
+    cyclically when the horizon exceeds the series length. With every
+    a_i > 0 the offline optimum is exact (``oracle.dispatch_optimum``).
     """
     p = params if params is not None else DispatchParams()
     n = p.x_max.size
@@ -550,6 +551,13 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
 
         return ConvexFn(ev, sg, lipschitz_hint=L_f, eval_many=ev_many)
 
+    def offline_solution(s, T):
+        # a strictly convex quadratic under one convex quadratic cap and a
+        # box: exact from the one-dimensional dual in the emission multiplier
+        from .oracle import dispatch_optimum
+
+        return dispatch_optimum(p, mean_loss(s, T), float(arrays.params(s, T).mean()))
+
     def project_feasible(x):
         y = np.clip(x, 0.0, p.x_max)
         A = float(p.d_coef @ (y * y))
@@ -570,6 +578,7 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
         constraint_values=constraint_values,
         mean_loss=mean_loss,
         project_feasible=project_feasible,
+        offline_solution=offline_solution if p.a.min() > 0 else None,
         meta={
             "demand_len": int(p.demand.size),
             "demand_rescale": p.demand_rescale,

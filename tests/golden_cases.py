@@ -167,10 +167,11 @@ def oracle_cases():
     """Yield (case id, thunk returning an OracleResult).
 
     Check 8's toy and ds(d=4) inputs at two base seeds (ds4 needs a second
-    penalty ramp at seed 6), the penalty dispatch oracle with one and with
-    three ramps, and the grid oracle on toy at check 8's resolution and on
-    the 3-D dispatch problem. Iteration counts are cut down from check 8's
-    so the set stays cheap; every iterate still enters the result.
+    penalty ramp at seed 6), the penalty solver on the dispatch mean loss
+    with one and with three ramps, the exact dispatch offline value at the
+    same two horizons, and the grid oracle on toy at check 8's resolution and
+    on the 3-D dispatch problem. Iteration counts are cut down from check
+    8's so the set stays cheap; every iterate still enters the result.
     """
     toy, ds4, disp = toy_problem(), doubly_stochastic_problem(d=4), dispatch_problem()
     for seed in (1, 6):
@@ -178,8 +179,10 @@ def oracle_cases():
         yield f"oracle/penalty/toy/{seed}", lambda f=fbar: offline_solve(toy, f, iters=2000)
         f4 = check8_ds4_loss(seed)
         yield f"oracle/penalty/ds4/{seed}", lambda f=f4: offline_solve(ds4, f, iters=1000)
-    yield "oracle/value/dispatch/1-ramp", lambda: offline_value(disp, 1, 50, iters=200)
-    yield "oracle/value/dispatch/3-ramps", lambda: offline_value(disp, 3, 200, iters=300)
+    for ramps, T, iters in (("1-ramp", 50, 200), ("3-ramps", 200, 300)):
+        fbar = disp.mean_loss(0, T)
+        yield f"oracle/penalty/dispatch/{ramps}", lambda f=fbar, i=iters: offline_solve(disp, f, iters=i)
+        yield f"oracle/value/dispatch/T{T}", lambda T=T: offline_value(disp, 0, T)
     yield "oracle/grid/toy", lambda: grid_oracle(toy, toy.mean_loss(1, 50), 1e-3)
     yield "oracle/grid/dispatch", lambda: grid_oracle(disp, disp.mean_loss(1, 50), 1.0)
 

@@ -102,6 +102,25 @@ def test_negative_control_frozen_dual(monkeypatch):
     assert figure(contrast, "toy sum([g]+)^2") > figure(contrast, "<")
 
 
+def test_negative_control_ball_projection_skipped(monkeypatch):
+    # a kernel that reads every step's norm as 0 never projects onto the
+    # ball: the toy iterates step past the unit sphere and check 2 must FAIL
+    class NormsReadZero:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def vecdot(a, b):
+            return np.zeros(len(a))
+
+    monkeypatch.setattr(ocolc.algorithms, "np", NormsReadZero())
+    small = AcceptanceSuite(t_grid=(100, 200, 400), toy_seeds=2, ds_seeds=1)
+    result = small.check_ball_feasibility()
+    print(result.line())
+    assert not result.passed
+    assert figure(result.details, "runs,") > 0
+
+
 def test_negative_control_cauchy_schwarz(monkeypatch):
     # summaries whose aggregated sum of squares shrank below (sum [g]+)^2 / T
     # must fail check 10, not raise

@@ -176,6 +176,19 @@ def test_oracle_caches(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("cached")
 
 
+def test_dispatch_oracle_is_cached_across_seeds(tmp_path, capsys):
+    # the dispatch stream ignores the seed: a second seed reads the first
+    # seed's entry back, and the entry names its solver
+    out = tmp_path / "o"
+    for seed, tag in (("1", "solved"), ("2", "cached")):
+        assert run_cli("oracle", "--problem", "dispatch", "--T", "60", "--seed", seed, "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"{tag}: dispatch seed={seed} T=60")
+        assert printed.rstrip().endswith("solver=structural")
+    (entry,) = out.glob("oracle-*.json")
+    assert json.loads(entry.read_text())["solver"] == "structural"
+
+
 def test_oracle_dispatch_residual(tmp_path, capsys):
     out = tmp_path / "o"
     code = run_cli(
@@ -369,8 +382,10 @@ def test_demand_csv_is_read_once(tmp_path, monkeypatch, command):
     assert reads == [str(demand)]
 
 
-# case -> (the cache entry's name, argv): names as written before problem
-# building returned the cache key, so existing caches still hit
+# case -> (the cache entry's name, argv): toy and doubly-stochastic names as
+# written before problem building returned the cache key, so existing caches
+# still hit; dispatch names as keyed by the exact solver, with no seed or
+# penalty settings, so no penalty answer is read back as an exact one
 CACHE_NAMES = {
     "toy": (
         "oracle-c37ed1214ba3e6c418026104.json",
@@ -381,11 +396,11 @@ CACHE_NAMES = {
         ("oracle", "--problem", "doubly-stochastic", "--d", "3", "--T", "20"),
     ),
     "dispatch": (
-        "oracle-d81cbc72a7265ee666bb5cd1.json",
+        "oracle-9afbd55de062b6e2b044ac94.json",
         ("oracle", "--problem", "dispatch", "--T", "20", "--oracle-iters", "200"),
     ),
     "dispatch CSV": (
-        "oracle-408699fe9c8a57770f38fed2.json",
+        "oracle-392f4c657686cacb122a901f.json",
         ("oracle", "--problem", "dispatch", "--T", "20", "--oracle-iters", "200",
          "--demand-csv", "{tmp}/d.csv", "--demand-rescale", "0.5"),
     ),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ocolc.core import (
     BallDomain,
@@ -61,6 +63,25 @@ def test_project_ball_nonexpansive(rng):
         y = rng.normal(size=4) * 5
         px, py = project_ball(x, BallDomain(2.0, 4)), project_ball(y, BallDomain(2.0, 4))
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+
+@st.composite
+def ball_and_points(draw):
+    dim = draw(st.integers(1, 6))
+    radius = draw(st.floats(1e-3, 1e3))
+    points = hnp.arrays(float, dim, elements=st.floats(-1e6, 1e6))
+    return BallDomain(radius=radius, dim=dim), draw(points), draw(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_and_points())
+def test_project_ball_idempotent_and_nonexpansive_property(case):
+    # hypothesis favors zeros, ties and points on or near the sphere
+    dom, x, y = case
+    px, py = project_ball(x, dom), project_ball(y, dom)
+    assert np.linalg.norm(px) <= dom.radius * (1.0 + 1e-12)
+    np.testing.assert_allclose(project_ball(px, dom), px, rtol=1e-15, atol=1e-15 * dom.radius)
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1.0 + 1e-12) + 1e-12 * dom.radius
 
 
 def test_clip_pos():

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ocolc.oracle
 from ocolc.core import ConvexFn
 from ocolc.oracle import (
+    KKT_TOL,
     OracleError,
     OracleResult,
     grid_oracle,
@@ -13,7 +15,7 @@ from ocolc.oracle import (
     offline_value,
     project_birkhoff,
 )
-from ocolc.problems import doubly_stochastic_problem, dispatch_problem, toy_problem
+from ocolc.problems import DispatchParams, doubly_stochastic_problem, dispatch_problem, toy_problem
 
 from conftest import make_problem
 
@@ -293,9 +295,103 @@ def test_offline_value_ds_uses_projection_of_mean():
 
 def test_offline_value_dispatch_feasible():
     demand = np.full(50, 20.0)
-    from ocolc.problems import DispatchParams
-
     p = dispatch_problem(DispatchParams(demand=demand))
     res = offline_value(p, seed=0, T=50, iters=8000)
     assert res.residual <= 1e-6
     assert np.all(res.x >= -1e-9)
+
+
+# ------------------------------------------------------- exact dispatch
+
+SLACK_CAP = DispatchParams(demand=np.array([10.0, 14.0]))  # emission far below e_max
+ACTIVE_CAP = DispatchParams(demand=np.array([45.0, 52.0]))
+# demand beyond capacity, a costly first unit: every x_i meets a bound
+BOX_BOUNDS = DispatchParams(b=np.array([60.0, 1.0, 0.6]), e_max=1e4, demand=np.array([80.0]))
+EMISSION_LINEAR = DispatchParams(e_coef=np.array([0.5, 2.0, 1.0]), demand=np.array([40.0, 47.0]))
+# with xi = 0 and b >= 0 nothing rewards output: x = 0, below any cap
+NO_COUPLING = DispatchParams(xi=0.0, demand=np.array([40.0]))
+
+
+@st.composite
+def dispatch_params(draw):
+    """Random generators with a > 0: caps from slack to tight, with and
+    without linear emission terms and demand coupling."""
+    n = draw(st.integers(1, 4))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    a, b, c, x_max = vec(0.01, 2.0), vec(0.0, 5.0), vec(0.0, 0.6), vec(0.5, 25.0)
+    e = draw(st.sampled_from([np.zeros(n), vec(0.0, 3.0)]))
+    xi = draw(st.sampled_from([0.0, draw(st.floats(0.01, 2.0))]))
+    full = float(c @ (x_max * x_max) + e @ x_max)  # emission at full output
+    e_max = draw(st.floats(0.01, 1.5)) * full + 1e-3
+    demand = np.array(draw(st.lists(st.floats(0.5, 1.2 * float(x_max.sum())), min_size=1, max_size=6)))
+    return DispatchParams(a=a, b=b, d_coef=c, e_coef=e, e_max=e_max, xi=xi,
+                          x_max=x_max, demand=demand)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dispatch_params(), st.integers(0, 2**32 - 1))
+@example(SLACK_CAP, 0)
+@example(ACTIVE_CAP, 1)
+@example(BOX_BOUNDS, 2)
+@example(EMISSION_LINEAR, 3)
+@example(NO_COUPLING, 4)
+def test_exact_dispatch_is_feasible_and_no_worse_than_feasible_points(params, seed):
+    p = dispatch_problem(params)
+    T = params.demand.size
+    res = offline_value(p, 0, T)
+    assert res.info["solver"] == "structural"
+    assert p.constraint_values(res.x).max() <= 1e-9
+    fbar = p.mean_loss(0, T)
+    f = fbar.eval(res.x)
+    slack = KKT_TOL * max(1.0, abs(f))
+    rng = np.random.default_rng(seed)
+    for z in rng.uniform(-0.2, 1.2, size=(100, p.n)) * params.x_max:
+        assert f <= fbar.eval(p.project_feasible(z)) + slack
+    # the penalty answer itself when it is feasible, else its projection
+    pen = offline_solve(p, fbar, iters=300)
+    assert f <= fbar.eval(p.project_feasible(pen.x)) + slack
+
+
+def test_exact_dispatch_regimes():
+    # the multiplier is 0 exactly when the cap is slack, and an active cap
+    # is met to the last digits; the box bounds bind where the example says
+    for params, slack_cap in ((SLACK_CAP, True), (ACTIVE_CAP, False), (EMISSION_LINEAR, False),
+                              (NO_COUPLING, True)):
+        d_bar = float(params.demand.mean())
+        x, mu = ocolc.oracle.dispatch_kkt(params, d_bar)
+        assert (mu == 0.0) == slack_cap
+        emission = params.d_coef @ (x * x) + params.e_coef @ x
+        assert emission <= params.e_max and (slack_cap or emission >= params.e_max * (1 - 1e-12))
+    x, _ = ocolc.oracle.dispatch_kkt(BOX_BOUNDS, 80.0)
+    assert x[0] == 0.0 and x[1] == BOX_BOUNDS.x_max[1]
+    x, _ = ocolc.oracle.dispatch_kkt(NO_COUPLING, 40.0)
+    assert not x.any()
+
+
+@pytest.mark.parametrize("moved", ["mu", "x"])
+def test_dispatch_certificate_negative_control(monkeypatch, moved):
+    # a multiplier off the optimum leaves a duality gap, a point moved off
+    # the optimum a residual or a gap: either must raise, not return
+    exact = ocolc.oracle.dispatch_kkt
+
+    def off(p, d_bar):
+        x, mu = exact(p, d_bar)
+        return (x, 1.01 * mu) if moved == "mu" else (x * 1.001, mu)
+
+    monkeypatch.setattr(ocolc.oracle, "dispatch_kkt", off)
+    with pytest.raises(OracleError, match="dispatch certificate failed"):
+        offline_value(dispatch_problem(), 0, 200)
+
+
+def test_dispatch_with_a_zero_quadratic_cost_uses_the_penalty_solver():
+    p = dispatch_problem(DispatchParams(a=np.array([0.2, 0.0, 0.14])))
+    assert p.offline_solution is None
+    assert offline_value(p, 0, 50, iters=200).info["solver"] == "penalty"
+
+
+def test_dispatch_cap_out_of_reach_raises():
+    with pytest.raises(OracleError, match="emission cap"):
+        offline_value(dispatch_problem(DispatchParams(e_max=-1.0)), 0, 10)
