@@ -124,8 +124,6 @@ def build_problem(s: Settings):
             problem = dispatch_problem(DispatchParams(demand=demand, demand_rescale=rescale))
         if csv:
             key["demand_sha"] = hashlib.sha256(demand.tobytes()).hexdigest()[:16]
-        if problem.offline_solution is not None:
-            key["oracle"] = "kkt"
         return problem, key
     raise UsageError(f"unknown problem {name!r}; expected one of {PROBLEMS}")
 
@@ -226,17 +224,17 @@ def _read_cache_entry(path: str, full_key: dict):
 def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol: float, cache_dir):
     """Disk-cached oracle: keyed by (problem identity, seed, T, iters, tol).
 
-    A key that names the exact dispatch solver (``"oracle": "kkt"``) holds
-    only the problem identity and T: the dispatch stream ignores the seed,
-    and that solver the penalty settings. The tag keeps penalty answers
-    cached before it from being read back as exact ones.
+    Dispatch is keyed by its identity, T and the tag ``"oracle": "kkt"``
+    only: its stream ignores the seed, and its exact solver (every a_i > 0
+    in the CLI's parameters) the penalty settings. The tag keeps penalty
+    answers cached before that solver from being read back as exact ones.
 
     A corrupt entry is recomputed with a warning on stderr. Entries are
     written to a temporary file and renamed into place, so a reader never
     sees a half-written one.
     """
-    if key.get("oracle") == "kkt":
-        full_key = dict(key, T=T)
+    if key["problem"] == "dispatch":
+        full_key = dict(key, oracle="kkt", T=T)
     else:
         full_key = dict(key, seed=seed, T=T, iters=iters, tol=tol)
     digest = hashlib.sha256(json.dumps(full_key, sort_keys=True).encode()).hexdigest()[:24]

@@ -209,8 +209,9 @@ def project_birkhoff(M: np.ndarray, iters: int = 20000, tol: float = 1e-12) -> n
 # exact dispatch optimum: a one-dimensional dual in the emission multiplier
 # ---------------------------------------------------------------------------
 
-# bound on the certified answer's constraint residual and on its duality gap
-# relative to max(1, |f|)
+# bound on the certified answer's constraint residual, and, relative to the
+# size of the terms they are made of, on its stationarity and complementary
+# slackness
 KKT_TOL = 1e-9
 
 
@@ -220,34 +221,36 @@ def _emission(p, x) -> float:
     return float(p.d_coef @ (x * x) + p.e_coef @ x)
 
 
+def _coupling_root(p, d_bar: float, k: np.ndarray, u: np.ndarray) -> float:
+    """Root nu of h(nu) = nu - 2 xi (sum x(nu) - d_bar), where
+    x_i(nu) = clip(-(u_i + nu) / k_i, 0, x_max_i).
+
+    h increases, piecewise linearly, with kinks where an x_i meets a bound;
+    the root is read off exactly on the piece between the two sorted kinks
+    that bracket it.
+    """
+    kinks = np.sort(np.concatenate([-u - k * p.x_max, -u]))
+    h = kinks - 2.0 * p.xi * (np.clip(-(u + kinks[:, None]) / k, 0.0, p.x_max).sum(axis=1) - d_bar)
+    j = int(np.searchsorted(h, 0.0))  # h[j - 1] < 0 <= h[j]
+    if j == 0:  # every x_i at x_max_i: h has slope 1
+        return float(kinks[0] - h[0])
+    if j == kinks.size:  # every x_i at 0: slope 1 again
+        return float(kinks[-1] - h[-1])
+    return float(kinks[j - 1] - h[j - 1] * (kinks[j] - kinks[j - 1]) / (h[j] - h[j - 1]))
+
+
 def dispatch_argmin(p, d_bar: float, mu: float) -> np.ndarray:
     """Minimiser over the box 0 <= x <= x_max of the dispatch mean loss (mean
     demand d_bar) plus mu times the emission; needs every a_i > 0.
 
-    Stationarity gives x_i(nu) = clip(-(b_i + mu e_i + nu) / k_i, 0, x_max_i)
-    with k_i = a_i + 2 mu c_i and nu = 2 xi (sum x - d_bar). The residual
-    h(nu) = nu - 2 xi (sum x(nu) - d_bar) increases, piecewise linearly, with
-    kinks where an x_i meets a bound; its root is read off exactly on the
-    piece between the two sorted kinks that bracket it.
+    Stationarity gives x_i = clip(-(b_i + mu e_i + nu) / k_i, 0, x_max_i)
+    with k_i = a_i + 2 mu c_i and nu = 2 xi (sum x - d_bar), which
+    ``_coupling_root`` solves (nu = 0 when xi = 0).
     """
     k = p.a + 2.0 * mu * p.d_coef
     u = p.b + mu * p.e_coef
-
-    def x_at(nu):
-        return np.clip(-(u + nu) / k, 0.0, p.x_max)
-
-    if p.xi == 0.0:
-        return x_at(0.0)
-    kinks = np.sort(np.concatenate([-u - k * p.x_max, -u]))
-    h = kinks - 2.0 * p.xi * (x_at(kinks[:, None]).sum(axis=1) - d_bar)
-    j = int(np.searchsorted(h, 0.0))  # h[j - 1] < 0 <= h[j]
-    if j == 0:  # every x_i at x_max_i: h has slope 1
-        nu = kinks[0] - h[0]
-    elif j == kinks.size:  # every x_i at 0: slope 1 again
-        nu = kinks[-1] - h[-1]
-    else:
-        nu = kinks[j - 1] - h[j - 1] * (kinks[j] - kinks[j - 1]) / (h[j] - h[j - 1])
-    return x_at(nu)
+    nu = _coupling_root(p, d_bar, k, u) if p.xi != 0.0 else 0.0
+    return np.clip(-(u + nu) / k, 0.0, p.x_max)
 
 
 def dispatch_kkt(p, d_bar: float):
@@ -285,20 +288,35 @@ def dispatch_optimum(p, fbar: ConvexFn, d_bar: float) -> np.ndarray:
     over the box and the emission cap, by ``dispatch_kkt``; needs every
     a_i > 0.
 
-    The answer carries a certificate, checked here: a constraint residual
-    of at most KKT_TOL, and a duality gap f(x) - L(x(mu), mu) of at most
-    KKT_TOL * max(1, |f(x)|), where x(mu) minimises the Lagrangian
-    L(., mu) = f + mu (emission - e_max) over the box and mu >= 0, so that
-    L(x(mu), mu) bounds the optimum from below. Raises OracleError otherwise.
+    The answer is certified here by the KKT conditions of the convex
+    problem, checked at the returned x and mu >= 0 with the gradient of
+    `fbar` itself: a constraint residual of at most KKT_TOL; stationarity,
+    the projected gradient of the Lagrangian L(., mu) = f + mu (emission -
+    e_max) over the box, at most KKT_TOL times the size of the terms that
+    gradient sums; and complementary slackness mu (e_max - emission) at
+    most KKT_TOL * max(1, |f(x)|). Raises OracleError otherwise.
     """
     x, mu = dispatch_kkt(p, d_bar)
     f = fbar.eval(x)
-    residual = max(_emission(p, x) - p.e_max, float(np.max(-x)), float(np.max(x - p.x_max)), 0.0)
-    y = dispatch_argmin(p, d_bar, mu)
-    gap = f - (fbar.eval(y) + mu * (_emission(p, y) - p.e_max))
-    if not (mu >= 0.0 and residual <= KKT_TOL and gap <= KKT_TOL * max(1.0, abs(f))):
+    emission = _emission(p, x)
+    residual = max(emission - p.e_max, float(np.max(-x)), float(np.max(x - p.x_max)), 0.0)
+    grad = fbar.subgrad(x) + mu * (2.0 * p.d_coef * x + p.e_coef)
+    stationarity = float(np.max(np.abs(x - np.clip(x - grad, 0.0, p.x_max))))
+    size = max(
+        1.0,
+        float(np.max(np.abs(p.a * x) + np.abs(p.b) + mu * np.abs(2.0 * p.d_coef * x + p.e_coef))),
+        2.0 * p.xi * (abs(float(x.sum())) + abs(d_bar)),
+    )
+    slackness = mu * abs(p.e_max - emission)
+    if not (
+        mu >= 0.0
+        and residual <= KKT_TOL
+        and stationarity <= KKT_TOL * size
+        and slackness <= KKT_TOL * max(1.0, abs(f))
+    ):
         raise OracleError(
-            f"dispatch certificate failed at mu={mu!r}: residual {residual:.3e}, duality gap {gap:.3e}",
+            f"dispatch certificate failed at mu={mu!r}: residual {residual:.3e}, "
+            f"stationarity {stationarity:.3e} (size {size:.3e}), slackness {slackness:.3e}",
             OracleResult(x, f, residual),
         )
     return x

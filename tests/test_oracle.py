@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,19 +374,51 @@ def test_exact_dispatch_regimes():
     assert not x.any()
 
 
-@pytest.mark.parametrize("moved", ["mu", "x"])
+@pytest.mark.parametrize("moved", ["mu", "x", "mu and x", "nu"])
 def test_dispatch_certificate_negative_control(monkeypatch, moved):
-    # a multiplier off the optimum leaves a duality gap, a point moved off
-    # the optimum a residual or a gap: either must raise, not return
-    exact = ocolc.oracle.dispatch_kkt
+    # a multiplier off the optimum, or a point moved off it, leaves a
+    # stationarity gap or a residual; the Lagrangian's minimiser at a larger
+    # multiplier is feasible and stationary but leaves the cap slack; a
+    # coupling root off its equation makes every point the solver reaches
+    # miss the Lagrangian's minimiser: each must raise, not return
+    if moved == "nu":
+        root = ocolc.oracle._coupling_root
+        monkeypatch.setattr(ocolc.oracle, "_coupling_root",
+                            lambda *args: (nu := root(*args)) + 1e-6 * max(1.0, abs(nu)))
+    else:
+        exact = ocolc.oracle.dispatch_kkt
 
-    def off(p, d_bar):
-        x, mu = exact(p, d_bar)
-        return (x, 1.01 * mu) if moved == "mu" else (x * 1.001, mu)
+        def off(p, d_bar):
+            x, mu = exact(p, d_bar)
+            if moved == "mu and x":
+                return ocolc.oracle.dispatch_argmin(p, d_bar, 1.5 * mu), 1.5 * mu
+            return (x, 1.01 * mu) if moved == "mu" else (x * 1.001, mu)
 
-    monkeypatch.setattr(ocolc.oracle, "dispatch_kkt", off)
+        monkeypatch.setattr(ocolc.oracle, "dispatch_kkt", off)
     with pytest.raises(OracleError, match="dispatch certificate failed"):
         offline_value(dispatch_problem(), 0, 200)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("slot", range(16))
+def test_exact_dispatch_matches_the_full_size_benchmark_references(tmp_path, slot):
+    # perfbench's run-dispatch references (T = 2880) hold the penalty
+    # solver's answers at 20 000 iterations, which sit within the
+    # benchmark's 1e-9 relative tolerance of the exact optimum
+    wl_module = _perfbench_workloads()
+    refs = json.loads((Path(wl_module.__file__).parent / "references.json").read_text(encoding="utf-8"))
+    wl = wl_module.WORKLOADS["run-dispatch"](slot, "full", tmp_path, refs)
+    wl.prepare()
+    res = offline_value(wl.build(), slot, wl.params["T"])
+    assert res.info["solver"] == "structural"
+    assert wl_module.matches(res.value, wl.refs["offline_value"])
 
 
 def test_dispatch_with_a_zero_quadratic_cost_uses_the_penalty_solver():
