@@ -5,7 +5,6 @@ violation, their baselines, the benchmark problems, offline oracles, and the
 metrics/CLI harness used to verify the scaling laws empirically.
 """
 
-from .aggregation import logsumexp_aggregate, max_aggregate
 from .algorithms import (
     AlgoConfig,
     Batch,
@@ -16,16 +15,12 @@ from .algorithms import (
     doubling_run,
     projected_ogd_run,
     run,
-    theorem1_params,
     tradeoff_eta,
 )
 from .core import (
     BallDomain,
     ConvexFn,
-    clip_pos,
-    clipped_subgrad,
     finite_diff_grad,
-    lagrangian_grad_x,
     project_ball,
 )
 from .metrics import RunSummary, fit_slope, positive_points, summarize
@@ -66,8 +61,6 @@ __all__ = [
     "RunTrace",
     "Schedule",
     "advance",
-    "clip_pos",
-    "clipped_subgrad",
     "derive_seed",
     "dispatch_problem",
     "doubling_run",
@@ -75,10 +68,7 @@ __all__ = [
     "finite_diff_grad",
     "fit_slope",
     "grid_oracle",
-    "lagrangian_grad_x",
     "load_demand_csv",
-    "logsumexp_aggregate",
-    "max_aggregate",
     "offline_solve",
     "offline_value",
     "positive_points",
@@ -88,7 +78,6 @@ __all__ = [
     "run",
     "summarize",
     "synthetic_demand",
-    "theorem1_params",
     "toy_problem",
     "tradeoff_eta",
 ]

@@ -91,20 +91,6 @@ class AlgoConfig:
         object.__setattr__(self, "lagrangian", lag)
 
 
-def theorem1_params(m: int, G: float, R: float, alpha: float, T: int) -> tuple:
-    """Closed-form (sigma, eta) for the balanced convex case.
-
-    sigma = (m+1) G^2 / (2 (1-alpha)),  eta = 1 / (G sqrt((m+1) R T)).
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if m < 1 or G <= 0 or R <= 0 or T < 1:
-        raise ValueError("m, G, R, T must be positive")
-    sigma = (m + 1) * G * G / (2.0 * (1.0 - alpha))
-    eta = 1.0 / (G * np.sqrt((m + 1) * R * T))
-    return sigma, float(eta)
-
-
 def tradeoff_eta(m: int, G: float, R: float, beta: float, T: int) -> float:
     """eta = 1 / (T^beta G sqrt(R (m+1))); equals the balanced eta at beta = 1/2."""
     if m < 1 or G <= 0 or R <= 0 or T < 1:
@@ -240,7 +226,7 @@ def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
     else:
         D = J
     if clipped is not False:
-        satisfied = (form.evals(X) if mode == "per_constraint" else A) <= 0.0
+        satisfied = A <= 0.0
         if clipped is not True:
             satisfied &= clipped
         D = np.where(satisfied[:, :, None], 0.0, D)

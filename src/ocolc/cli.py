@@ -222,12 +222,13 @@ def _read_cache_entry(path: str, full_key: dict):
 
 
 def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol: float, cache_dir):
-    """Disk-cached oracle: keyed by (problem identity, seed, T, iters, tol).
+    """Disk-cached oracle: keyed by (problem identity, seed, T).
 
-    Dispatch is keyed by its identity, T and the tag ``"oracle": "kkt"``
-    only: its stream ignores the seed, and its exact solver (every a_i > 0
-    in the CLI's parameters) the penalty settings. The tag keeps penalty
-    answers cached before that solver from being read back as exact ones.
+    Every problem the CLI builds has an exact solver, so no key holds the
+    penalty settings. Dispatch is keyed by its identity, T and the tag
+    ``"oracle": "kkt"`` only: its stream ignores the seed. The tag keeps
+    penalty answers cached before its exact solver from being read back as
+    exact ones.
 
     A corrupt entry is recomputed with a warning on stderr. Entries are
     written to a temporary file and renamed into place, so a reader never
@@ -236,7 +237,7 @@ def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol:
     if key["problem"] == "dispatch":
         full_key = dict(key, oracle="kkt", T=T)
     else:
-        full_key = dict(key, seed=seed, T=T, iters=iters, tol=tol)
+        full_key = dict(key, seed=seed, T=T)
     digest = hashlib.sha256(json.dumps(full_key, sort_keys=True).encode()).hexdigest()[:24]
     path = os.path.join(cache_dir, f"oracle-{digest}.json") if cache_dir else None
     if path and os.path.exists(path):

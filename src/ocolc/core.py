@@ -1,10 +1,10 @@
-"""Vector primitives: ball projection, positive clipping, subgradient calculus."""
+"""Vector primitives: convex functions, ball projection, finite differences."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -15,25 +15,21 @@ class ConvexFn:
     """A convex function with a subgradient oracle.
 
     Wraps an evaluator ``f(x) -> float`` and a subgradient map
-    ``subgrad(x) -> ndarray``. ``lipschitz_hint`` is an upper bound on the
-    subgradient norm over the domain of interest, when known analytically.
-    ``eval_many``, if given, evaluates a batch of points (k, n) -> (k,) and
-    must agree with ``eval`` row by row; it lets the grid oracle evaluate a
-    loss without a Python call per point.
+    ``subgrad(x) -> ndarray``. ``eval_many``, if given, evaluates a batch of
+    points (k, n) -> (k,) and must agree with ``eval`` row by row; it lets
+    the grid oracle evaluate a loss without a Python call per point.
     """
 
-    __slots__ = ("eval", "subgrad", "lipschitz_hint", "eval_many")
+    __slots__ = ("eval", "subgrad", "eval_many")
 
     def __init__(
         self,
         eval: Callable[[Vector], float],
         subgrad: Callable[[Vector], Vector],
-        lipschitz_hint: Optional[float] = None,
         eval_many: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         self.eval = eval
         self.subgrad = subgrad
-        self.lipschitz_hint = lipschitz_hint
         self.eval_many = eval_many
 
     def __call__(self, x: Vector) -> float:
@@ -66,42 +62,6 @@ def project_ball(x: Vector, dom: BallDomain) -> Vector:
         x = x / np.max(np.abs(x))
         nrm = float(np.linalg.norm(x))
     return x * (dom.radius / nrm)
-
-
-def clip_pos(v: float) -> float:
-    """max(0, v), the positive part."""
-    return v if v > 0.0 else 0.0
-
-
-def clipped_subgrad(g: ConvexFn, x: Vector) -> Vector:
-    """Subgradient of the clipped constraint max(0, g(.)) at x.
-
-    Zero whenever g(x) <= 0, otherwise a subgradient of g. The zero branch
-    returns a fresh zero vector of matching shape.
-    """
-    if g.eval(x) <= 0.0:
-        return np.zeros_like(x, dtype=float)
-    return g.subgrad(x)
-
-
-def lagrangian_grad_x(
-    f: ConvexFn, gs: Sequence[ConvexFn], x: Vector, lam: np.ndarray
-) -> Vector:
-    """Primal subgradient of f(x) + sum_i lam_i * max(0, g_i(x)).
-
-    lam must be elementwise nonnegative; a negative multiplier means the
-    caller's dual update is broken, so it is an error rather than a clamp.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (len(gs),):
-        raise ValueError(f"expected {len(gs)} multipliers, got shape {lam.shape}")
-    if np.any(lam < 0):
-        raise ValueError("negative Lagrange multiplier")
-    grad = np.asarray(f.subgrad(x), dtype=float)
-    for lam_i, g in zip(lam, gs):
-        if lam_i > 0.0:
-            grad = grad + lam_i * clipped_subgrad(g, x)
-    return grad
 
 
 def finite_diff_grad(f: ConvexFn, x: Vector, h: float = 1e-6) -> Vector:

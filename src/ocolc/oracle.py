@@ -48,14 +48,19 @@ def offline_solve(
     convex. Keeps the best iterate by penalized value and also considers the
     tail average of the second half, which is what makes tight tolerances
     reachable on the strongly convex problems. When the problem provides an
-    exact feasibility projection it polishes the final point with it.
+    exact feasibility projection it polishes the final point with it. The
+    constraints come from the problem's array form: one ``values`` call per
+    iterate, and one ``jacobian`` call at an iterate that violates any.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    gs = problem.gs
+    form = problem.array_form()
     dom = problem.dom
     R = dom.radius
     H1 = problem.H1
+
+    def values(x):
+        return form.values(x[None])[0]
 
     def penalized(x, vals, rho):
         return loss.eval(x) + rho * float(np.maximum(vals, 0.0).sum())
@@ -63,8 +68,11 @@ def offline_solve(
     def penalty_subgrad(x, vals, rho):
         # no in-place add: a loss may hand back an array it keeps
         grad = np.asarray(loss.subgrad(x), dtype=float)
-        for i in np.nonzero(vals > 0.0)[0]:
-            grad = grad + rho * np.asarray(gs[i].subgrad(x), dtype=float)
+        violated = np.nonzero(vals > 0.0)[0]
+        if violated.size:
+            J = form.jacobian(x[None])[0]
+            for i in violated:
+                grad = grad + rho * J[i]
         return grad
 
     # the constraints are evaluated once per iterate: the values feed both
@@ -75,7 +83,7 @@ def offline_solve(
     best_overall = None
     for ramp in range(max_ramps):
         x = x_start
-        vals = problem.constraint_values(x)
+        vals = values(x)
         grad = penalty_subgrad(x, vals, rho)
         c = R / max(float(np.linalg.norm(grad)), 1e-12)
         best_x, best_val = x, penalized(x, vals, rho)
@@ -83,7 +91,7 @@ def offline_solve(
         for k in range(1, iters + 1):
             step = (1.0 / (H1 * k)) if H1 else (c / math.sqrt(k))
             x = project_ball(x - step * grad, dom)
-            vals = problem.constraint_values(x)
+            vals = values(x)
             val = penalized(x, vals, rho)
             if val < best_val:
                 best_val, best_x = val, x
@@ -93,18 +101,18 @@ def offline_solve(
             grad = penalty_subgrad(x, vals, rho)
         if tail_count:
             x_tail = project_ball(tail_sum / tail_count, dom)
-            val_tail = penalized(x_tail, problem.constraint_values(x_tail), rho)
+            val_tail = penalized(x_tail, values(x_tail), rho)
             if val_tail < best_val:
                 best_val, best_x = val_tail, x_tail
 
         candidate = best_x
         if problem.project_feasible is not None:
             polished = project_ball(problem.project_feasible(best_x), dom)
-            val_polished = penalized(polished, problem.constraint_values(polished), rho)
+            val_polished = penalized(polished, values(polished), rho)
             if val_polished <= best_val + abs(best_val) * 1e-9 + 1e-9:
                 candidate = polished
 
-        residual = float(np.maximum(problem.constraint_values(candidate), 0.0).max(initial=0.0))
+        residual = float(np.maximum(values(candidate), 0.0).max(initial=0.0))
         value = float(loss.eval(candidate))
         result = OracleResult(
             candidate, value, residual, {"rho": rho, "ramps": ramp + 1, "iters": iters}
@@ -216,7 +224,7 @@ KKT_TOL = 1e-9
 
 
 def _emission(p, x) -> float:
-    # the arithmetic of the emission entry of constraint_values, so that
+    # the arithmetic of the emission entry of _DispatchArrays.values, so that
     # emission(x) <= e_max holds exactly when that entry is <= 0
     return float(p.d_coef @ (x * x) + p.e_coef @ x)
 
@@ -335,7 +343,7 @@ def offline_value(
     fbar = problem.mean_loss(seed, T)
     if problem.offline_solution is not None:
         x_star = problem.offline_solution(seed, T)
-        residual = float(np.maximum(problem.constraint_values(x_star), 0.0).max(initial=0.0))
+        residual = float(np.maximum(problem.array_form().values(x_star[None]), 0.0).max(initial=0.0))
         return OracleResult(x_star, T * fbar.eval(x_star), residual, {"solver": "structural"})
     res = offline_solve(problem, fbar, iters=iters, tol=tol)
     return OracleResult(res.x, T * fbar.eval(res.x), res.residual, res.info | {"solver": "penalty"})

@@ -14,15 +14,16 @@ jumping the generator past the earlier steps.
 Each built-in problem is an array form (``ArrayForm``), which the batched
 run kernel reads: loss parameters indexed by t, and losses, constraint values
 and constraint subgradients evaluated over a (B, n) batch of points in one
-call. ``ArrayForm.loss`` is the only definition of a built-in per-step loss;
-the ConvexFn losses of ``ProblemSpec.losses`` are its one-row views. The
-per-point constraint closures stay, for the penalty oracle, which evaluates
-them one point at a time. Problems built from closures alone go through
-``FnArrays``, which evaluates their closures row by row.
+call. ``ArrayForm.loss`` is the only definition of a built-in per-step loss, and
+``ArrayForm.values`` and ``ArrayForm.jacobian`` the only definition of its
+constraints: the ConvexFn losses of ``ProblemSpec.losses`` and constraints
+of ``ProblemSpec.gs`` are their one-row views. Problems built from closures
+alone go through ``FnArrays``, which evaluates their closures row by row.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -53,23 +54,30 @@ class ProblemSpec:
 
     name: str
     n: int
-    gs: List[ConvexFn]
     dom: BallDomain
     G: float
     H1: Optional[float]
-    constraint_values: Callable[[Vector], np.ndarray]
     mean_loss: Callable[[int, int], ConvexFn]  # closed-form average of the T losses
+    # the constraints; by default the one-row views of arrays.values/jacobian
+    gs: Optional[List[ConvexFn]] = None
     # (seed, T) -> T loss fns; by default the one-row views of arrays.loss
     losses: Optional[Callable[[int, int], List[ConvexFn]]] = None
     project_feasible: Optional[Callable[[Vector], Vector]] = None
     offline_solution: Optional[Callable[[int, int], Vector]] = None  # exact x* when known
     meta: dict = field(default_factory=dict)
     arrays: Optional["ArrayForm"] = None  # batched form of gs and losses, when built in
+    # x -> all m constraint values: one row of array_form().values, set on
+    # construction (an attribute, so that it can be rebound)
+    constraint_values: Callable[[Vector], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        arrays = self.arrays
+        if self.gs is None:
+            self.gs = arrays.gs
         if self.losses is None:
-            form = self.arrays
-            self.losses = lambda seed, T: [form.loss_fn(row) for row in form.params(seed, T)]
+            self.losses = lambda seed, T: [arrays.loss_fn(row) for row in arrays.params(seed, T)]
+        form = self.array_form()
+        self.constraint_values = lambda x: form.values(x[None])[0]
 
     @property
     def m(self) -> int:
@@ -78,9 +86,9 @@ class ProblemSpec:
     def array_form(self) -> "ArrayForm":
         """The form the run kernel reads.
 
-        ``arrays`` describes the constraint list it was built with; a copy
-        such as ``dataclasses.replace(spec, gs=...)`` carries a new list and
-        so runs through its ConvexFn closures instead.
+        ``gs`` defaults to the constraint views of ``arrays``; a copy such
+        as ``dataclasses.replace(spec, gs=...)`` carries a new list and so
+        runs through its ConvexFn closures instead.
         """
         if self.arrays is not None and self.arrays.gs is self.gs:
             return self.arrays
@@ -104,17 +112,19 @@ class ArrayForm:
       one row per step, each a pure function of (seed, t);
     * ``loss(X, P)``: loss values (B,) and gradients (B, n) at the points
       X (B, n), row b taking its parameters from P[b];
-    * ``values(X)``: constraint values (B, m), as ``constraint_values``;
-    * ``jacobian(X)``: constraint subgradient rows (B, m, n).
+    * ``values(X)``: constraint values (B, m);
+    * ``jacobian(X)``: constraint subgradient rows (B, m, n);
+    * ``m``: the number of constraints.
 
-    ``loss`` is the one definition of a built-in per-step loss: ``loss_fn``
-    views one parameter row of it as a ConvexFn. Constraint values and
-    subgradients must equal the spec's ConvexFn closures bit for bit: per-row
-    dot products go through ``np.vecdot``, which matches ``c @ x``, where
-    ``(C * X).sum(1)`` does not.
+    ``loss`` is the one definition of a built-in per-step loss, and
+    ``values`` and ``jacobian`` the one definition of its constraints:
+    ``loss_fn`` views one parameter row of ``loss`` as a ConvexFn, and
+    ``gs`` views each constraint as one. Per-row dot products go through
+    ``np.vecdot``, which matches ``c @ x``, where ``(C * X).sum(1)`` does
+    not, so that a row equals the per-point expression bit for bit.
     """
 
-    gs: List[ConvexFn]  # the constraint list this form describes
+    m: int
 
     def loss_fn(self, row):
         """The ConvexFn of one parameter row: ``loss`` on a one-row batch."""
@@ -124,10 +134,17 @@ class ArrayForm:
             lambda x: self.loss(x[None], P)[1][0],
         )
 
-    def evals(self, X):
-        """Constraint values (B, m) as each ``g.eval`` computes them, which
-        per-constraint duals test for [g]_+ > 0."""
-        return self.values(X)
+    @functools.cached_property
+    def gs(self) -> List[ConvexFn]:
+        """Constraint i as a ConvexFn: column i of ``values`` and ``jacobian``
+        on a one-row batch."""
+        return [
+            ConvexFn(
+                lambda x, i=i: float(self.values(x[None])[0, i]),
+                lambda x, i=i: self.jacobian(x[None])[0, i],
+            )
+            for i in range(self.m)
+        ]
 
 
 class FnArrays(ArrayForm):
@@ -137,6 +154,7 @@ class FnArrays(ArrayForm):
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
         self.gs = problem.gs
+        self.m = len(self.gs)
 
     def params(self, seed, stop, start=0):
         fns = np.empty(stop - start, dtype=object)
@@ -149,17 +167,12 @@ class FnArrays(ArrayForm):
         return fx, grad.reshape(X.shape)
 
     def values(self, X):
-        cv = self.problem.constraint_values
-        V = np.array([np.asarray(cv(x), dtype=float) for x in X])
-        return V.reshape(len(X), len(self.gs))
-
-    def evals(self, X):
         V = np.array([[g.eval(x) for g in self.gs] for x in X], dtype=float)
-        return V.reshape(len(X), len(self.gs))
+        return V.reshape(len(X), self.m)
 
     def jacobian(self, X):
         J = np.array([[np.asarray(g.subgrad(x), dtype=float) for g in self.gs] for x in X])
-        return J.reshape(len(X), len(self.gs), X.shape[1])
+        return J.reshape(len(X), self.m, X.shape[1])
 
     def loss_fn(self, f):
         return f
@@ -191,8 +204,9 @@ def toy_costs(seed: int, T: int, start: int = 0) -> np.ndarray:
 
 
 class _ToyArrays(ArrayForm):
-    def __init__(self, gs, l1_radius):
-        self.gs = gs
+    m = 1
+
+    def __init__(self, l1_radius):
         self.l1_radius = l1_radius
 
     def params(self, seed, stop, start=0):
@@ -229,22 +243,9 @@ def toy_problem(seed: int = 0, l1_radius: float = 1.0) -> ProblemSpec:
     unit norm, hence G = sqrt(2). With l1_radius > sqrt(2) the constraint
     never binds inside the ball.
     """
-    g_l1 = ConvexFn(
-        lambda x: float(np.abs(x).sum() - l1_radius),
-        lambda x: np.sign(x),
-        lipschitz_hint=np.sqrt(2.0),
-    )
-    gs = [g_l1]
-    arrays = _ToyArrays(gs, l1_radius)
-
     def mean_loss(s, T):
         cbar = toy_costs(s, T).mean(axis=0)
-        return ConvexFn(
-            lambda x: float(cbar @ x),
-            lambda x: cbar,
-            lipschitz_hint=float(np.linalg.norm(cbar)),
-            eval_many=lambda X: X @ cbar,
-        )
+        return ConvexFn(lambda x: float(cbar @ x), lambda x: cbar, eval_many=lambda X: X @ cbar)
 
     def offline_solution(s, T):
         # linear loss over an l1 ball inside the unit ball: the optimum is the
@@ -258,16 +259,14 @@ def toy_problem(seed: int = 0, l1_radius: float = 1.0) -> ProblemSpec:
     return ProblemSpec(
         name="toy",
         n=2,
-        gs=gs,
         dom=BallDomain(radius=1.0, dim=2),
         G=float(np.sqrt(2.0)),
         H1=None,
-        constraint_values=lambda x: np.array([np.abs(x).sum() - l1_radius]),
         mean_loss=mean_loss,
         project_feasible=lambda x: project_l1_ball(x, l1_radius),
         offline_solution=offline_solution if l1_radius <= 1.0 else None,
         meta={"seed_hint": seed, "l1_radius": l1_radius},
-        arrays=arrays,
+        arrays=_ToyArrays(l1_radius),
     )
 
 
@@ -290,8 +289,8 @@ class _DoublyStochasticArrays(ArrayForm):
     """Parameters are the flat positions of the ones of each target Y_t.
 
     The constraints are affine with constant subgradient rows A: row sums
-    <= 1 and >= 1, column sums <= 1 and >= 1, then entrywise x >= 0. Their
-    ConvexFn views evaluate one row of ``evals``.
+    <= 1 and >= 1, column sums <= 1 and >= 1, then entrywise x >= 0. A
+    column sum adds the rows of the matrix one after another.
     """
 
     def __init__(self, d):
@@ -302,14 +301,7 @@ class _DoublyStochasticArrays(ArrayForm):
         # 0.0 - M negates the ones and keeps the zeros +0.0
         self.A = np.concatenate([rows, 0.0 - rows, cols, 0.0 - cols, 0.0 - np.eye(n)])
         self.A.flags.writeable = False
-        self.gs = [
-            ConvexFn(
-                lambda x, i=i: float(self.evals(x[None])[0, i]),
-                lambda x, i=i: self.A[i],
-                lipschitz_hint=float(np.linalg.norm(a)),
-            )
-            for i, a in enumerate(self.A)
-        ]
+        self.m = len(self.A)
 
     def params(self, seed, stop, start=0):
         return permutation_batch(seed, stop, self.d, start) + self.offsets
@@ -324,16 +316,6 @@ class _DoublyStochasticArrays(ArrayForm):
         rows = X3.sum(axis=2)
         cols = X3.sum(axis=1)
         return np.concatenate([rows - 1.0, 1.0 - rows, cols - 1.0, 1.0 - cols, -X], axis=1)
-
-    def evals(self, X):
-        # a column's own evaluator sums it as a 1-D array, pairwise from
-        # d >= 8 on, where values() adds the rows one after another
-        d = self.d
-        V = self.values(X)
-        cols = np.ascontiguousarray(X.reshape(len(X), d, d).transpose(0, 2, 1)).sum(axis=2)
-        V[:, 2 * d : 3 * d] = cols - 1.0
-        V[:, 3 * d : 4 * d] = 1.0 - cols
-        return V
 
     def jacobian(self, X):
         return np.broadcast_to(self.A, (len(X),) + self.A.shape)
@@ -353,9 +335,6 @@ def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
     R = float(d)
     G = float(d + np.sqrt(d))  # sup ||X - Y_t|| <= R + sqrt(d); constraint grads <= sqrt(d)
 
-    arrays = _DoublyStochasticArrays(d)
-    gs = arrays.gs
-
     def mean_target(s, T):
         perms = permutation_batch(s, T, d)
         ybar = np.zeros((d, d))
@@ -367,11 +346,7 @@ def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
     def mean_loss(s, T):
         ybar = mean_target(s, T)
         # mean of 0.5||Y_t - X||^2 = 0.5||X||^2 - <Ybar, X> + d/2
-        return ConvexFn(
-            lambda x: float(0.5 * np.sum(x * x) - ybar @ x + d / 2.0),
-            lambda x: x - ybar,
-            lipschitz_hint=G,
-        )
+        return ConvexFn(lambda x: float(0.5 * np.sum(x * x) - ybar @ x + d / 2.0), lambda x: x - ybar)
 
     def project_feasible(x):
         from .oracle import project_birkhoff
@@ -387,16 +362,14 @@ def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
     return ProblemSpec(
         name="doubly-stochastic",
         n=n,
-        gs=gs,
         dom=BallDomain(radius=R, dim=n),
         G=G,
         H1=1.0,
-        constraint_values=lambda x: arrays.values(x[None])[0],
         mean_loss=mean_loss,
         project_feasible=project_feasible,
         offline_solution=offline_solution,
         meta={"d": d, "frobenius_bound": float(np.sqrt(d)), "radius_padded_to": R},
-        arrays=arrays,
+        arrays=_DoublyStochasticArrays(d),
     )
 
 
@@ -503,33 +476,7 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
     G = float(max(L_f, L_g))
     H1 = float(p.a.min())  # the xi coupling adds a PSD term on top
 
-    def emission(x):
-        return float(p.d_coef @ (x * x) + p.e_coef @ x)
-
-    gs = [
-        ConvexFn(
-            lambda x: emission(x) - p.e_max,
-            lambda x: 2.0 * p.d_coef * x + p.e_coef,
-            lipschitz_hint=L_g,
-        )
-    ]
-    eye = np.eye(n)
-    gs += [  # x_i >= 0
-        ConvexFn(lambda x, i=i: float(-x[i]), lambda x, i=i: 0.0 - eye[i], lipschitz_hint=1.0)
-        for i in range(n)
-    ]
-    gs += [  # x_i <= x_max_i
-        ConvexFn(lambda x, i=i: float(x[i] - p.x_max[i]), lambda x, i=i: eye[i].copy(),
-                 lipschitz_hint=1.0)
-        for i in range(n)
-    ]
-
-    def constraint_values(x):
-        return np.concatenate(
-            [[p.d_coef @ (x * x) + p.e_coef @ x - p.e_max], -x, x - p.x_max]
-        )
-
-    arrays = _DispatchArrays(gs, p)
+    arrays = _DispatchArrays(p)
 
     def mean_loss(s, T):
         d_run = arrays.params(s, T)
@@ -549,7 +496,7 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
             s_ = X.sum(axis=1)
             return 0.5 * (X * X) @ p.a + X @ p.b + p.xi * ((s_ - d_bar) ** 2 + d_var)
 
-        return ConvexFn(ev, sg, lipschitz_hint=L_f, eval_many=ev_many)
+        return ConvexFn(ev, sg, eval_many=ev_many)
 
     def offline_solution(s, T):
         # a strictly convex quadratic under one convex quadratic cap and a
@@ -562,8 +509,10 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
         y = np.clip(x, 0.0, p.x_max)
         A = float(p.d_coef @ (y * y))
         B = float(p.e_coef @ y)
-        if A + B <= p.e_max or A == 0.0:
+        if A + B <= p.e_max:
             return y
+        if A == 0.0:  # a linear emission: shrink it to e_max
+            return y * (p.e_max / B)
         # shrink toward 0: solve A s^2 + B s = e_max for s in (0, 1]
         s = (-B + np.sqrt(B * B + 4.0 * A * p.e_max)) / (2.0 * A)
         return y * min(s, 1.0)
@@ -571,11 +520,9 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
     return ProblemSpec(
         name="dispatch",
         n=n,
-        gs=gs,
         dom=BallDomain(radius=R, dim=n),
         G=G,
         H1=H1,
-        constraint_values=constraint_values,
         mean_loss=mean_loss,
         project_feasible=project_feasible,
         offline_solution=offline_solution if p.a.min() > 0 else None,
@@ -590,15 +537,16 @@ def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
 
 
 class _DispatchArrays(ArrayForm):
-    """Parameters are the demand of each step."""
+    """Parameters are the demand of each step. The constraints are the
+    emission cap, then x >= 0, then x <= x_max."""
 
-    def __init__(self, gs, p: DispatchParams):
-        self.gs = gs
+    def __init__(self, p: DispatchParams):
         self.p = p
         self.half_a = 0.5 * p.a
         self.two_d = 2.0 * p.d_coef
         eye = np.eye(p.x_max.size)
         self.box = np.concatenate([0.0 - eye, eye])  # constant rows of -x <= 0, x <= x_max
+        self.m = 1 + len(self.box)
 
     def params(self, seed, stop, start=0):
         return self.p.demand[np.arange(start, stop) % self.p.demand.size]

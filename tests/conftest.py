@@ -13,7 +13,7 @@ def make_problem(n, gs, R=1.0, G=1.0, H1=None, make_loss=None, name="inline"):
     """
     if make_loss is None:
         def make_loss(seed, t):
-            return ConvexFn(lambda x: 0.0, lambda x: np.zeros(n), lipschitz_hint=0.0)
+            return ConvexFn(lambda x: 0.0, lambda x: np.zeros(n))
 
     def losses(seed, T):
         return [make_loss(seed, t) for t in range(T)]
@@ -39,7 +39,6 @@ def make_problem(n, gs, R=1.0, G=1.0, H1=None, make_loss=None, name="inline"):
         dom=BallDomain(radius=R, dim=n),
         G=G,
         H1=H1,
-        constraint_values=lambda x: np.array([g.eval(x) for g in gs]),
         losses=losses,
         mean_loss=mean_loss,
     )

@@ -86,7 +86,6 @@ def inline_problem() -> ProblemSpec:
         dom=BallDomain(radius=2.0, dim=2),
         G=4.0,
         H1=1.0,
-        constraint_values=lambda x: np.array([g.eval(x) for g in gs]),
         losses=losses,
         mean_loss=mean_loss,
     )

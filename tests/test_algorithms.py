@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocolc.algorithms import (
     AlgoConfig,
@@ -12,7 +13,6 @@ from ocolc.algorithms import (
     doubling_run,
     projected_ogd_run,
     run,
-    theorem1_params,
     tradeoff_eta,
 )
 from ocolc.core import ConvexFn
@@ -21,6 +21,7 @@ from ocolc.oracle import offline_value
 from ocolc.problems import toy_problem, doubly_stochastic_problem, dispatch_problem
 
 from conftest import make_problem
+from reference import theorem1_params
 
 
 def _one_d_problem(R=1.0, G=1.0, slope=1.0, H1=None):
@@ -272,6 +273,53 @@ def test_run_abort_carries_step_index():
     assert ei.value.step == 3  # t is 1-based; loss index 2 is step 3
 
 
+@st.composite
+def lambda_identity_cases(draw):
+    """A problem, from conftest.make_problem with random affine or
+    quadratic constraints and linear losses, or built in."""
+    name = draw(st.sampled_from(["random", "toy", "ds3", "dispatch"]))
+    if name == "toy":
+        return toy_problem()
+    if name == "ds3":
+        return doubly_stochastic_problem(d=3)
+    if name == "dispatch":
+        return dispatch_problem()
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coef = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    gs = []
+    for _ in range(m):
+        c = np.array(draw(st.lists(coef, min_size=n, max_size=n)))
+        b = draw(coef)
+        if draw(st.booleans()):
+            gs.append(ConvexFn(lambda x, c=c, b=b: float(x @ x + c @ x + b), lambda x, c=c: 2.0 * x + c))
+        else:
+            gs.append(ConvexFn(lambda x, c=c, b=b: float(c @ x + b), lambda x, c=c: c))
+
+    def make_loss(seed, t):
+        c = np.random.default_rng((seed, t)).standard_normal(n)
+        return ConvexFn(lambda x: float(c @ x), lambda x: c)
+
+    return make_problem(n, gs, R=draw(st.floats(0.5, 3.0)), make_loss=make_loss)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lambda_identity_cases(),
+    st.sampled_from(["max", "logsumexp", "per_constraint"]),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.floats(1e-3, 1e2)),
+    st.one_of(st.none(), st.floats(1e-3, 1e2)),
+)
+def test_lambda_identity_on_random_problems(p, aggregation, T, seed, eta, sigma):
+    # the clipped-ogd dual is the explicit maximizer: lam sigma eta = [g]_+
+    # at every step, within acceptance check 1's tolerance
+    cfg = AlgoConfig("clipped-ogd", T=T, aggregation=aggregation, eta_override=eta, sigma_override=sigma)
+    tr = run(p, cfg, seed)
+    err = np.abs(tr.lam * tr.sigma * tr.eta - np.maximum(tr.g_agg, 0.0)).max()
+    assert err <= 1e-12
+
+
 def test_per_constraint_duals_on_dispatch():
     p = dispatch_problem()
     cfg = AlgoConfig("clipped-ogd", T=50, aggregation="per_constraint")
@@ -296,9 +344,7 @@ def test_degenerates_to_projected_ogd_bitwise():
     # algorithm must reproduce plain projected OGD exactly
     p = toy_problem()
     slack = ConvexFn(lambda x: float(np.abs(x).sum() - 10.0), lambda x: np.sign(x))
-    p_slack = dataclasses.replace(
-        p, gs=[slack], constraint_values=lambda x: np.array([np.abs(x).sum() - 10.0])
-    )
+    p_slack = dataclasses.replace(p, gs=[slack])
     cfg = AlgoConfig("clipped-ogd", T=300)
     tr = run(p_slack, cfg, seed=4)
     assert np.all(tr.lam == 0.0)

@@ -189,6 +189,21 @@ def test_dispatch_oracle_is_cached_across_seeds(tmp_path, capsys):
     assert json.loads(entry.read_text())["solver"] == "structural"
 
 
+@pytest.mark.parametrize("problem, first, second", [
+    (("toy",), ("--oracle-iters", "5"), ("--oracle-iters", "6")),
+    (("doubly-stochastic", "--d", "3"), ("--oracle-tol", "1e-3"), ()),
+], ids=["toy", "doubly-stochastic"])
+def test_exact_oracles_are_cached_across_penalty_settings(tmp_path, capsys, problem, first, second):
+    # toy and doubly-stochastic answers are exact: the penalty settings
+    # change nothing, so a second setting reads the first one's entry
+    out = tmp_path / "o"
+    for flags, tag in ((first, "solved"), (second, "cached")):
+        argv = ("oracle", "--problem", *problem, "--T", "50", "--seed", "2", *flags, "--out", str(out))
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.startswith(f"{tag}: {problem[0]} seed=2 T=50")
+    assert len(list(out.glob("oracle-*.json"))) == 1
+
+
 def test_oracle_dispatch_residual(tmp_path, capsys):
     out = tmp_path / "o"
     code = run_cli(
@@ -383,16 +398,18 @@ def test_demand_csv_is_read_once(tmp_path, monkeypatch, command):
 
 
 # case -> (the cache entry's name, argv): toy and doubly-stochastic names as
-# written before problem building returned the cache key, so existing caches
-# still hit; dispatch names as keyed by the exact solver, with no seed or
-# penalty settings, so no penalty answer is read back as an exact one
+# keyed by identity, seed and T, with no penalty settings, which their exact
+# solvers never read (before, with iters and tol: c37ed1214ba3e6c418026104
+# and 36fed091a81dfa978f012313); dispatch names as keyed by the exact solver,
+# with no seed or penalty settings, so no penalty answer is read back as an
+# exact one
 CACHE_NAMES = {
     "toy": (
-        "oracle-c37ed1214ba3e6c418026104.json",
+        "oracle-0489440bb6cb2932a246e335.json",
         ("oracle", "--problem", "toy", "--T", "20", "--seed", "3"),
     ),
     "doubly-stochastic": (
-        "oracle-36fed091a81dfa978f012313.json",
+        "oracle-8941f617f33089bab88acf0a.json",
         ("oracle", "--problem", "doubly-stochastic", "--d", "3", "--T", "20"),
     ),
     "dispatch": (

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ocolc.core import (
-    BallDomain,
-    ConvexFn,
-    clip_pos,
-    clipped_subgrad,
-    finite_diff_grad,
-    lagrangian_grad_x,
-    project_ball,
-)
+from ocolc.core import BallDomain, ConvexFn, finite_diff_grad, project_ball
+
+from reference import clip_pos, clipped_subgrad, lagrangian_grad_x
 
 B2 = BallDomain(radius=1.0, dim=2)
 

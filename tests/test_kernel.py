@@ -1,9 +1,9 @@
 """The batched kernel and the array form of the problems.
 
 Property tests: each built-in problem's array form equals hand-written
-per-point closures bit for bit (the loss closures below, the problem's own
-constraint closures), and a B-row kernel call equals B one-row run() calls
-bit for bit. The golden digests pin run() itself to the earlier per-step code.
+per-point closures bit for bit (the loss and constraint closures below), and
+a B-row kernel call equals B one-row run() calls bit for bit. The golden
+digests pin run() itself to the earlier per-step code.
 """
 
 import dataclasses
@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ocolc.aggregation import logsumexp_aggregate, max_aggregate
 from ocolc.algorithms import AlgoConfig, Batch, RunError, _aggregate, _lagrangian_grad, advance, run
-from ocolc.core import ConvexFn, lagrangian_grad_x
+from ocolc.core import ConvexFn
 from ocolc.problems import (
     FnArrays,
     dispatch_problem,
@@ -30,6 +29,7 @@ from ocolc.problems import (
 
 from conftest import make_problem
 from golden_cases import inline_problem
+from reference import lagrangian_grad_x, logsumexp_aggregate, max_aggregate
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,23 +82,105 @@ def reference_losses(problem):
     return lambda s, T: [dispatch_loss(p, d_t) for d_t in p.demand[np.arange(T) % p.demand.size]]
 
 
+# ------------------------------------------ per-point reference constraints
+# The built-in constraints as per-point closures: toy's and dispatch's as
+# they were written before ArrayForm.values/jacobian became their only
+# definition, doubly-stochastic's written out here. A spec built from
+# closures is its own reference.
+
+
+def toy_constraints(l1_radius):
+    g_l1 = ConvexFn(
+        lambda x: float(np.abs(x).sum() - l1_radius),
+        lambda x: np.sign(x),
+    )
+    return [g_l1]
+
+
+def ds_constraints(d):
+    """Row sums <= 1 and >= 1, column sums <= 1 and >= 1, then x >= 0. A
+    column sum adds the rows of the matrix in order."""
+
+    def rows(x):
+        return x.reshape(d, d).sum(axis=1)
+
+    def cols(x):
+        return x.reshape(d, d).sum(axis=0)
+
+    def indicator(i, axis):
+        M = np.zeros((d, d))
+        if axis == 0:
+            M[i] = 1.0
+        else:
+            M[:, i] = 1.0
+        return M.ravel()
+
+    gs = []
+    for sums, axis in ((rows, 0), (cols, 1)):
+        gs += [
+            ConvexFn(lambda x, i=i, s=sums: float(s(x)[i] - 1.0), lambda x, a=indicator(i, axis): a)
+            for i in range(d)
+        ]
+        gs += [
+            ConvexFn(lambda x, i=i, s=sums: float(1.0 - s(x)[i]), lambda x, a=0.0 - indicator(i, axis): a)
+            for i in range(d)
+        ]
+    eye = np.eye(d * d)
+    gs += [ConvexFn(lambda x, i=i: float(-x[i]), lambda x, i=i: 0.0 - eye[i]) for i in range(d * d)]
+    return gs
+
+
+def dispatch_constraints(p):
+    n = p.x_max.size
+
+    def emission(x):
+        return float(p.d_coef @ (x * x) + p.e_coef @ x)
+
+    gs = [
+        ConvexFn(
+            lambda x: emission(x) - p.e_max,
+            lambda x: 2.0 * p.d_coef * x + p.e_coef,
+        )
+    ]
+    eye = np.eye(n)
+    gs += [  # x_i >= 0
+        ConvexFn(lambda x, i=i: float(-x[i]), lambda x, i=i: 0.0 - eye[i])
+        for i in range(n)
+    ]
+    gs += [  # x_i <= x_max_i
+        ConvexFn(lambda x, i=i: float(x[i] - p.x_max[i]), lambda x, i=i: eye[i].copy())
+        for i in range(n)
+    ]
+    return gs
+
+
+def reference_constraints(problem):
+    """The per-point constraint closures of a problem, never its own views."""
+    if problem.arrays is None:
+        return problem.gs
+    if problem.name == "toy":
+        return toy_constraints(problem.meta["l1_radius"])
+    if problem.name == "doubly-stochastic":
+        return ds_constraints(problem.meta["d"])
+    return dispatch_constraints(problem.meta["params"])
+
+
 # ------------------------------------------------------ array form vs fns
 
 BUILT_IN = ["toy", "dispatch"] + [f"ds{d}" for d in range(2, 10)]
 
 
-def assert_array_form_matches(p, X, seed, start, per_constraint_rows=None):
+def assert_array_form_matches(p, X, seed, start, constraint_rows=None):
     form = p.array_form()
-    fns = FnArrays(dataclasses.replace(p, losses=reference_losses(p)))
+    fns = FnArrays(dataclasses.replace(p, gs=reference_constraints(p), losses=reference_losses(p)))
     assert form is p.arrays
     stop = start + len(X)
     fx, grad = form.loss(X, form.params(seed, stop, start))
     fx_ref, grad_ref = fns.loss(X, fns.params(seed, stop, start))
     assert same_bits(fx, fx_ref)
     assert same_bits(grad, grad_ref)
+    X = X[:constraint_rows]  # one closure call per constraint and row
     assert same_bits(form.values(X), fns.values(X))
-    X = X[:per_constraint_rows]  # one closure call per constraint and row
-    assert same_bits(form.evals(X), fns.evals(X))
     assert same_bits(form.jacobian(X), fns.jacobian(X))
 
 
@@ -110,6 +192,11 @@ def points(rng, rows, n):
     return X
 
 
+# closure calls per problem on the many-points test: every one of toy's
+# 20 000 rows, fewer rows as m grows
+CONSTRAINT_CALLS = 20000
+
+
 @pytest.mark.parametrize("name", BUILT_IN)
 def test_array_form_matches_convexfn_path_on_many_points(name):
     # rounding differences show on a small share of generic points (about
@@ -117,7 +204,8 @@ def test_array_form_matches_convexfn_path_on_many_points(name):
     p = problem(name)
     rng = np.random.default_rng(sum(map(ord, name)))
     X = points(rng, 20000 if p.n <= 9 else 2000, p.n)
-    assert_array_form_matches(p, X, seed=11, start=int(rng.integers(0, 5000)), per_constraint_rows=200)
+    rows = CONSTRAINT_CALLS // p.m
+    assert_array_form_matches(p, X, seed=11, start=int(rng.integers(0, 5000)), constraint_rows=rows)
 
 
 @st.composite
@@ -140,12 +228,13 @@ def test_array_form_matches_convexfn_path_at_edge_points(case, seed, start):
 
 
 def reference_grad(p, f, x, lam, mode, clipped):
-    """The per-point Lagrangian gradient on the ConvexFn closures."""
+    """The per-point Lagrangian gradient on the reference closures."""
+    gs = reference_constraints(p)
     if mode == "per_constraint":
-        fns = p.gs
+        fns = gs
     else:
         aggregate = max_aggregate if mode == "max" else logsumexp_aggregate
-        fns = [aggregate(p.gs, p.constraint_values)]
+        fns = [aggregate(gs)]
     if clipped:
         return lagrangian_grad_x(f, fns, x, lam)
     grad = np.asarray(f.subgrad(x), dtype=float)
@@ -208,16 +297,17 @@ def test_fn_arrays_keep_their_shapes_on_an_empty_batch(name):
     X = np.empty((0, p.n))
     for got, want in zip(fns.loss(X, fns.params(0, 0)), form.loss(X, form.params(0, 0))):
         assert got.shape == want.shape
-    for method in ("values", "evals", "jacobian"):
+    for method in ("values", "jacobian"):
         assert getattr(fns, method)(X).shape == getattr(form, method)(X).shape, method
 
 
 def test_replacing_the_constraints_drops_the_array_form():
     p = toy_problem()
     slack = ConvexFn(lambda x: float(np.abs(x).sum() - 10.0), lambda x: np.sign(x))
-    q = dataclasses.replace(p, gs=[slack], constraint_values=lambda x: np.array([np.abs(x).sum() - 10.0]))
+    q = dataclasses.replace(p, gs=[slack])
     assert isinstance(q.array_form(), FnArrays)
     assert q.array_form().values(np.array([[0.5, 0.5]]))[0, 0] == -9.0
+    assert q.constraint_values(np.array([0.5, 0.5]))[0] == -9.0
     assert dataclasses.replace(p).array_form() is p.arrays
 
 

@@ -313,6 +313,10 @@ BOX_BOUNDS = DispatchParams(b=np.array([60.0, 1.0, 0.6]), e_max=1e4, demand=np.a
 EMISSION_LINEAR = DispatchParams(e_coef=np.array([0.5, 2.0, 1.0]), demand=np.array([40.0, 47.0]))
 # with xi = 0 and b >= 0 nothing rewards output: x = 0, below any cap
 NO_COUPLING = DispatchParams(xi=0.0, demand=np.array([40.0]))
+# a linear emission alone (no quadratic term), which project_feasible must
+# still shrink to the cap
+LINEAR_ONLY = DispatchParams(a=np.ones(3), b=np.zeros(3), d_coef=np.zeros(3), e_coef=np.array([0.0, 0.0, 1.0]),
+                             e_max=0.501, xi=1.0, x_max=np.ones(3), demand=np.array([3.0]))
 
 
 @st.composite
@@ -341,6 +345,7 @@ def dispatch_params(draw):
 @example(BOX_BOUNDS, 2)
 @example(EMISSION_LINEAR, 3)
 @example(NO_COUPLING, 4)
+@example(LINEAR_ONLY, 0)
 def test_exact_dispatch_is_feasible_and_no_worse_than_feasible_points(params, seed):
     p = dispatch_problem(params)
     T = params.demand.size

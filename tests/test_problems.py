@@ -15,6 +15,8 @@ from ocolc.problems import (
     toy_raw_costs,
 )
 
+from test_kernel import reference_constraints
+
 
 # --------------------------------------------------------------------- toy
 
@@ -111,11 +113,13 @@ def test_ds_gradient_finite_difference():
 
 
 def test_ds_constraint_values_match_fns(rng):
+    # the reference closures, not p.gs: p.gs are views of the same values
     p = doubly_stochastic_problem(d=3)
+    gs = reference_constraints(p)
     for _ in range(20):
         x = rng.uniform(-1, 1, size=9)
         vals = p.constraint_values(x)
-        direct = np.array([g.eval(x) for g in p.gs])
+        direct = np.array([g.eval(x) for g in gs])
         np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-14)
 
 
@@ -221,6 +225,14 @@ def test_dispatch_project_feasible(rng):
     for _ in range(100):
         x = rng.uniform(-5, 30, size=3)
         y = p.project_feasible(x)
+        assert np.all(p.constraint_values(y) <= 1e-9)
+
+
+def test_dispatch_project_feasible_with_linear_emission_only(rng):
+    # no quadratic emission term: the box point is scaled down to the cap
+    p = dispatch_problem(DispatchParams(d_coef=np.zeros(3), e_coef=np.array([0.5, 2.0, 1.0]), e_max=5.0))
+    for _ in range(100):
+        y = p.project_feasible(rng.uniform(-5, 30, size=3))
         assert np.all(p.constraint_values(y) <= 1e-9)
 
 
