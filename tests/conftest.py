@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ocolc.core import BallDomain, ConvexFn
 from ocolc.problems import ProblemSpec
+
+# every test run draws the same examples: derived from each test, not from
+# the clock or from an example database an earlier run left behind
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def make_problem(n, gs, R=1.0, G=1.0, H1=None, make_loss=None, name="inline"):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ocolc.algorithms
+import ocolc.oracle
 import ocolc.validation
 from ocolc.validation import AcceptanceSuite
 
@@ -167,24 +168,11 @@ def test_negative_control_gradient_sign(monkeypatch):
     assert figure(result.details, "worst rel err =") > 1.0
 
 
-_penalty_answers = {}
-
-
-@pytest.mark.parametrize("half", ["grid", "dykstra"])
-def test_negative_control_oracle_cross_check(monkeypatch, half):
-    # a reference answer moved off the optimum must fail check 8's half
-    # that compares against it, and only that half. The penalty answers do
-    # not depend on the references, so both cases solve them once
-    solve = ocolc.validation.offline_solve
-
-    def solved_once(problem, f, iters):
-        key = (problem.name, iters)
-        if key not in _penalty_answers:
-            _penalty_answers[key] = solve(problem, f, iters=iters)
-        return _penalty_answers[key]
-
-    monkeypatch.setattr(ocolc.validation, "offline_solve", solved_once)
-    if half == "grid":
+def _moved_reference(monkeypatch, part):
+    """Break the answer that one of check 8's three parts compares."""
+    if part == "grid":
+        # the grid's value 1e-2 above the exact one; the dispatch part only
+        # sees its grid move further above its comparator
         exact = ocolc.validation.grid_oracle
 
         def raised(*args, **kwargs):
@@ -192,12 +180,68 @@ def test_negative_control_oracle_cross_check(monkeypatch, half):
             return dataclasses.replace(res, value=res.value + 1e-2)
 
         monkeypatch.setattr(ocolc.validation, "grid_oracle", raised)
-    else:
+    elif part == "dykstra":
+        # a feasible point off the optimum, towards the reversal permutation
+        exact = ocolc.validation.project_birkhoff
+        monkeypatch.setattr(
+            ocolc.validation, "project_birkhoff", lambda M: 0.99 * exact(M) + 0.01 * np.eye(len(M))[::-1]
+        )
+    elif part == "dykstra-off-polytope":
         exact = ocolc.validation.project_birkhoff
         monkeypatch.setattr(ocolc.validation, "project_birkhoff", lambda M: exact(M) + 1e-2)
+    else:
+        # the dispatch comparator 5 per step higher, above the grid's value
+        # (the grid lies 2.71 per step above the exact optimum)
+        exact = ocolc.validation.offline_value
+
+        def raised(problem, seed, T):
+            res = exact(problem, seed, T)
+            if problem.name == "dispatch":
+                res = dataclasses.replace(res, value=res.value + 5.0 * T)
+            return res
+
+        monkeypatch.setattr(ocolc.validation, "offline_value", raised)
+
+
+@pytest.mark.parametrize("part", ["grid", "dykstra", "dykstra-off-polytope", "dispatch"])
+def test_negative_control_oracle_cross_check(monkeypatch, part):
+    # a reference or comparator moved off the optimum must fail check 8's
+    # part that compares against it, and only that part
+    _moved_reference(monkeypatch, part)
     result = AcceptanceSuite(base_seed=1).check_oracle_crosscheck()
     print(result.line())
     assert not result.passed
-    d_toy = figure(result.details, "toy |penalty - grid| =")
-    d_ds = figure(result.details, "ds(d=4) |penalty - dykstra| =")
-    assert (d_toy > 1e-3, d_ds > 1e-4) == (half == "grid", half == "dykstra")
+    d_toy = figure(result.details, "toy |exact - grid| =")
+    gap = figure(result.details, "dykstra |gap| =")
+    residual = figure(result.details, "residual =")
+    excess = figure(result.details, "dispatch exact - grid =")
+    ds_failed = gap > 1e-9 or residual > 1e-9
+    assert (d_toy > 1e-3, ds_failed, excess > 1e-6) == (
+        part == "grid", part.startswith("dykstra"), part == "dispatch"
+    )
+    if part == "dykstra":
+        assert gap > 1e-4 and residual <= 1e-9
+    if part == "dykstra-off-polytope":
+        assert residual > 1e-3
+
+
+def test_oracle_cross_check_makes_no_penalty_solve(monkeypatch):
+    # check 8 compares the exact comparators; the penalty solver is never run
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    solve = ocolc.oracle.offline_solve
+    monkeypatch.setattr(ocolc.validation, "offline_solve", spy)
+    monkeypatch.setattr(ocolc.oracle, "offline_solve", spy)
+    result = AcceptanceSuite(base_seed=1).check_oracle_crosscheck()
+    assert result.passed, result.details
+    assert calls == []
+
+
+def test_every_verdict_is_a_bool():
+    # numpy comparisons give numpy.bool_, which `is` tests and JSON reject
+    suite = AcceptanceSuite(t_grid=(250, 500, 1000, 2000, 4000), toy_seeds=3, ds_seeds=2)
+    assert [type(r.passed) for r in suite.run_all()] == [bool] * len(suite.CHECKS)

@@ -13,6 +13,7 @@ from ocolc.oracle import (
     KKT_TOL,
     OracleError,
     OracleResult,
+    birkhoff_certificate,
     grid_oracle,
     offline_solve,
     offline_value,
@@ -257,6 +258,46 @@ def test_birkhoff_projection_shrinks_distance(rng):
 def test_birkhoff_rejects_nonsquare():
     with pytest.raises(ValueError):
         project_birkhoff(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_birkhoff_certificate_of_dykstra_on_random_targets(d, seed):
+    M = np.random.default_rng(seed).uniform(-0.3, 1.2, size=(d, d))
+    X = project_birkhoff(M)
+    gap, residual = birkhoff_certificate(M, X)
+    bound = 1e-9 * max(1.0, 0.5 * float(np.sum((X - M) ** 2)))
+    assert abs(gap) <= bound and residual <= bound
+
+
+@pytest.mark.parametrize("d", [4, 5, 9])
+def test_birkhoff_certificate_of_the_ds_comparator(d):
+    # the mean target of a permutation stream: what offline_value projects
+    p = doubly_stochastic_problem(d=d)
+    for seed in range(3):
+        M = -p.mean_loss(seed, 500).subgrad(np.zeros(d * d)).reshape(d, d)
+        gap, residual = birkhoff_certificate(M, offline_value(p, seed, 500).x.reshape(d, d))
+        assert abs(gap) <= 1e-9 and residual <= 1e-9
+
+
+def test_birkhoff_certificate_flags_a_feasible_point_off_the_optimum():
+    M = np.random.default_rng(1).uniform(-0.3, 1.2, size=(4, 4))
+    X = 0.99 * project_birkhoff(M) + 0.01 * np.eye(4)[::-1]
+    gap, residual = birkhoff_certificate(M, X)
+    # the gap bounds the excess loss from above
+    excess = 0.5 * np.sum((X - M) ** 2) - 0.5 * np.sum((project_birkhoff(M) - M) ** 2)
+    assert gap >= excess > 1e-5
+    assert residual <= 1e-9
+
+
+def test_birkhoff_certificate_flags_an_infeasible_point():
+    M = np.random.default_rng(1).uniform(-0.3, 1.2, size=(4, 4))
+    X = project_birkhoff(M)
+    _, residual = birkhoff_certificate(M, X + 1e-2)
+    assert residual == pytest.approx(0.04)
+    # X[0, 0] = -0.05, with every row and column sum kept at 1
+    X[:2, :2] += (X[0, 0] + 0.05) * np.array([[-1.0, 1.0], [1.0, -1.0]])
+    assert birkhoff_certificate(M, X)[1] >= 0.05
 
 
 def test_penalty_vs_dykstra_cross_check():
