@@ -2,14 +2,18 @@
 
 One check per criterion; the `validate` CLI subcommand and the acceptance
 test module both call into AcceptanceSuite so they can never drift apart.
-Sweep cells are cached inside the suite instance, letting several checks
-share the same runs; each grid of cells advances in one kernel call,
-whatever the variants in it.
+The suite plans, per problem, every (config, seed) cell its checks read.
+The first check that needs a cell of a problem runs all of that problem's
+planned cells in one kernel call per aggregation, whatever the variants in
+it, so a quick suite makes five kernel calls in any check order. Each cell
+is summarized against its comparator right after that call and cached as a
+summary; no trace is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -68,7 +72,14 @@ class CheckResult:
 
 
 class AcceptanceSuite:
-    """Runs and caches everything the acceptance criteria need."""
+    """Runs and caches everything the acceptance criteria need.
+
+    Each problem has a plan: the (config, seed) cells its checks read,
+    listed by the grid builders below. The first request for a cell not
+    cached yet runs every planned cell of its problem not cached yet through
+    one Batch, one kernel call per aggregation, and summarizes each row right
+    after, so no trace outlives that call. Problems are built on first use.
+    """
 
     def __init__(
         self,
@@ -81,66 +92,105 @@ class AcceptanceSuite:
         self.toy_seeds = toy_seeds
         self.ds_seeds = ds_seeds
         self.base_seed = base_seed
-        self.toy = toy_problem()
         self._cells: Dict[tuple, Cell] = {}
-        self._ds = None
 
-    @property
+    @cached_property
+    def toy(self):
+        return toy_problem()
+
+    @cached_property
     def ds(self):
-        if self._ds is None:
-            self._ds = doubly_stochastic_problem(d=5)
-        return self._ds
+        return doubly_stochastic_problem(d=5)
 
-    # ------------------------------------------------------------- cells
+    @cached_property
+    def dispatch(self):
+        return dispatch_problem()
 
-    def _cell(self, problem, cfg: AlgoConfig, seed: int, with_oracle=True, batch=None) -> Cell:
-        """One (problem, config, seed) run, from `batch` when one holds it."""
-        key = (problem.name, cfg, seed)
-        if key in self._cells:
-            return self._cells[key]
-        trace = run(problem if batch is None else batch, cfg, seed)
-        lambda_err = float("nan")
-        if cfg.variant == "clipped-ogd":
-            lhs = trace.lam * trace.sigma * trace.eta
-            lambda_err = float(np.abs(lhs - np.maximum(trace.g_agg, 0.0)).max())
-        ov = offline_value(problem, seed, cfg.T).value if with_oracle else float("nan")
-        ball_ok = np.linalg.norm(trace.x, axis=1).max() <= problem.dom.radius * (1.0 + 1e-12)
-        cell = self._cells[key] = Cell(summarize(trace, ov), bool(ball_ok), lambda_err)
-        return cell
+    # ------------------------------------------------------------- grids
 
-    def _grid_cells(self, problem, cells, with_oracle=True) -> List[Cell]:
-        """Cells of one grid; those not cached yet run in one kernel call."""
-        todo = [(cfg, seed) for cfg, seed in cells if (problem.name, cfg, seed) not in self._cells]
-        batch = Batch(problem, todo)
-        return [self._cell(problem, cfg, seed, with_oracle, batch) for cfg, seed in cells]
-
-    def toy_cells(self, beta: float, variant="clipped-ogd", t_grid=None) -> List[Cell]:
+    def toy_grid(self, beta: float, variant="clipped-ogd", t_grid=None) -> List[tuple]:
         grid = self.t_grid if t_grid is None else t_grid
-        cells = [
+        return [
             (AlgoConfig(variant, T=T, beta=beta), derive_seed(self.base_seed, i))
             for T in grid
             for i in range(self.toy_seeds)
         ]
-        return self._grid_cells(self.toy, cells)
 
-    def ds_cells(self) -> List[Cell]:
-        cells = [
+    def baseline_grid(self) -> List[tuple]:
+        """The two toy baselines at the longest horizon, for check 2."""
+        return [
+            (AlgoConfig(variant, T=max(self.t_grid)), derive_seed(self.base_seed, 0))
+            for variant in ("mahdavi-ogd", "a-ogd")
+        ]
+
+    def ds_grid(self) -> List[tuple]:
+        return [
             (AlgoConfig("strong-clipped-ogd", T=T), derive_seed(self.base_seed, 100 + i))
             for T in self.t_grid
             for i in range(self.ds_seeds)
         ]
-        return self._grid_cells(self.ds, cells)
 
-    def contrast_cells(self) -> Dict[str, Cell]:
-        variants = ("clipped-ogd", "mahdavi-ogd")
-        cells = [
+    def contrast_grid(self) -> List[tuple]:
+        """clipped-ogd, then mahdavi-ogd, on dispatch with shared stepsizes."""
+        return [
             (
                 AlgoConfig(v, T=CONTRAST_T, eta_override=CONTRAST_ETA, sigma_override=CONTRAST_SIGMA),
                 self.base_seed,
             )
-            for v in variants
+            for v in ("clipped-ogd", "mahdavi-ogd")
         ]
-        return dict(zip(variants, self._grid_cells(dispatch_problem(), cells, with_oracle=False)))
+
+    def per_constraint_grid(self) -> List[tuple]:
+        """One dispatch run with per-constraint duals, for check 1."""
+        return [(AlgoConfig("clipped-ogd", T=200, aggregation="per_constraint"), self.base_seed)]
+
+    def _plan(self) -> Dict[str, List[tuple]]:
+        """Every cell the checks read, by problem name."""
+        return {
+            "toy": self.toy_grid(0.5)
+            + self.toy_grid(2.0 / 3.0)
+            + self.baseline_grid()
+            + self.toy_grid(0.5, "mahdavi-ogd", (max(self.t_grid),)),
+            "doubly-stochastic": self.ds_grid(),
+            "dispatch": self.contrast_grid() + self.per_constraint_grid(),
+        }
+
+    # ------------------------------------------------------------- cells
+
+    def cells(self, problem, grid) -> List[Cell]:
+        """The cells of `grid` on `problem`, run with the rest of its plan
+        when any is not cached yet."""
+        name = problem.name
+        if any((name, cfg, seed) not in self._cells for cfg, seed in grid):
+            todo = [
+                (cfg, seed)
+                for cfg, seed in dict.fromkeys(self._plan().get(name, []) + grid)
+                if (name, cfg, seed) not in self._cells
+            ]
+            batch = Batch(problem, todo)
+            for cfg, seed in todo:
+                self._cells[name, cfg, seed] = self._cell(problem, cfg, seed, run(batch, cfg, seed))
+        return [self._cells[name, cfg, seed] for cfg, seed in grid]
+
+    @staticmethod
+    def _cell(problem, cfg: AlgoConfig, seed: int, trace) -> Cell:
+        """One run's summary against its comparator, plus its trace checks."""
+        lambda_err = float("nan")
+        if cfg.variant == "clipped-ogd":
+            lhs = trace.lam * trace.sigma * trace.eta
+            lambda_err = float(np.abs(lhs - np.maximum(trace.g_agg, 0.0)).max())
+        ov = offline_value(problem, seed, cfg.T).value
+        ball_ok = np.linalg.norm(trace.x, axis=1).max() <= problem.dom.radius * (1.0 + 1e-12)
+        return Cell(summarize(trace, ov), bool(ball_ok), lambda_err)
+
+    def _shared_cells(self) -> List[Cell]:
+        """The theorem-1 toy grid, the strongly convex grid and the dispatch
+        contrast: every run checks 2 and 10 read but the baselines."""
+        return (
+            self.cells(self.toy, self.toy_grid(0.5))
+            + self.cells(self.ds, self.ds_grid())
+            + self.cells(self.dispatch, self.contrast_grid())
+        )
 
     def _mean_series(self, cells: List[Cell], field: str) -> List[Tuple[int, float]]:
         byT: Dict[int, list] = {}
@@ -168,10 +218,10 @@ class AcceptanceSuite:
     # ------------------------------------------------------------ checks
 
     def check_lambda_identity(self) -> CheckResult:
-        cells = self.toy_cells(0.5)
         # per-constraint duals must satisfy the identity componentwise too
-        cfg = AlgoConfig("clipped-ogd", T=200, aggregation="per_constraint")
-        cells.append(self._cell(dispatch_problem(), cfg, self.base_seed, with_oracle=False))
+        cells = self.cells(self.toy, self.toy_grid(0.5)) + self.cells(
+            self.dispatch, self.per_constraint_grid()
+        )
         worst = max(c.lambda_err for c in cells if not np.isnan(c.lambda_err))
         return CheckResult(
             "1 lambda-update identity",
@@ -180,12 +230,7 @@ class AcceptanceSuite:
         )
 
     def check_ball_feasibility(self) -> CheckResult:
-        cells = self.toy_cells(0.5) + self.ds_cells() + list(self.contrast_cells().values())
-        baselines = [
-            (AlgoConfig(variant, T=max(self.t_grid)), derive_seed(self.base_seed, 0))
-            for variant in ("mahdavi-ogd", "a-ogd")
-        ]
-        cells += self._grid_cells(self.toy, baselines, with_oracle=False)
+        cells = self._shared_cells() + self.cells(self.toy, self.baseline_grid())
         bad = sum(not c.ball_ok for c in cells)
         return CheckResult(
             "2 ball feasibility",
@@ -195,7 +240,7 @@ class AcceptanceSuite:
 
     def _tradeoff(self, name: str, beta: float) -> CheckResult:
         """Toy slopes of sum([g]+)^2 and regret against 1-beta and max(beta, 1-beta), + 0.15."""
-        cells = self.toy_cells(beta)
+        cells = self.cells(self.toy, self.toy_grid(beta))
         s_v, n_v = self._slope(self._mean_series(cells, "agg_sum_clip_sq"))
         s_r, n_r = self._regret_slope(cells)
         bound_v = (1.0 - beta) + 0.15
@@ -214,7 +259,7 @@ class AcceptanceSuite:
         return self._tradeoff("4 proposition-3 trade-off (beta=2/3)", 2.0 / 3.0)
 
     def check_theorem2_strong(self) -> CheckResult:
-        cells = self.ds_cells()
+        cells = self.cells(self.ds, self.ds_grid())
         s_r, n_r = self._regret_slope(cells)
         s_c, n_c = self._slope(self._mean_series(cells, "agg_sum_clip"))
         ok = s_r <= 0.25 and s_c <= 0.65
@@ -226,7 +271,7 @@ class AcceptanceSuite:
         )
 
     def check_lemma1_per_step(self) -> CheckResult:
-        series = self._mean_series(self.toy_cells(0.5), "burnin_max_violation")
+        series = self._mean_series(self.cells(self.toy, self.toy_grid(0.5)), "burnin_max_violation")
         slope, note = self._slope(series)
         pts = positive_points(series)
         final = pts[-1][1] if pts else float("nan")
@@ -239,12 +284,12 @@ class AcceptanceSuite:
 
     def check_baseline_contrast(self) -> CheckResult:
         T = max(self.t_grid)
-        toy_clip = self._mean_series(self.toy_cells(0.5), "agg_sum_clip_sq")[-1][1]
-        mah_cells = self.toy_cells(0.5, variant="mahdavi-ogd", t_grid=(T,))
+        toy_clip = self._mean_series(self.cells(self.toy, self.toy_grid(0.5)), "agg_sum_clip_sq")[-1][1]
+        mah_cells = self.cells(self.toy, self.toy_grid(0.5, variant="mahdavi-ogd", t_grid=(T,)))
         toy_mah = self._mean_series(mah_cells, "agg_sum_clip_sq")[-1][1]
-        contrast = self.contrast_cells()
-        mv_clip = contrast["clipped-ogd"].summary.max_step_violation
-        mv_mah = contrast["mahdavi-ogd"].summary.max_step_violation
+        clip, mah = self.cells(self.dispatch, self.contrast_grid())
+        mv_clip = clip.summary.max_step_violation
+        mv_mah = mah.summary.max_step_violation
         ok = toy_clip < toy_mah and mv_clip <= 0.5 * mv_mah
         return CheckResult(
             "7 baseline contrast",
@@ -270,7 +315,7 @@ class AcceptanceSuite:
         tol_ds = 1e-9 * max(1.0, float(0.5 * np.sum((X - M) ** 2)))
         # dispatch: one-sided, no feasible grid point may beat the exact
         # optimum; its KKT certificate covers the other direction
-        disp = dispatch_problem()
+        disp = self.dispatch
         grid = grid_oracle(disp, disp.mean_loss(self.base_seed, T), resolution=1.0).value
         excess = offline_value(disp, self.base_seed, T).value / T - grid
         tol_disp = 1e-9 * max(1.0, abs(grid))
@@ -305,7 +350,7 @@ class AcceptanceSuite:
         ds = doubly_stochastic_problem(d=3)
         check(ds.losses(1, 1)[0], lambda r: r.uniform(0, 1, size=9))
         check(ds.gs[0], lambda r: r.uniform(0, 1, size=9))  # row-sum constraint
-        disp = dispatch_problem()
+        disp = self.dispatch
         check(disp.losses(0, 1)[0], lambda r: r.uniform(0.0, 15.0, size=3))
         check(disp.gs[0], lambda r: r.uniform(0.0, 15.0, size=3))  # emission
         check(disp.gs[1], lambda r: r.uniform(0.0, 15.0, size=3))  # box
@@ -317,7 +362,7 @@ class AcceptanceSuite:
         )
 
     def check_cauchy_schwarz(self) -> CheckResult:
-        cells = self.toy_cells(0.5) + self.ds_cells() + list(self.contrast_cells().values())
+        cells = self._shared_cells()
         bad = sum(
             not s.agg_sum_clip**2 <= s.T * s.agg_sum_clip_sq * (1.0 + 1e-12) + 1e-18
             for s in (c.summary for c in cells)

@@ -8,6 +8,9 @@ from ocolc.problems import ProblemSpec
 # every test run draws the same examples: derived from each test, not from
 # the clock or from an example database an earlier run left behind
 settings.register_profile("tier1", derandomize=True, database=None)
+# fresh random examples on every run, for a separate search that Tier-1's
+# result does not depend on: pytest --hypothesis-profile=random-search
+settings.register_profile("random-search", derandomize=False, database=None)
 settings.load_profile("tier1")
 
 

@@ -1,11 +1,16 @@
 """Acceptance criteria, one test per criterion.
 
-The shared AcceptanceSuite instance caches all sweep cells, so the expensive
-grids (toy at two betas, the strongly convex matrix sweep) run once for the
-whole module. Each test prints its criterion's pass/fail line.
+The shared AcceptanceSuite instance caches every cell as a summary: the
+first criterion test that reads a problem runs all the cells the suite plans
+on it (toy at two betas and its baselines, the strongly convex matrix sweep,
+the dispatch runs) in one kernel call per aggregation, and the later tests
+read the cache. Each test prints its criterion's pass/fail line. A module-
+scoped quick run_all, made under a spy on the kernel, serves the tests of
+the suite's own plan: its kernel calls and its independence of check order.
 """
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -13,12 +18,35 @@ import pytest
 import ocolc.algorithms
 import ocolc.oracle
 import ocolc.validation
+from ocolc.algorithms import RunTrace, run
+from ocolc.metrics import summarize
+from ocolc.oracle import offline_value
 from ocolc.validation import AcceptanceSuite
+
+# the grid of `ocolc validate --quick`
+QUICK = dict(t_grid=(250, 500, 1000, 2000, 4000), toy_seeds=3, ds_seeds=2)
 
 
 @pytest.fixture(scope="module")
 def suite():
     return AcceptanceSuite()
+
+
+@pytest.fixture(scope="module")
+def quick_run():
+    """A fresh quick suite's run_all results and the kernel calls it made,
+    as (problem, rows, aggregation)."""
+    calls = []
+    advance = ocolc.algorithms.advance
+
+    def spy(problem, cfgs, seeds, *args, **kwargs):
+        calls.append((problem.name, len(cfgs), cfgs[0].aggregation))
+        return advance(problem, cfgs, seeds, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ocolc.algorithms, "advance", spy)
+        results = AcceptanceSuite(**QUICK).run_all()
+    return results, calls
 
 
 def _assert_check(result):
@@ -241,7 +269,65 @@ def test_oracle_cross_check_makes_no_penalty_solve(monkeypatch):
     assert calls == []
 
 
-def test_every_verdict_is_a_bool():
+def test_every_verdict_is_a_bool(quick_run):
     # numpy comparisons give numpy.bool_, which `is` tests and JSON reject
-    suite = AcceptanceSuite(t_grid=(250, 500, 1000, 2000, 4000), toy_seeds=3, ds_seeds=2)
-    assert [type(r.passed) for r in suite.run_all()] == [bool] * len(suite.CHECKS)
+    results, _ = quick_run
+    assert [type(r.passed) for r in results] == [bool] * len(AcceptanceSuite.CHECKS)
+
+
+def test_quick_suite_makes_one_kernel_call_per_problem_and_aggregation(quick_run):
+    # every planned cell of a problem runs in the first call on it; check 11
+    # runs its own l1_radius=10 toy instance
+    _, calls = quick_run
+    assert calls == [
+        ("toy", 34, "max"),
+        ("dispatch", 2, "max"),
+        ("dispatch", 1, "per_constraint"),
+        ("doubly-stochastic", 10, "max"),
+        ("toy", 1, "max"),
+    ]
+
+
+def test_checks_in_reverse_order_give_the_same_lines(quick_run):
+    results, _ = quick_run
+    backwards = AcceptanceSuite(**QUICK)
+    lines = {name: getattr(backwards, name)().line() for name in reversed(AcceptanceSuite.CHECKS)}
+    assert [lines[name] for name in AcceptanceSuite.CHECKS] == [r.line() for r in results]
+
+
+def test_constructing_a_suite_builds_no_problem(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    for ctor in ("toy_problem", "doubly_stochastic_problem", "dispatch_problem"):
+        monkeypatch.setattr(ocolc.validation, ctor, refuse)
+    AcceptanceSuite(**QUICK)
+
+
+def test_a_cell_carries_its_comparator_whichever_check_runs_it_first():
+    # check 2's seed-0 mahdavi-ogd baseline is also a cell of check 7; read
+    # after check 2, it must carry the regret a run of its own gives
+    suite = AcceptanceSuite(**QUICK, base_seed=3)
+    suite.check_ball_feasibility()
+    grid = suite.toy_grid(0.5, "mahdavi-ogd", (max(suite.t_grid),))
+    (cfg, seed), cell = grid[0], suite.cells(suite.toy, grid)[0]
+    alone = summarize(run(suite.toy, cfg, seed), offline_value(suite.toy, seed, cfg.T).value)
+    assert np.isfinite(cell.summary.regret)
+    assert cell.summary.regret == alone.regret
+    # so must the baselines and the dispatch runs, which no check's line shows
+    others = suite.cells(suite.toy, suite.baseline_grid()) + suite.cells(
+        suite.dispatch, suite.contrast_grid() + suite.per_constraint_grid()
+    )
+    assert all(np.isfinite(c.summary.regret) for c in others)
+
+
+def test_no_trace_outlives_the_kernel_call():
+    # the suite keeps summaries only: a kept Batch would hold every trace of
+    # its call for the suite's lifetime and raise the peak memory
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, RunTrace)}
+    suite = AcceptanceSuite(**QUICK)
+    suite.check_lambda_identity()
+    gc.collect()
+    held = [o for o in gc.get_objects() if isinstance(o, RunTrace) and id(o) not in before]
+    assert held == []
