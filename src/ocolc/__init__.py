@@ -35,7 +35,6 @@ from .oracle import (
 from .problems import (
     ArrayForm,
     DispatchParams,
-    FnArrays,
     ProblemSpec,
     derive_seed,
     dispatch_problem,
@@ -52,7 +51,6 @@ __all__ = [
     "Batch",
     "ConvexFn",
     "DispatchParams",
-    "FnArrays",
     "OracleError",
     "OracleResult",
     "ProblemSpec",

@@ -327,7 +327,7 @@ def advance(
     mode = cfgs[0].aggregation
     if any(cfg.aggregation != mode for cfg in cfgs):
         raise ValueError("rows of one kernel call must share an aggregation")
-    form = problem.array_form()
+    form = problem.arrays
     R = problem.dom.radius
     k, n, m = scheds[0].m_eff, problem.n, problem.m
 
@@ -593,15 +593,17 @@ def projected_ogd_run(problem: ProblemSpec, seed: int, T: int, eta: float) -> np
     """Plain projected OGD reference, x_{t+1} = proj(x_t - eta grad f_t(x_t)).
 
     Returns the (T, n) iterate matrix; used to verify that clipped-ogd
-    degenerates to it bitwise on never-violated instances. It runs on the
-    problem's ConvexFn closures, independently of the kernel.
+    degenerates to it bitwise on never-violated instances. It reads the
+    array form's ``params`` and ``loss`` one row at a time, independently of
+    the kernel.
     """
-    losses = problem.losses(seed, T)
+    form = problem.arrays
+    P = form.params(seed, T)
     x = problem.x0()
     xs = np.empty((T, problem.n))
-    for i, f_t in enumerate(losses):
-        xs[i] = x
-        x = project_ball(x - eta * np.asarray(f_t.subgrad(x), dtype=float), problem.dom)
+    for t in range(T):
+        xs[t] = x
+        x = project_ball(x - eta * form.loss(x[None], P[t : t + 1])[1][0], problem.dom)
     return xs
 
 

@@ -71,14 +71,21 @@ class Settings:
         if cli_val is not None:
             return cli_val
         if key in self.file:
-            raw = self.file[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
             with _setting(key):
-                return cast(raw)
+                return (_parse_bool if cast is bool else cast)(self.file[key])
         if required and default is None:
             raise UsageError(f"missing required setting --{key}")
         return default
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    """A config-file boolean: 1/true/yes or 0/false/no, in any case."""
+    if raw.lower() not in _BOOLS:
+        raise ValueError(f"expected one of 1/true/yes/0/false/no, got {raw!r}")
+    return _BOOLS[raw.lower()]
 
 
 class UsageError(Exception):
@@ -272,6 +279,7 @@ def cmd_run(s: Settings) -> int:
     cfg = build_config(s)
     seed = _at_least("seed", s.get("seed", int, 0), 0)
     iters, tol = _oracle_settings(s)
+    per_constraint = s.get("per-constraint-columns", bool, False)
     out = _out_dir(s)
     try:
         trace = run(problem, cfg, seed)
@@ -303,7 +311,7 @@ def cmd_run(s: Settings) -> int:
         "g_bar_x1": trace.meta["g_bar_x1"],
     }
     trace_path = os.path.join(out, "trace.csv")
-    write_trace_csv(trace, trace_path, per_constraint=s.get("per-constraint-columns", bool, False))
+    write_trace_csv(trace, trace_path, per_constraint=per_constraint)
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=1, sort_keys=True)
     print(

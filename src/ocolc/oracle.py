@@ -54,7 +54,7 @@ def offline_solve(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    form = problem.array_form()
+    form = problem.arrays
     dom = problem.dom
     R = dom.radius
     H1 = problem.H1
@@ -148,7 +148,7 @@ def grid_oracle(
         raise ValueError(f"grid oracle limited to n <= 3, got n={problem.n}")
     if not (resolution > 0):
         raise ValueError("resolution must be positive")
-    form = problem.array_form()
+    form = problem.arrays
     R = problem.dom.radius
     steps = int(np.floor(2.0 * R / resolution)) + 1
     coords = -R + resolution * np.arange(steps)
@@ -378,7 +378,7 @@ def offline_value(
     fbar = problem.mean_loss(seed, T)
     if problem.offline_solution is not None:
         x_star = problem.offline_solution(seed, T)
-        residual = float(np.maximum(problem.array_form().values(x_star[None]), 0.0).max(initial=0.0))
+        residual = float(np.maximum(problem.arrays.values(x_star[None]), 0.0).max(initial=0.0))
         return OracleResult(x_star, T * fbar.eval(x_star), residual, {"solver": "structural"})
     res = offline_solve(problem, fbar, iters=iters, tol=tol)
     return OracleResult(res.x, T * fbar.eval(res.x), res.residual, res.info | {"solver": "penalty"})

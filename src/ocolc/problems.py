@@ -11,19 +11,18 @@ consume a fixed number of variates per step, so the loss at step t does not
 depend on the horizon it was generated for, and step t can be drawn alone by
 jumping the generator past the earlier steps.
 
-Each built-in problem is an array form (``ArrayForm``), which the batched
-run kernel reads: loss parameters indexed by t, and losses, constraint values
-and constraint subgradients evaluated over a (B, n) batch of points in one
-call. ``ArrayForm.loss`` is the only definition of a built-in per-step loss, and
-``ArrayForm.values`` and ``ArrayForm.jacobian`` the only definition of its
-constraints: the ConvexFn losses of ``ProblemSpec.losses`` and constraints
-of ``ProblemSpec.gs`` are their one-row views. Problems built from closures
-alone go through ``FnArrays``, which evaluates their closures row by row.
+Every problem is an array form (``ArrayForm``), the one representation the
+batched run kernel, the oracles and the acceptance checks read: loss
+parameters indexed by t, and losses, constraint values and constraint
+subgradients evaluated over a (B, n) batch of points in one call.
+``ArrayForm.loss`` is the only definition of a per-step loss, and
+``ArrayForm.values`` and ``ArrayForm.jacobian`` the only definition of the
+constraints. ``ProblemSpec.losses``, ``loss_stream`` and
+``constraint_values`` are one-row views of them.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -50,7 +49,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 @dataclass
 class ProblemSpec:
-    """A constrained online problem: domain, constraints, and a loss stream."""
+    """A constrained online problem: domain, constants, and its array form."""
 
     name: str
     n: int
@@ -58,46 +57,34 @@ class ProblemSpec:
     G: float
     H1: Optional[float]
     mean_loss: Callable[[int, int], ConvexFn]  # closed-form average of the T losses
-    # the constraints; by default the one-row views of arrays.values/jacobian
-    gs: Optional[List[ConvexFn]] = None
-    # (seed, T) -> T loss fns; by default the one-row views of arrays.loss
-    losses: Optional[Callable[[int, int], List[ConvexFn]]] = None
+    arrays: "ArrayForm"  # the losses and constraints over a batch of points
     project_feasible: Optional[Callable[[Vector], Vector]] = None
     offline_solution: Optional[Callable[[int, int], Vector]] = None  # exact x* when known
     meta: dict = field(default_factory=dict)
-    arrays: Optional["ArrayForm"] = None  # batched form of gs and losses, when built in
-    # x -> all m constraint values: one row of array_form().values, set on
-    # construction (an attribute, so that it can be rebound)
-    constraint_values: Callable[[Vector], np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arrays = self.arrays
-        if self.gs is None:
-            self.gs = arrays.gs
-        if self.losses is None:
-            self.losses = lambda seed, T: [arrays.loss_fn(row) for row in arrays.params(seed, T)]
-        form = self.array_form()
-        self.constraint_values = lambda x: form.values(x[None])[0]
 
     @property
     def m(self) -> int:
-        return len(self.gs)
+        return self.arrays.m
 
-    def array_form(self) -> "ArrayForm":
-        """The form the run kernel reads.
+    # losses and constraint_values have no reader in this package; they stay
+    # because the benchmark's tracer rebinds them by name on every spec
+    def losses(self, seed: int, T: int) -> List[ConvexFn]:
+        """The T losses of a stream, as one-row views of ``arrays.loss``."""
+        P = self.arrays.params(seed, T)
+        return [self._loss_view(P[t : t + 1]) for t in range(T)]
 
-        ``gs`` defaults to the constraint views of ``arrays``; a copy such
-        as ``dataclasses.replace(spec, gs=...)`` carries a new list and so
-        runs through its ConvexFn closures instead.
-        """
-        if self.arrays is not None and self.arrays.gs is self.gs:
-            return self.arrays
-        return FnArrays(self)
+    def constraint_values(self, x: Vector) -> np.ndarray:
+        """All m constraint values at x: one row of ``arrays.values``."""
+        return self.arrays.values(x[None])[0]
 
     def loss_stream(self, seed: int, t: int) -> ConvexFn:
         """Loss at step t (0-based), independent of any horizon."""
-        form = self.array_form()
-        return form.loss_fn(form.params(seed, t + 1, start=t)[0])
+        return self._loss_view(self.arrays.params(seed, t + 1, start=t))
+
+    def _loss_view(self, P) -> ConvexFn:
+        """``arrays.loss`` on a one-row batch with the one parameter row P."""
+        loss = self.arrays.loss
+        return ConvexFn(lambda x: float(loss(x[None], P)[0][0]), lambda x: loss(x[None], P)[1][0])
 
     def x0(self) -> Vector:
         return np.zeros(self.n)
@@ -116,66 +103,12 @@ class ArrayForm:
     * ``jacobian(X)``: constraint subgradient rows (B, m, n);
     * ``m``: the number of constraints.
 
-    ``loss`` is the one definition of a built-in per-step loss, and
-    ``values`` and ``jacobian`` the one definition of its constraints:
-    ``loss_fn`` views one parameter row of ``loss`` as a ConvexFn, and
-    ``gs`` views each constraint as one. Per-row dot products go through
-    ``np.vecdot``, which matches ``c @ x``, where ``(C * X).sum(1)`` does
-    not, so that a row equals the per-point expression bit for bit.
+    Per-row dot products go through ``np.vecdot``, which matches ``c @ x``,
+    where ``(C * X).sum(1)`` does not, so that a row equals the per-point
+    expression bit for bit.
     """
 
     m: int
-
-    def loss_fn(self, row):
-        """The ConvexFn of one parameter row: ``loss`` on a one-row batch."""
-        P = np.asarray(row)[None]
-        return ConvexFn(
-            lambda x: float(self.loss(x[None], P)[0][0]),
-            lambda x: self.loss(x[None], P)[1][0],
-        )
-
-    @functools.cached_property
-    def gs(self) -> List[ConvexFn]:
-        """Constraint i as a ConvexFn: column i of ``values`` and ``jacobian``
-        on a one-row batch."""
-        return [
-            ConvexFn(
-                lambda x, i=i: float(self.values(x[None])[0, i]),
-                lambda x, i=i: self.jacobian(x[None])[0, i],
-            )
-            for i in range(self.m)
-        ]
-
-
-class FnArrays(ArrayForm):
-    """The array form of any ProblemSpec, evaluating its closures row by row.
-    Results are reshaped so that an empty batch keeps its trailing axes."""
-
-    def __init__(self, problem: ProblemSpec):
-        self.problem = problem
-        self.gs = problem.gs
-        self.m = len(self.gs)
-
-    def params(self, seed, stop, start=0):
-        fns = np.empty(stop - start, dtype=object)
-        fns[:] = self.problem.losses(seed, stop)[start:]
-        return fns
-
-    def loss(self, X, fns):
-        fx = np.array([f.eval(x) for f, x in zip(fns, X)], dtype=float)
-        grad = np.array([np.asarray(f.subgrad(x), dtype=float) for f, x in zip(fns, X)])
-        return fx, grad.reshape(X.shape)
-
-    def values(self, X):
-        V = np.array([[g.eval(x) for g in self.gs] for x in X], dtype=float)
-        return V.reshape(len(X), self.m)
-
-    def jacobian(self, X):
-        J = np.array([[np.asarray(g.subgrad(x), dtype=float) for g in self.gs] for x in X])
-        return J.reshape(len(X), self.m, X.shape[1])
-
-    def loss_fn(self, f):
-        return f
 
 
 def _uniform_rows(seed: int, stop: int, start: int, width: int) -> np.ndarray:
@@ -234,7 +167,7 @@ def project_l1_ball(x: Vector, radius: float = 1.0) -> Vector:
     return np.sign(x) * np.maximum(a - theta, 0.0)
 
 
-def toy_problem(seed: int = 0, l1_radius: float = 1.0) -> ProblemSpec:
+def toy_problem(l1_radius: float = 1.0) -> ProblemSpec:
     """min sum_t c_t.x  s.t.  |x1| + |x2| - l1_radius <= 0, decisions in the
     unit ball.
 
@@ -265,7 +198,7 @@ def toy_problem(seed: int = 0, l1_radius: float = 1.0) -> ProblemSpec:
         mean_loss=mean_loss,
         project_feasible=lambda x: project_l1_ball(x, l1_radius),
         offline_solution=offline_solution if l1_radius <= 1.0 else None,
-        meta={"seed_hint": seed, "l1_radius": l1_radius},
+        meta={"l1_radius": l1_radius},
         arrays=_ToyArrays(l1_radius),
     )
 
@@ -321,7 +254,7 @@ class _DoublyStochasticArrays(ArrayForm):
         return np.broadcast_to(self.A, (len(X),) + self.A.shape)
 
 
-def doubly_stochastic_problem(d: int = 5, seed: int = 0) -> ProblemSpec:
+def doubly_stochastic_problem(d: int = 5) -> ProblemSpec:
     """Track random permutation matrices with a doubly stochastic X.
 
     f_t(X) = 0.5 ||Y_t - X||_F^2 over flattened d x d matrices. Row/column

@@ -5,6 +5,8 @@ from hypothesis import settings
 from ocolc.core import BallDomain, ConvexFn
 from ocolc.problems import ProblemSpec
 
+from reference import ClosureArrays
+
 # every test run draws the same examples: derived from each test, not from
 # the clock or from an example database an earlier run left behind
 settings.register_profile("tier1", derandomize=True, database=None)
@@ -15,7 +17,7 @@ settings.load_profile("tier1")
 
 
 def make_problem(n, gs, R=1.0, G=1.0, H1=None, make_loss=None, name="inline"):
-    """Assemble a minimal ProblemSpec for unit tests.
+    """Assemble a minimal ProblemSpec for unit tests from per-point closures.
 
     make_loss(seed, t) -> ConvexFn; defaults to the zero loss. Streams built
     this way have no RNG, so determinism is trivial.
@@ -44,12 +46,11 @@ def make_problem(n, gs, R=1.0, G=1.0, H1=None, make_loss=None, name="inline"):
     return ProblemSpec(
         name=name,
         n=n,
-        gs=list(gs),
         dom=BallDomain(radius=R, dim=n),
         G=G,
         H1=H1,
-        losses=losses,
         mean_loss=mean_loss,
+        arrays=ClosureArrays(gs, losses),
     )
 
 

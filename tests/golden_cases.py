@@ -38,6 +38,8 @@ from ocolc.problems import (
     toy_problem,
 )
 
+from reference import ClosureArrays
+
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
 VARIANTS = ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd")
@@ -47,7 +49,7 @@ TRACE_FIELDS = ("t", "x", "fx", "g", "g_agg", "lam")
 
 
 def inline_problem() -> ProblemSpec:
-    """A problem built from ConvexFn closures only, with no array form.
+    """A problem built from ConvexFn closures, evaluated row by row.
 
     f_t(x) = 0.5 ||x - c_t||^2 with c_t on a circle of radius 0.5 around
     (1.2, 1.0), outside the feasible set; g_1(x) = x_1 + x_2 - 0.5 and
@@ -82,12 +84,11 @@ def inline_problem() -> ProblemSpec:
     return ProblemSpec(
         name="inline",
         n=2,
-        gs=gs,
         dom=BallDomain(radius=2.0, dim=2),
         G=4.0,
         H1=1.0,
-        losses=losses,
         mean_loss=mean_loss,
+        arrays=ClosureArrays(gs, losses),
     )
 
 

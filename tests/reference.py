@@ -5,16 +5,51 @@ aggregations of a constraint list, and the closed-form Theorem 1
 parameters, all written on ConvexFn closures one point at a time. The
 batched kernel (``ocolc.algorithms._lagrangian_grad``) and the stepsize
 schedule compute the same quantities; ``tests/test_kernel.py`` compares them
-bit for bit.
+bit for bit. ``ClosureArrays`` is the array form of such closures, for the
+problems the tests write by hand and for the closures they compare against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from ocolc.core import ConvexFn, Vector
+from ocolc.problems import ArrayForm
+
+# ------------------------------------------------------ closure problems
+
+
+class ClosureArrays(ArrayForm):
+    """The array form of per-point closures, evaluated row by row: a loss
+    stream losses(seed, T) -> T ConvexFns and a constraint list gs. The loss
+    parameters of a step are its ConvexFn. Results are reshaped so that an
+    empty batch keeps its trailing axes."""
+
+    def __init__(self, gs: Sequence[ConvexFn], losses: Callable[[int, int], List[ConvexFn]]):
+        self.gs = list(gs)
+        self.m = len(self.gs)
+        self.losses = losses
+
+    def params(self, seed, stop, start=0):
+        fns = np.empty(stop - start, dtype=object)
+        fns[:] = self.losses(seed, stop)[start:]
+        return fns
+
+    def loss(self, X, fns):
+        fx = np.array([f.eval(x) for f, x in zip(fns, X)], dtype=float)
+        grad = np.array([np.asarray(f.subgrad(x), dtype=float) for f, x in zip(fns, X)])
+        return fx, grad.reshape(X.shape)
+
+    def values(self, X):
+        V = np.array([[g.eval(x) for g in self.gs] for x in X], dtype=float)
+        return V.reshape(len(X), self.m)
+
+    def jacobian(self, X):
+        J = np.array([[np.asarray(g.subgrad(x), dtype=float) for g in self.gs] for x in X])
+        return J.reshape(len(X), self.m, X.shape[1])
+
 
 # ------------------------------------------------------------- clipping
 

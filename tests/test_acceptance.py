@@ -5,8 +5,9 @@ first criterion test that reads a problem runs all the cells the suite plans
 on it (toy at two betas and its baselines, the strongly convex matrix sweep,
 the dispatch runs) in one kernel call per aggregation, and the later tests
 read the cache. Each test prints its criterion's pass/fail line. A module-
-scoped quick run_all, made under a spy on the kernel, serves the tests of
-the suite's own plan: its kernel calls and its independence of check order.
+scoped quick run_all, made under spies on the kernel and on the oracle,
+serves the tests of the suite's own plan: its kernel calls, its comparators
+and its independence of check order.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ import pytest
 
 import ocolc.algorithms
 import ocolc.oracle
+import ocolc.problems
 import ocolc.validation
 from ocolc.algorithms import RunTrace, run
 from ocolc.metrics import summarize
@@ -34,19 +36,25 @@ def suite():
 
 @pytest.fixture(scope="module")
 def quick_run():
-    """A fresh quick suite's run_all results and the kernel calls it made,
-    as (problem, rows, aggregation)."""
-    calls = []
+    """A fresh quick suite's run_all results, the kernel calls it made, as
+    (problem, rows, aggregation), and its comparators, as (problem, seed, T)."""
+    calls, comparators = [], []
     advance = ocolc.algorithms.advance
+    value = ocolc.validation.offline_value
 
     def spy(problem, cfgs, seeds, *args, **kwargs):
         calls.append((problem.name, len(cfgs), cfgs[0].aggregation))
         return advance(problem, cfgs, seeds, *args, **kwargs)
 
+    def value_spy(problem, seed, T):
+        comparators.append((problem.name, seed, T))
+        return value(problem, seed, T)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ocolc.algorithms, "advance", spy)
+        mp.setattr(ocolc.validation, "offline_value", value_spy)
         results = AcceptanceSuite(**QUICK).run_all()
-    return results, calls
+    return results, calls, comparators
 
 
 def _assert_check(result):
@@ -186,10 +194,41 @@ def test_too_few_points_fails_instead_of_raising():
 
 
 def test_negative_control_gradient_sign(monkeypatch):
-    # finite differences of the wrong sign disagree with every subgradient:
+    # central differences of the wrong sign disagree with every gradient:
     # check 9 must report FAIL, with a relative error near 2
-    exact = ocolc.validation.finite_diff_grad
-    monkeypatch.setattr(ocolc.validation, "finite_diff_grad", lambda fn, x, h: -exact(fn, x, h=h))
+    exact = ocolc.validation.central_differences
+    monkeypatch.setattr(ocolc.validation, "central_differences", lambda f, X: -exact(f, X))
+    result = AcceptanceSuite(base_seed=1).check_gradient_correctness()
+    print(result.line())
+    assert not result.passed
+    assert figure(result.details, "worst rel err =") > 1.0
+
+
+# the array form of each built-in probed by check 9, and the constraint row
+# a flip negates: toy's l1 constraint, the doubly-stochastic (d = 3) sum of
+# column 1 <= 1, and dispatch's x_1 <= x_max_1
+FLIPPED_ROW = {"toy": ("_ToyArrays", 0), "ds": ("_DoublyStochasticArrays", 7), "dispatch": ("_DispatchArrays", 5)}
+
+
+@pytest.mark.parametrize("part", ["values", "jacobian", "loss"])
+@pytest.mark.parametrize("name", sorted(FLIPPED_ROW))
+def test_negative_control_gradient_flip(monkeypatch, name, part):
+    # one sign flipped in a column of values, a row of the jacobian or the
+    # loss gradient of one built-in: its derivative and its differences
+    # disagree, and check 9 must report FAIL
+    cls = getattr(ocolc.problems, FLIPPED_ROW[name][0])
+    row = FLIPPED_ROW[name][1]
+    exact = getattr(cls, part)
+
+    def flipped(self, X, *params):
+        out = exact(self, X, *params)
+        if part == "loss":
+            return out[0], -out[1]
+        out = np.array(out)  # a writable copy: ds's jacobian is a broadcast view
+        out[:, row] = -out[:, row]
+        return out
+
+    monkeypatch.setattr(cls, part, flipped)
     result = AcceptanceSuite(base_seed=1).check_gradient_correctness()
     print(result.line())
     assert not result.passed
@@ -271,14 +310,14 @@ def test_oracle_cross_check_makes_no_penalty_solve(monkeypatch):
 
 def test_every_verdict_is_a_bool(quick_run):
     # numpy comparisons give numpy.bool_, which `is` tests and JSON reject
-    results, _ = quick_run
+    results, _, _ = quick_run
     assert [type(r.passed) for r in results] == [bool] * len(AcceptanceSuite.CHECKS)
 
 
 def test_quick_suite_makes_one_kernel_call_per_problem_and_aggregation(quick_run):
     # every planned cell of a problem runs in the first call on it; check 11
     # runs its own l1_radius=10 toy instance
-    _, calls = quick_run
+    _, calls, _ = quick_run
     assert calls == [
         ("toy", 34, "max"),
         ("dispatch", 2, "max"),
@@ -288,8 +327,17 @@ def test_quick_suite_makes_one_kernel_call_per_problem_and_aggregation(quick_run
     ]
 
 
+def test_quick_suite_computes_each_comparator_once(quick_run):
+    # cells that share (problem, seed, T), as the two toy beta grids, the
+    # baselines and the dispatch contrast pair do, share one offline_value
+    # call: 15 toy, 10 doubly-stochastic and 2 dispatch keys, plus check 8's
+    # toy and dispatch comparators at T = 50
+    _, _, comparators = quick_run
+    assert len(comparators) == len(set(comparators)) == 29
+
+
 def test_checks_in_reverse_order_give_the_same_lines(quick_run):
-    results, _ = quick_run
+    results, _, _ = quick_run
     backwards = AcceptanceSuite(**QUICK)
     lines = {name: getattr(backwards, name)().line() for name in reversed(AcceptanceSuite.CHECKS)}
     assert [lines[name] for name in AcceptanceSuite.CHECKS] == [r.line() for r in results]

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -342,9 +341,7 @@ def test_logsumexp_mode_scales_G():
 def test_degenerates_to_projected_ogd_bitwise():
     # slack constraint that never binds inside the ball: the clipped
     # algorithm must reproduce plain projected OGD exactly
-    p = toy_problem()
-    slack = ConvexFn(lambda x: float(np.abs(x).sum() - 10.0), lambda x: np.sign(x))
-    p_slack = dataclasses.replace(p, gs=[slack])
+    p_slack = toy_problem(l1_radius=10.0)
     cfg = AlgoConfig("clipped-ogd", T=300)
     tr = run(p_slack, cfg, seed=4)
     assert np.all(tr.lam == 0.0)

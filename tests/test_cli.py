@@ -95,6 +95,27 @@ def test_config_file_with_flag_override(tmp_path):
     assert json.loads((out / "summary.json").read_text())["T"] == 30
 
 
+@pytest.mark.parametrize("raw, columns", [("TRUE", True), ("yes", True), ("No", False), ("0", False)])
+def test_config_file_booleans(tmp_path, raw, columns):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"per-constraint-columns={raw}\n")
+    out = tmp_path / "o"
+    assert run_cli("run", "--problem", "dispatch", "--algo", "clipped-ogd", "--T", "20",
+                   "--config", str(cfg), "--out", str(out)) == 0
+    assert ("g_1" in load_trace_csv(out / "trace.csv")) == columns
+
+
+def test_config_file_bad_boolean_is_a_usage_error(tmp_path, capsys):
+    # a misspelt true must not pass for false: the run would drop the g_i columns
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("per-constraint-columns=ture\n")
+    out = tmp_path / "o"
+    assert run_cli("run", "--problem", "dispatch", "--algo", "clipped-ogd", "--T", "20",
+                   "--config", str(cfg), "--out", str(out)) == 2
+    assert "usage error: --per-constraint-columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_read_config_rejects_malformed(tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text("problem toy\n")

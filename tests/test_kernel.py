@@ -1,7 +1,8 @@
 """The batched kernel and the array form of the problems.
 
 Property tests: each built-in problem's array form equals hand-written
-per-point closures bit for bit (the loss and constraint closures below), and
+per-point closures bit for bit (the loss and constraint closures below, in
+``reference.ClosureArrays``), and
 a B-row kernel call equals B one-row run() calls bit for bit. The golden
 digests pin run() itself to the earlier per-step code.
 """
@@ -19,7 +20,6 @@ from hypothesis.extra import numpy as hnp
 from ocolc.algorithms import AlgoConfig, Batch, RunError, _aggregate, _lagrangian_grad, advance, run
 from ocolc.core import ConvexFn
 from ocolc.problems import (
-    FnArrays,
     dispatch_problem,
     doubly_stochastic_problem,
     permutation_batch,
@@ -29,7 +29,7 @@ from ocolc.problems import (
 
 from conftest import make_problem
 from golden_cases import inline_problem
-from reference import lagrangian_grad_x, logsumexp_aggregate, max_aggregate
+from reference import ClosureArrays, lagrangian_grad_x, logsumexp_aggregate, max_aggregate
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,8 +156,8 @@ def dispatch_constraints(p):
 
 def reference_constraints(problem):
     """The per-point constraint closures of a problem, never its own views."""
-    if problem.arrays is None:
-        return problem.gs
+    if isinstance(problem.arrays, ClosureArrays):
+        return problem.arrays.gs
     if problem.name == "toy":
         return toy_constraints(problem.meta["l1_radius"])
     if problem.name == "doubly-stochastic":
@@ -171,9 +171,8 @@ BUILT_IN = ["toy", "dispatch"] + [f"ds{d}" for d in range(2, 10)]
 
 
 def assert_array_form_matches(p, X, seed, start, constraint_rows=None):
-    form = p.array_form()
-    fns = FnArrays(dataclasses.replace(p, gs=reference_constraints(p), losses=reference_losses(p)))
-    assert form is p.arrays
+    form = p.arrays
+    fns = ClosureArrays(reference_constraints(p), reference_losses(p))
     stop = start + len(X)
     fx, grad = form.loss(X, form.params(seed, stop, start))
     fx_ref, grad_ref = fns.loss(X, fns.params(seed, stop, start))
@@ -258,8 +257,9 @@ def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped, seed):
     X = points(rng, 6, p.n) * (0.3 if name.startswith("ds") else 1.0)
     if clipped == "rows":
         clipped = rng.random((len(X), 1)) < 0.5
-    form = p.array_form()
+    form = p.arrays
     params = form.params(seed % 1000, 6)
+    losses = p.losses(seed % 1000, 6)
     fx, fgrad = form.loss(X, params)
     V = form.values(X)
     A = _aggregate(V, mode)
@@ -269,8 +269,7 @@ def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped, seed):
     got = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped)
     row_clipped = np.broadcast_to(clipped, (len(X), 1))[:, 0]
     for b in range(len(X)):
-        f = form.loss_fn(params[b])
-        want = reference_grad(p, f, X[b], lam[b], mode, row_clipped[b])
+        want = reference_grad(p, losses[b], X[b], lam[b], mode, row_clipped[b])
         assert same_bits(got[b], want)
 
 
@@ -291,24 +290,15 @@ def test_loss_stream_builds_only_row_t(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["toy", "ds3", "dispatch"])
 def test_fn_arrays_keep_their_shapes_on_an_empty_batch(name):
-    # a grid block whose points all leave the ball is such a batch
+    # the closure form of a built-in on an empty batch; a grid block whose
+    # points all leave the ball is such a batch
     p = problem(name)
-    form, fns = p.arrays, FnArrays(p)
+    form, fns = p.arrays, ClosureArrays(reference_constraints(p), reference_losses(p))
     X = np.empty((0, p.n))
     for got, want in zip(fns.loss(X, fns.params(0, 0)), form.loss(X, form.params(0, 0))):
         assert got.shape == want.shape
     for method in ("values", "jacobian"):
         assert getattr(fns, method)(X).shape == getattr(form, method)(X).shape, method
-
-
-def test_replacing_the_constraints_drops_the_array_form():
-    p = toy_problem()
-    slack = ConvexFn(lambda x: float(np.abs(x).sum() - 10.0), lambda x: np.sign(x))
-    q = dataclasses.replace(p, gs=[slack])
-    assert isinstance(q.array_form(), FnArrays)
-    assert q.array_form().values(np.array([[0.5, 0.5]]))[0, 0] == -9.0
-    assert q.constraint_values(np.array([0.5, 0.5]))[0] == -9.0
-    assert dataclasses.replace(p).array_form() is p.arrays
 
 
 # ------------------------------------------------- B rows vs B run() calls

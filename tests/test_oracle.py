@@ -130,7 +130,7 @@ def _grid_oracle_whole(problem, loss, resolution):
     grids = np.meshgrid(*([coords] * problem.n), indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
     X = X[np.linalg.norm(X, axis=1) <= R]
-    X = X[(problem.array_form().values(X) <= 0.0).all(axis=1)]
+    X = X[(problem.arrays.values(X) <= 0.0).all(axis=1)]
     if len(X) == 0:
         raise ValueError("no feasible grid point at this resolution")
     total = np.zeros(len(X))

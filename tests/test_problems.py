@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocolc.core import finite_diff_grad
+from ocolc.core import ConvexFn, finite_diff_grad
 from ocolc.problems import (
     DispatchParams,
     dispatch_problem,
@@ -28,7 +28,7 @@ def test_toy_costs_unit_norm():
 
 def test_toy_center_strictly_feasible():
     p = toy_problem()
-    assert p.gs[0].eval(np.zeros(2)) == -1.0
+    assert p.constraint_values(np.zeros(2))[0] == -1.0
 
 
 def test_toy_raw_cost_mean_monte_carlo():
@@ -53,7 +53,7 @@ def test_toy_subgradient_norms_within_G(rng):
     for _ in range(1000):
         x = rng.uniform(-1, 1, size=2)
         x = x / max(1.0, np.linalg.norm(x))
-        assert np.linalg.norm(p.gs[0].subgrad(x)) <= p.G + 1e-12
+        assert np.linalg.norm(p.arrays.jacobian(x[None])[0, 0]) <= p.G + 1e-12
         f = fs[int(rng.integers(0, 50))]
         assert np.linalg.norm(f.subgrad(x)) <= p.G + 1e-12
 
@@ -113,7 +113,7 @@ def test_ds_gradient_finite_difference():
 
 
 def test_ds_constraint_values_match_fns(rng):
-    # the reference closures, not p.gs: p.gs are views of the same values
+    # the reference closures, not a view of the array form's own values
     p = doubly_stochastic_problem(d=3)
     gs = reference_constraints(p)
     for _ in range(20):
@@ -132,8 +132,7 @@ def test_ds_subgradient_norms_within_G(rng):
         x = x / np.linalg.norm(x) * rng.uniform(0, R)
         f = fs[int(rng.integers(0, 10))]
         assert np.linalg.norm(f.subgrad(x)) <= p.G + 1e-9
-    for g in p.gs:
-        assert np.linalg.norm(g.subgrad(np.zeros(16))) <= p.G + 1e-9
+    assert np.linalg.norm(p.arrays.jacobian(np.zeros((1, 16)))[0], axis=1).max() <= p.G + 1e-9
 
 
 def test_ds_dimension_guard():
@@ -177,7 +176,7 @@ def test_dispatch_gradients_finite_difference(rng):
         fd = finite_diff_grad(f, x, h=1e-5)
         np.testing.assert_allclose(f.subgrad(x), fd, rtol=1e-6)
     # emission constraint too
-    g0 = p.gs[0]
+    g0 = ConvexFn(lambda x: p.constraint_values(x)[0], lambda x: p.arrays.jacobian(x[None])[0, 0])
     x = rng.uniform(0, 15, size=3)
     np.testing.assert_allclose(g0.subgrad(x), finite_diff_grad(g0, x, h=1e-5), rtol=1e-6)
 
@@ -191,8 +190,7 @@ def test_dispatch_subgradient_norms_within_G(rng):
         x = x / np.linalg.norm(x) * rng.uniform(0, R)
         f = fs[int(rng.integers(0, 20))]
         assert np.linalg.norm(f.subgrad(x)) <= p.G + 1e-9
-        for g in p.gs:
-            assert np.linalg.norm(g.subgrad(x)) <= p.G + 1e-9
+        assert np.linalg.norm(p.arrays.jacobian(x[None])[0], axis=1).max() <= p.G + 1e-9
 
 
 def test_dispatch_demand_wraps_cyclically():
