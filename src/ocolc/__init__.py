@@ -12,7 +12,6 @@ from .algorithms import (
     RunTrace,
     Schedule,
     advance,
-    doubling_run,
     projected_ogd_run,
     run,
     tradeoff_eta,
@@ -20,7 +19,6 @@ from .algorithms import (
 from .core import (
     BallDomain,
     ConvexFn,
-    finite_diff_grad,
     project_ball,
 )
 from .metrics import RunSummary, fit_slope, positive_points, summarize
@@ -61,9 +59,7 @@ __all__ = [
     "advance",
     "derive_seed",
     "dispatch_problem",
-    "doubling_run",
     "doubly_stochastic_problem",
-    "finite_diff_grad",
     "fit_slope",
     "grid_oracle",
     "load_demand_csv",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -135,7 +135,8 @@ class Schedule:
             else tradeoff_eta(self.m_eff, self.G_eff, problem.dom.radius, cfg.beta, cfg.T)
         )
         if cfg.variant == "a-ogd":
-            # dual ascent at mu_t = eta0 t^(beta-1) against theta_t = sigma eta0 t^(-beta)
+            # dual ascent at stepsize eta0 t^(beta-1) against the
+            # regularization sigma eta0 t^(-beta) (``_Rows.ascent_steps``)
             self.eta0 = 1.0 / (self.G_eff * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
             self.theta0 = self.sigma * self.eta0
 
@@ -144,15 +145,8 @@ class Schedule:
         return 1.0 / (self.H1 * (t + 1))
 
     def theta_t(self, t: int) -> float:
-        """Dual regularization: eta_t (m+1) G^2 for the strongly convex
-        variant, sigma eta0 t^(-beta) for a-ogd."""
-        if self.cfg.variant == "strong-clipped-ogd":
-            return self.eta_t(t) * (self.m_eff + 1) * self.G_eff**2
-        return self.theta0 * t ** (-self.cfg.beta)
-
-    def mu_t(self, t: int) -> float:
-        """Dual ascent stepsize of a-ogd."""
-        return self.eta0 * t ** (self.cfg.beta - 1.0)
+        """Dual regularization of the strongly convex variant, eta_t (m+1) G^2."""
+        return self.eta_t(t) * (self.m_eff + 1) * self.G_eff**2
 
 
 def clipped_dual(agg: np.ndarray, sigma_eta: np.ndarray) -> np.ndarray:
@@ -284,8 +278,8 @@ class _Rows:
 
     def ascent_steps(self, t):
         """The dual ascent stepsize and regularization of every row at step
-        t: a-ogd's mu_t and theta_t, one Python power per (beta, t), and
-        mahdavi-ogd's constant eta and sigma eta."""
+        t: a-ogd's eta0 t^(beta-1) and theta0 t^(-beta), one Python power per
+        (beta, t), and mahdavi-ogd's constant eta and sigma eta."""
         beta = self.beta
         if beta is None:
             return self.asc_step, self.asc_reg
@@ -297,32 +291,21 @@ class _Rows:
         return self.asc_step * mu, self.asc_reg * theta
 
 
-def advance(
-    problem: ProblemSpec,
-    cfgs: List[AlgoConfig],
-    seeds: List[int],
-    steps: Optional[List[int]] = None,
-    x0: Optional[np.ndarray] = None,
-    lam0: Optional[np.ndarray] = None,
-    start: int = 0,
-):
+def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> list:
     """Advance a batch of cells in lockstep: the run kernel.
 
-    Row b runs cfgs[b] on the loss stream of seeds[b] for steps[b] steps
-    (default cfgs[b].T), reading losses start, start+1, ... of the stream.
-    It starts from x0[b] (default the problem's x0) with duals lam0,
-    broadcast to (B, m_eff) (default the variant's initial duals). All rows
-    share one aggregation, which fixes the dual width m_eff; variant,
-    Lagrangian, eta, sigma, beta, alpha, seed and horizon may differ per
-    row. Each row computes exactly what its one-row call computes. Each row
-    is recorded before each of its steps, and the step after its last
-    recorded row still runs, so its state can be carried on.
+    Row b runs cfgs[b] for cfgs[b].T steps on the loss stream of seeds[b],
+    from the problem's x0. All rows share one aggregation, which fixes the
+    dual width m_eff; variant, Lagrangian, eta, sigma, beta, alpha, seed and
+    horizon may differ per row. Each row computes exactly what its one-row
+    call computes. Each row is recorded before each of its steps; the update
+    after its last recorded step still runs, so that a non-finite gradient
+    at step T stops the row as one at any earlier step does.
 
-    Returns (traces, x_next, lam_next): per row, in input order, its RunTrace
-    or the RunError that stopped it, and its state after its final step.
+    Returns one list, in input order: each row's RunTrace, or the RunError
+    that stopped it.
     """
     B = len(cfgs)
-    steps = [cfg.T for cfg in cfgs] if steps is None else list(steps)
     scheds = [Schedule(problem, cfg) for cfg in cfgs]
     mode = cfgs[0].aggregation
     if any(cfg.aggregation != mode for cfg in cfgs):
@@ -332,13 +315,11 @@ def advance(
     k, n, m = scheds[0].m_eff, problem.n, problem.m
 
     # rows sorted by horizon, longest first: the live rows are then a prefix
-    # until a row fails. Records are step-major with sum(steps) rows: step s
+    # until a row fails. Records are step-major with sum(T) rows: step s
     # holds the rows still running at s, row i of them at off[s] + i, so a
     # row keeps its slot at every step and nothing is padded
-    order = sorted(range(B), key=lambda b: -steps[b])
-    ends = np.array([steps[b] for b in order])
-    if ends[-1] < 1:
-        raise ValueError(f"every row needs at least one step, got {ends[-1]}")
+    order = sorted(range(B), key=lambda b: -cfgs[b].T)
+    ends = np.array([cfgs[b].T for b in order])
     T_max = int(ends[0])
     running = B - np.searchsorted(ends[::-1], np.arange(T_max), side="right")
     off = np.concatenate(([0], np.cumsum(running)[:-1]))
@@ -354,7 +335,7 @@ def advance(
     for i, b in enumerate(order):
         lengths.setdefault(seeds[b], int(ends[i]))
     stream_at = dict(zip(lengths, np.cumsum([0, *lengths.values()])))
-    params = np.concatenate([form.params(seed, start + length, start) for seed, length in lengths.items()])
+    params = np.concatenate([form.params(seed, length) for seed, length in lengths.items()])
 
     cfg_of = [cfgs[b] for b in order]
     sched_of = [scheds[b] for b in order]
@@ -403,13 +384,10 @@ def advance(
             lam = new if rows.strong is True else np.where(rows.is_strong, new, lam)
         return lam
 
-    X = np.tile(problem.x0(), (B, 1)) if x0 is None else np.asarray(x0, dtype=float)[order]
+    X = np.tile(problem.x0(), (B, 1))
     V = form.values(X)
     A = _aggregate(V, mode)
-    if lam0 is not None:
-        lam = np.broadcast_to(np.asarray(lam0, dtype=float), (B, k))[order]
-    else:
-        lam = set_duals(A, np.zeros((B, k)), 1)
+    lam = set_duals(A, np.zeros((B, k)), 1)
 
     # when the aggregation passes the values through, g_agg is a copy of g
     # and is not recorded
@@ -422,8 +400,6 @@ def advance(
     }
     if not through:
         rec["g_agg"] = np.empty((total, k))
-    x_next = np.empty((B, n))
-    lam_next = np.empty((B, k))
     errors = {}
 
     live = np.arange(B)  # sorted positions of the rows still running
@@ -502,10 +478,7 @@ def advance(
         lam = set_duals(A, lam, t + 1)
 
         if t == next_end:
-            done = ends[live] == t
-            x_next[live[done]] = X[done]
-            lam_next[live[done]] = lam[done]
-            keep(~done)
+            keep(ends[live] != t)
             if live.size == 0:
                 break
 
@@ -542,8 +515,7 @@ def advance(
                 "G_eff": sched.G_eff,
             },
         )
-    inverse = np.argsort(order)
-    return traces, x_next[inverse], lam_next[inverse]
+    return traces
 
 
 class Batch:
@@ -570,7 +542,7 @@ class Batch:
                 raise KeyError(f"cell {key} is not in this batch")
             group = [c for c in self._pending if c[0].aggregation == cfg.aggregation]
             self._pending = [c for c in self._pending if c not in group]
-            traces, _, _ = advance(self.problem, [c for c, _ in group], [s for _, s in group])
+            traces = advance(self.problem, [c for c, _ in group], [s for _, s in group])
             self._done.update(zip(group, traces))
         out = self._done[key]
         if isinstance(out, RunError):
@@ -606,49 +578,3 @@ def projected_ogd_run(problem: ProblemSpec, seed: int, T: int, eta: float) -> np
         x = project_ball(x - eta * form.loss(x[None], P[t : t + 1])[1][0], problem.dom)
     return xs
 
-
-def doubling_epochs(total: int) -> List[int]:
-    """Epoch lengths 1, 2, 4, ... covering `total` steps (last one truncated)."""
-    if total < 1:
-        raise ValueError("total steps must be >= 1")
-    out, nominal, remaining = [], 1, total
-    while remaining > 0:
-        out.append(min(nominal, remaining))
-        remaining -= out[-1]
-        nominal *= 2
-    return out
-
-
-def doubling_run(
-    problem: ProblemSpec,
-    cfg_factory: Callable[[int], AlgoConfig],
-    total: int,
-    seed: int,
-) -> RunTrace:
-    """Horizon-free wrapper: run epochs of doubling length with per-epoch
-    parameters from cfg_factory(nominal_length).
-
-    x carries across epoch boundaries; lambda resets to zero (its scale is
-    tied to the epoch's sigma*eta). The loss sequence is the same one run()
-    would see for the full horizon.
-    """
-    epochs, epoch_meta = [], []
-    x, offset, nominal = None, 0, 1
-    for length in doubling_epochs(total):
-        cfg = cfg_factory(nominal)
-        if cfg.T != nominal:
-            raise ValueError(f"cfg_factory({nominal}) returned T={cfg.T}")
-        (trace,), x, _ = advance(
-            problem, [cfg], [seed], steps=[length], x0=x, lam0=0.0, start=offset
-        )
-        if isinstance(trace, RunError):
-            raise trace
-        epochs.append(trace)
-        epoch_meta.append({"nominal": nominal, "length": length, "eta": trace.eta})
-        offset += length
-        nominal *= 2
-    for name in ("x", "fx", "g", "g_agg", "lam"):
-        setattr(trace, name, np.concatenate([getattr(e, name) for e in epochs]))
-    trace.meta["g_bar_x1"] = epochs[0].meta["g_bar_x1"]
-    trace.meta["epochs"] = epoch_meta
-    return trace

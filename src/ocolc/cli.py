@@ -65,6 +65,11 @@ class Settings:
         if getattr(ns, "config", None):
             with _setting("config"):
                 self.file = read_config_file(ns.config)
+        # a key that no flag of this subcommand reads would be ignored silently
+        flags = vars(ns).keys() - {"command", "config"}
+        for key in self.file:
+            if key.replace("-", "_") not in flags:
+                raise UsageError(f"--config: unknown setting {key!r} for 'ocolc {ns.command}'")
 
     def get(self, key: str, cast, default=None, required=False):
         cli_val = getattr(self.ns, key.replace("-", "_"), None)

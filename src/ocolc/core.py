@@ -1,4 +1,4 @@
-"""Vector primitives: convex functions, ball projection, finite differences."""
+"""Vector primitives: convex functions and the ball projection."""
 
 from __future__ import annotations
 
@@ -63,15 +63,3 @@ def project_ball(x: Vector, dom: BallDomain) -> Vector:
         nrm = float(np.linalg.norm(x))
     return x * (dom.radius / nrm)
 
-
-def finite_diff_grad(f: ConvexFn, x: Vector, h: float = 1e-6) -> Vector:
-    """Central-difference gradient estimate, componentwise. Test oracle."""
-    if not (h > 0):
-        raise ValueError("finite-difference step must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e.flat[i] = h
-        out.flat[i] = (f.eval(x + e) - f.eval(x - e)) / (2.0 * h)
-    return out

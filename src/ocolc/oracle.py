@@ -301,8 +301,8 @@ def dispatch_kkt(p, d_bar: float):
 
     The emission of the Lagrangian minimiser does not increase with mu. When
     the cap is slack at mu = 0, mu = 0. Otherwise mu is bracketed by
-    doubling and the bracket halved until its midpoint equals an end; the
-    answer is the minimiser at the feasible end.
+    repeatedly multiplying it by 2, and the bracket halved until its midpoint
+    equals an end; the answer is the minimiser at the feasible end.
     """
     x = dispatch_argmin(p, d_bar, 0.0)
     if _emission(p, x) <= p.e_max:

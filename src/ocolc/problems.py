@@ -8,8 +8,7 @@ parameter H1.
 Randomness: every stream is a pure function of (seed, t). Generators are
 derived through one splitting rule, ``SeedSequence((seed, stream_id))``, and
 consume a fixed number of variates per step, so the loss at step t does not
-depend on the horizon it was generated for, and step t can be drawn alone by
-jumping the generator past the earlier steps.
+depend on the horizon it was generated for.
 
 Every problem is an array form (``ArrayForm``), the one representation the
 batched run kernel, the oracles and the acceptance checks read: loss
@@ -17,8 +16,8 @@ parameters indexed by t, and losses, constraint values and constraint
 subgradients evaluated over a (B, n) batch of points in one call.
 ``ArrayForm.loss`` is the only definition of a per-step loss, and
 ``ArrayForm.values`` and ``ArrayForm.jacobian`` the only definition of the
-constraints. ``ProblemSpec.losses``, ``loss_stream`` and
-``constraint_values`` are one-row views of them.
+constraints. ``ProblemSpec.losses`` and ``constraint_values`` are one-row
+views of them.
 """
 
 from __future__ import annotations
@@ -77,10 +76,6 @@ class ProblemSpec:
         """All m constraint values at x: one row of ``arrays.values``."""
         return self.arrays.values(x[None])[0]
 
-    def loss_stream(self, seed: int, t: int) -> ConvexFn:
-        """Loss at step t (0-based), independent of any horizon."""
-        return self._loss_view(self.arrays.params(seed, t + 1, start=t))
-
     def _loss_view(self, P) -> ConvexFn:
         """``arrays.loss`` on a one-row batch with the one parameter row P."""
         loss = self.arrays.loss
@@ -95,8 +90,8 @@ class ArrayForm:
 
     Subclasses provide:
 
-    * ``params(seed, stop, start=0)``: loss parameters of steps start..stop-1,
-      one row per step, each a pure function of (seed, t);
+    * ``params(seed, T)``: loss parameters of steps 0..T-1, one row per
+      step, each a pure function of (seed, t);
     * ``loss(X, P)``: loss values (B,) and gradients (B, n) at the points
       X (B, n), row b taking its parameters from P[b];
     * ``values(X)``: constraint values (B, m);
@@ -111,11 +106,9 @@ class ArrayForm:
     m: int
 
 
-def _uniform_rows(seed: int, stop: int, start: int, width: int) -> np.ndarray:
-    """Rows start..stop-1 of the loss stream's (step, width) uniform draws."""
-    rng = _rng(seed, _STREAM_LOSS)
-    rng.bit_generator.advance(width * start)  # one 64-bit draw per variate
-    return rng.uniform(size=(stop - start, width))
+def _uniform_rows(seed: int, T: int, width: int) -> np.ndarray:
+    """The loss stream's (T, width) uniform draws, width per step."""
+    return _rng(seed, _STREAM_LOSS).uniform(size=(T, width))
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +116,16 @@ def _uniform_rows(seed: int, stop: int, start: int, width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def toy_raw_costs(seed: int, T: int, start: int = 0) -> np.ndarray:
-    """Cost vectors of steps start..T-1 before normalization: uniform on
+def toy_raw_costs(seed: int, T: int) -> np.ndarray:
+    """Cost vectors of steps 0..T-1 before normalization: uniform on
     [0, 1.2] x [0, 1]."""
-    return _uniform_rows(seed, T, start, 2) * np.array([1.2, 1.0])
+    return _uniform_rows(seed, T, 2) * np.array([1.2, 1.0])
 
 
-def toy_costs(seed: int, T: int, start: int = 0) -> np.ndarray:
-    """Unit-norm cost vectors c_t of steps start..T-1, row t depending only
-    on (seed, t)."""
-    raw = toy_raw_costs(seed, T, start)
+def toy_costs(seed: int, T: int) -> np.ndarray:
+    """Unit-norm cost vectors c_t of steps 0..T-1, row t depending only on
+    (seed, t)."""
+    raw = toy_raw_costs(seed, T)
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
@@ -142,8 +135,8 @@ class _ToyArrays(ArrayForm):
     def __init__(self, l1_radius):
         self.l1_radius = l1_radius
 
-    def params(self, seed, stop, start=0):
-        return toy_costs(seed, stop, start)
+    def params(self, seed, T):
+        return toy_costs(seed, T)
 
     def loss(self, X, C):
         return np.vecdot(X, C), C
@@ -208,14 +201,14 @@ def toy_problem(l1_radius: float = 1.0) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def permutation_batch(seed: int, T: int, d: int, start: int = 0) -> np.ndarray:
-    """Random permutations of range(d) for steps start..T-1, via argsort of
-    iid uniforms.
+def permutation_batch(seed: int, T: int, d: int) -> np.ndarray:
+    """Random permutations of range(d) for steps 0..T-1, via argsort of iid
+    uniforms.
 
     argsort keeps per-step variate consumption fixed at d, preserving the
     (seed, t) purity that rejection-sampling shuffles would break.
     """
-    return np.argsort(_uniform_rows(seed, T, start, d), axis=1)
+    return np.argsort(_uniform_rows(seed, T, d), axis=1)
 
 
 class _DoublyStochasticArrays(ArrayForm):
@@ -236,8 +229,8 @@ class _DoublyStochasticArrays(ArrayForm):
         self.A.flags.writeable = False
         self.m = len(self.A)
 
-    def params(self, seed, stop, start=0):
-        return permutation_batch(seed, stop, self.d, start) + self.offsets
+    def params(self, seed, T):
+        return permutation_batch(seed, T, self.d) + self.offsets
 
     def loss(self, X, P):
         Y = np.zeros_like(X)
@@ -340,26 +333,24 @@ class DispatchParams:
             raise ValueError("demand must be positive")
 
 
-def synthetic_demand(
-    days: int = 10,
-    slots_per_day: int = 288,
-    seed: int = 0,
-    base: float = 46.0,
-    amplitude: float = 9.0,
-    noise: float = 1.5,
-    floor: float = 5.0,
-) -> np.ndarray:
+# the synthetic demand fixture: ten days of 5-minute slots (MW)
+_DEMAND_DAYS, _DEMAND_SLOTS_PER_DAY, _DEMAND_SEED = 10, 288, 0
+_DEMAND_BASE, _DEMAND_AMPLITUDE, _DEMAND_NOISE, _DEMAND_FLOOR = 46.0, 9.0, 1.5, 5.0
+
+
+def synthetic_demand() -> np.ndarray:
     """Stand-in for the 5-minute interval demand feed: diurnal sinusoid + noise.
 
     Scaled so magnitudes suit the default generator capacities; real data goes
     through load_demand_csv with a rescale factor instead.
     """
-    T = days * slots_per_day
+    T = _DEMAND_DAYS * _DEMAND_SLOTS_PER_DAY
     t = np.arange(T)
-    phase = 2.0 * np.pi * (t % slots_per_day) / slots_per_day
-    rng = _rng(seed, _STREAM_DEMAND)
-    series = base + amplitude * np.sin(phase - 0.5 * np.pi) + noise * rng.standard_normal(T)
-    return np.maximum(series, floor)
+    phase = 2.0 * np.pi * (t % _DEMAND_SLOTS_PER_DAY) / _DEMAND_SLOTS_PER_DAY
+    rng = _rng(_DEMAND_SEED, _STREAM_DEMAND)
+    noise = _DEMAND_NOISE * rng.standard_normal(T)
+    series = _DEMAND_BASE + _DEMAND_AMPLITUDE * np.sin(phase - 0.5 * np.pi) + noise
+    return np.maximum(series, _DEMAND_FLOOR)
 
 
 def load_demand_csv(path) -> np.ndarray:
@@ -481,8 +472,8 @@ class _DispatchArrays(ArrayForm):
         self.box = np.concatenate([0.0 - eye, eye])  # constant rows of -x <= 0, x <= x_max
         self.m = 1 + len(self.box)
 
-    def params(self, seed, stop, start=0):
-        return self.p.demand[np.arange(start, stop) % self.p.demand.size]
+    def params(self, seed, T):
+        return self.p.demand[np.arange(T) % self.p.demand.size]
 
     def loss(self, X, demand):
         p = self.p

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -52,6 +55,16 @@ def make_problem(n, gs, R=1.0, G=1.0, H1=None, make_loss=None, name="inline"):
         mean_loss=mean_loss,
         arrays=ClosureArrays(gs, losses),
     )
+
+
+def perfbench_module(name):
+    """A module of the benchmark harness, loaded from its file without
+    adding ``perfbench/`` to the import path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -9,9 +9,9 @@ to change:
 
 Cases cover every supported (problem, variant, aggregation, lagrangian)
 combination at fixed seeds and small horizons, with the theorem stepsizes
-and with an engaged override pair, plus ``doubling_run``, the offline
-oracles (``offline_solve``, ``offline_value``, ``grid_oracle``) and a fixed
-set of ``ocolc run`` / ``sweep`` / ``validate --quick`` commands.
+and with an engaged override pair, plus the offline oracles
+(``offline_solve``, ``offline_value``, ``grid_oracle``) and a fixed set of
+``ocolc run`` / ``sweep`` / ``validate --quick`` commands.
 
 Bitwise results depend on the numpy build, its BLAS and the CPU features it
 dispatches to, so the file records the platform it was made on.
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ocolc.algorithms import AlgoConfig, doubling_run, run
+from ocolc.algorithms import AlgoConfig, run
 from ocolc.core import BallDomain, ConvexFn
 from ocolc.oracle import grid_oracle, offline_solve, offline_value
 from ocolc.problems import (
@@ -137,22 +137,6 @@ def run_cases():
                 yield case, problem, cfg, 7
 
 
-def doubling_cases():
-    toy, ds3 = toy_problem(), doubly_stochastic_problem(d=3)
-    disp = dispatch_problem()
-    yield "doubling/toy/clipped-ogd", toy, lambda h: AlgoConfig("clipped-ogd", T=h), 100, 3
-    yield "doubling/toy/a-ogd", toy, lambda h: AlgoConfig("a-ogd", T=h, beta=0.6), 70, 4
-    yield "doubling/ds3/strong", ds3, lambda h: AlgoConfig("strong", T=h), 40, 5
-    yield (
-        "doubling/dispatch/mahdavi-ogd/per_constraint",
-        disp,
-        lambda h: AlgoConfig("mahdavi-ogd", T=h, aggregation="per_constraint",
-                             eta_override=0.01, sigma_override=100.0),
-        50,
-        6,
-    )
-
-
 def check8_ds4_loss(base_seed: int) -> ConvexFn:
     """The off-polytope quadratic that acceptance check 8 gives the penalty
     solver on doubly-stochastic(d=4)."""
@@ -234,6 +218,8 @@ def trace_digest(trace) -> dict:
     for name in TRACE_FIELDS:
         arr = np.ascontiguousarray(getattr(trace, name), dtype=float)
         out[name] = sha(repr(arr.shape).encode() + arr.tobytes())
+    # no trace has an "epochs" entry any more; its None stays in the tuple so
+    # that every committed digest keeps its value
     meta = {k: trace.meta[k] for k in sorted(trace.meta) if k != "epochs"}
     scalars = repr((trace.eta, trace.sigma, meta, trace.meta.get("epochs")))
     out["scalars"] = sha(scalars.encode())
@@ -274,8 +260,6 @@ def all_digests(tmp: Path) -> dict:
     out = {}
     for case, problem, cfg, seed in run_cases():
         out[case] = trace_digest(run(problem, cfg, seed))
-    for case, problem, factory, total, seed in doubling_cases():
-        out[case] = trace_digest(doubling_run(problem, factory, total, seed))
     for case, solve in oracle_cases():
         out[case] = oracle_digest(solve())
     for name, argv in CLI_COMMANDS.items():

@@ -7,6 +7,7 @@ batched kernel (``ocolc.algorithms._lagrangian_grad``) and the stepsize
 schedule compute the same quantities; ``tests/test_kernel.py`` compares them
 bit for bit. ``ClosureArrays`` is the array form of such closures, for the
 problems the tests write by hand and for the closures they compare against.
+``fd_grad`` is the central-difference gradient of one closure at one point.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from ocolc.core import ConvexFn, Vector
 from ocolc.problems import ArrayForm
+from ocolc.validation import central_differences
 
 # ------------------------------------------------------ closure problems
 
@@ -32,9 +34,12 @@ class ClosureArrays(ArrayForm):
         self.m = len(self.gs)
         self.losses = losses
 
-    def params(self, seed, stop, start=0):
-        fns = np.empty(stop - start, dtype=object)
-        fns[:] = self.losses(seed, stop)[start:]
+    def params(self, seed, T, *_):
+        # ``*_`` takes the start offset (always 0) that library versions
+        # before the fixed-horizon kernel pass, so that the golden case set
+        # also runs against them (CI's golden-vs-base job)
+        fns = np.empty(T, dtype=object)
+        fns[:] = self.losses(seed, T)
         return fns
 
     def loss(self, X, fns):
@@ -49,6 +54,13 @@ class ClosureArrays(ArrayForm):
     def jacobian(self, X):
         J = np.array([[np.asarray(g.subgrad(x), dtype=float) for g in self.gs] for x in X])
         return J.reshape(len(X), self.m, X.shape[1])
+
+
+def fd_grad(f: ConvexFn, x: Vector, h: float = 1e-6) -> Vector:
+    """Central-difference gradient of f at x: the library's batched
+    ``central_differences`` on a one-row batch."""
+    X = np.asarray(x, dtype=float)[None]
+    return central_differences(lambda Y: np.array([[f.eval(y)] for y in Y]), X, h)[0, 0]
 
 
 # ------------------------------------------------------------- clipping

@@ -42,9 +42,9 @@ def quick_run():
     advance = ocolc.algorithms.advance
     value = ocolc.validation.offline_value
 
-    def spy(problem, cfgs, seeds, *args, **kwargs):
+    def spy(problem, cfgs, seeds):
         calls.append((problem.name, len(cfgs), cfgs[0].aggregation))
-        return advance(problem, cfgs, seeds, *args, **kwargs)
+        return advance(problem, cfgs, seeds)
 
     def value_spy(problem, seed, T):
         comparators.append((problem.name, seed, T))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ocolc.core import ConvexFn, finite_diff_grad
+from ocolc.core import ConvexFn
 
-from reference import logsumexp_aggregate, max_aggregate
+from reference import fd_grad, logsumexp_aggregate, max_aggregate
 
 
 def _lin(c, b=0.0):
@@ -70,7 +70,7 @@ def test_logsumexp_gradient_matches_finite_differences(rng):
     agg = logsumexp_aggregate(gs)
     for _ in range(20):
         x = rng.uniform(-1, 1, size=2)
-        fd = finite_diff_grad(agg, x, h=1e-6)
+        fd = fd_grad(agg, x, h=1e-6)
         np.testing.assert_allclose(agg.subgrad(x), fd, rtol=1e-5, atol=1e-8)
 
 

@@ -8,29 +8,27 @@ from ocolc.algorithms import (
     RunError,
     Schedule,
     advance,
-    doubling_epochs,
-    doubling_run,
     projected_ogd_run,
     run,
     tradeoff_eta,
 )
 from ocolc.core import ConvexFn
-from ocolc.metrics import summarize
-from ocolc.oracle import offline_value
 from ocolc.problems import toy_problem, doubly_stochastic_problem, dispatch_problem
 
 from conftest import make_problem
 from reference import theorem1_params
 
 
-def _one_d_problem(R=1.0, G=1.0, slope=1.0, H1=None):
-    """f(x) = slope * x, g(x) = x - 0.5 in one dimension."""
+def _one_d_problem(R=1.0, G=1.0, slope=1.0, H1=None, x0=0.0):
+    """f(x) = slope * x, g(x) = x - 0.5 in one dimension, starting at x0."""
     g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
 
     def make_loss(seed, t):
         return ConvexFn(lambda x: float(slope * x[0]), lambda x: np.array([slope]))
 
-    return make_problem(1, [g], R=R, G=G, H1=H1, make_loss=make_loss)
+    p = make_problem(1, [g], R=R, G=G, H1=H1, make_loss=make_loss)
+    p.x0 = lambda: np.array([x0])
+    return p
 
 
 # ----------------------------------------------------------- parameters
@@ -80,11 +78,11 @@ def test_config_validation():
 # ----------------------------------------------------------- hand steps
 
 
-def _one_step(p, cfg, x0=None):
-    """One kernel step on the first loss: the recorded start state and the
-    state after the step."""
-    (trace,), x_next, lam_next = advance(p, [cfg], [0], steps=[1], x0=x0)
-    return trace, x_next[0], lam_next[0]
+def _one_step(p, cfg):
+    """The first kernel step of a run of cfg: the trace, whose row 0 is the
+    start state, and the state after the step, its row 1."""
+    (trace,) = advance(p, [cfg], [0])
+    return trace, trace.x[1], trace.lam[1]
 
 
 def test_clipped_ogd_hand_step():
@@ -149,9 +147,9 @@ def test_strong_feasible_iterate_zero_dual():
 def test_mahdavi_hand_step():
     # g = x - 0.5, x_t = 1, lam = 0, eta = 0.1, sigma = 2, plain Lagrangian:
     # lam' = Pi_{>=0}(0 + 0.1 * (0.5 - 0)) = 0.05
-    p = _one_d_problem(R=2.0, slope=0.0)
+    p = _one_d_problem(R=2.0, slope=0.0, x0=1.0)
     cfg = AlgoConfig("mahdavi-ogd", T=10, eta_override=0.1, sigma_override=2.0)
-    _, x, lam = _one_step(p, cfg, x0=np.array([[1.0]]))
+    _, x, lam = _one_step(p, cfg)
     assert lam[0] == pytest.approx(0.05, abs=1e-15)
     assert x[0] == pytest.approx(1.0)  # zero loss, zero dual: x unchanged
 
@@ -169,14 +167,15 @@ def test_aogd_hand_step_frozen():
     # T=16 -> eta0 = 1/sqrt(4) = 0.5, eta_x = eta0/T^.5 = 0.125,
     # sigma = 2 G^2 = 2, theta_1 = sigma*eta0 = 1, mu_1 = eta0 = 0.5;
     # from x=1 (g=0.5, lam=0, plain): lam' = 0.5*(0.5 - 1*0) = 0.25
-    p = _one_d_problem(R=2.0, slope=0.0)
+    p = _one_d_problem(R=2.0, slope=0.0, x0=1.0)
     cfg = AlgoConfig("a-ogd", T=16)
     algo = Schedule(p, cfg)
     assert algo.eta0 == pytest.approx(0.5)
     assert algo.eta == pytest.approx(0.125)
-    assert algo.theta_t(1) == pytest.approx(1.0)
-    assert algo.mu_t(1) == pytest.approx(0.5)
-    _, _, lam = _one_step(p, cfg, x0=np.array([[1.0]]))
+    t = 1
+    assert algo.theta0 * t ** -cfg.beta == pytest.approx(1.0)  # theta_1
+    assert algo.eta0 * t ** (cfg.beta - 1.0) == pytest.approx(0.5)  # mu_1
+    _, _, lam = _one_step(p, cfg)
     assert lam[0] == pytest.approx(0.25, abs=1e-15)
 
 
@@ -194,8 +193,8 @@ def test_aogd_clipped_dual_nonneg_without_projection(rng):
     algo = Schedule(p, cfg)
     tr = run(p, cfg, seed=7)
     for t, lam, agg in zip(tr.t, tr.lam, tr.g_agg):
-        residual = np.maximum(agg, 0.0) - algo.theta_t(t) * lam
-        raw = lam + algo.mu_t(t) * residual
+        residual = np.maximum(agg, 0.0) - algo.theta0 * t ** (-cfg.beta) * lam
+        raw = lam + algo.eta0 * t ** (cfg.beta - 1.0) * residual
         assert np.all(raw >= -1e-15)
 
 
@@ -348,55 +347,3 @@ def test_degenerates_to_projected_ogd_bitwise():
     ref = projected_ogd_run(p_slack, seed=4, T=300, eta=tr.eta)
     assert np.array_equal(tr.x, ref)
 
-
-# ------------------------------------------------------------- doubling
-
-
-def test_doubling_epochs_schedule():
-    assert doubling_epochs(7) == [1, 2, 4]
-    assert doubling_epochs(1) == [1]
-    assert doubling_epochs(10) == [1, 2, 4, 3]
-    with pytest.raises(ValueError):
-        doubling_epochs(0)
-
-
-def test_doubling_single_epoch_equals_run():
-    p = toy_problem()
-    factory = lambda h: AlgoConfig("clipped-ogd", T=h)
-    tr_d = doubling_run(p, factory, total=1, seed=2)
-    tr_r = run(p, AlgoConfig("clipped-ogd", T=1), seed=2)
-    assert np.array_equal(tr_d.x, tr_r.x)
-    assert np.array_equal(tr_d.lam, tr_r.lam)
-
-
-def test_doubling_factory_must_match_horizon():
-    p = toy_problem()
-    with pytest.raises(ValueError):
-        doubling_run(p, lambda h: AlgoConfig("clipped-ogd", T=h + 1), total=3, seed=0)
-
-
-def test_doubling_regret_within_worsening_factor():
-    # the doubling trick pays at most sqrt(2)/(sqrt(2)-1) over the fixed-T
-    # tuning; allow a 1.5x empirical margin on the toy problem
-    p = toy_problem()
-    T = 4095  # epochs 1..2048 complete
-    seed = 6
-    factory = lambda h: AlgoConfig("clipped-ogd", T=h)
-    tr_dbl = doubling_run(p, factory, total=T, seed=seed)
-    tr_fix = run(p, AlgoConfig("clipped-ogd", T=T), seed=seed)
-    ov = offline_value(p, seed, T).value
-    r_dbl = summarize(tr_dbl, ov).regret
-    r_fix = summarize(tr_fix, ov).regret
-    assert r_fix > 0
-    factor = np.sqrt(2.0) / (np.sqrt(2.0) - 1.0)
-    assert r_dbl <= factor * 1.5 * r_fix
-
-
-def test_doubling_lambda_resets_and_x_carries():
-    p = toy_problem()
-    factory = lambda h: AlgoConfig("clipped-ogd", T=h)
-    tr = doubling_run(p, factory, total=15, seed=3)
-    # epoch starts at rows 0, 1, 3, 7 (0-based): lambda is freshly zero there
-    for start in (0, 1, 3, 7):
-        assert np.all(tr.lam[start] == 0.0)
-    assert len(tr.meta["epochs"]) == 4

@@ -116,6 +116,20 @@ def test_config_file_bad_boolean_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("run", "bta"),  # a misspelt beta must not run at the default beta
+    ("run", "T-grid"),  # a sweep setting
+    ("sweep", "T"),  # a run setting
+])
+def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys, command, key):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"problem=toy\n{key}=0.7\n")
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert f"usage error: --config: unknown setting {key!r} for 'ocolc {command}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_read_config_rejects_malformed(tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text("problem toy\n")

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ocolc.core import BallDomain, ConvexFn, finite_diff_grad, project_ball
+from ocolc.core import BallDomain, ConvexFn, project_ball
+from ocolc.validation import central_differences
 
-from reference import clip_pos, clipped_subgrad, lagrangian_grad_x
+from reference import clip_pos, clipped_subgrad, fd_grad, lagrangian_grad_x
 
 B2 = BallDomain(radius=1.0, dim=2)
 
@@ -105,7 +106,7 @@ def test_clipped_subgrad_l1_sign_vector():
     got = clipped_subgrad(g, x)
     assert np.array_equal(got, [1.0, 1.0])
     # away from kinks the sign vector is the true gradient
-    fd = finite_diff_grad(g, x, h=1e-6)
+    fd = fd_grad(g, x, h=1e-6)
     np.testing.assert_allclose(got, fd, rtol=1e-6)
 
 
@@ -145,7 +146,7 @@ def test_lagrangian_grad_hand_case():
         lambda y: float(0.5 * y @ y + 3.0 * max(0.0, y[0] - 1.0)),
         lambda y: None,
     )
-    fd = finite_diff_grad(lag, x, h=1e-6)
+    fd = fd_grad(lag, x, h=1e-6)
     np.testing.assert_allclose(got, fd, rtol=1e-6)
 
 
@@ -170,30 +171,27 @@ def test_lagrangian_grad_norm_bound(rng):
         assert nrm <= G * (1.0 + lam.sum()) + 1e-12
 
 
+# central_differences(f, X): the (B, k, n) Jacobians of a batched map
+# f: (B, n) -> (B, k), one row per point
+
+
 def test_finite_diff_quadratic():
-    f = ConvexFn(lambda x: float(0.5 * x @ x), lambda x: x)
-    got = finite_diff_grad(f, np.array([1.0, 2.0]), h=1e-5)
-    np.testing.assert_allclose(got, [1.0, 2.0], atol=1e-6)
+    X = np.array([[1.0, 2.0], [-0.5, 0.0]])
+    got = central_differences(lambda Y: 0.5 * np.sum(Y * Y, axis=1, keepdims=True), X, h=1e-5)
+    np.testing.assert_allclose(got, X[:, None, :], atol=1e-6)
 
 
 def test_finite_diff_linear():
-    c = np.array([0.3, -1.7, 2.0])
-    f = ConvexFn(lambda x: float(c @ x), lambda x: c)
-    got = finite_diff_grad(f, np.array([0.4, 0.1, -2.0]), h=1e-4)
-    np.testing.assert_allclose(got, c, atol=1e-9)
+    C = np.array([[0.3, -1.7, 2.0], [1.0, 0.0, -0.5]])  # two outputs
+    X = np.array([[0.4, 0.1, -2.0], [3.0, -1.0, 0.5]])
+    got = central_differences(lambda Y: Y @ C.T, X, h=1e-4)
+    np.testing.assert_allclose(got, np.broadcast_to(C, (2, 2, 3)), atol=1e-9)
 
 
 def test_finite_diff_at_minimum():
     y = np.array([0.2, -0.4, 1.0, 0.0])
-    f = ConvexFn(lambda x: float(0.5 * np.sum((x - y) ** 2)), lambda x: x - y)
-    got = finite_diff_grad(f, y, h=1e-6)
-    np.testing.assert_allclose(got, np.zeros(4), atol=1e-9)
-
-
-def test_finite_diff_rejects_bad_step():
-    f = ConvexFn(lambda x: 0.0, lambda x: np.zeros(1))
-    with pytest.raises(ValueError):
-        finite_diff_grad(f, np.zeros(1), h=0.0)
+    got = central_differences(lambda Y: 0.5 * np.sum((Y - y) ** 2, axis=1, keepdims=True), y[None], h=1e-6)
+    np.testing.assert_allclose(got, np.zeros((1, 1, 4)), atol=1e-9)
 
 
 def test_ball_domain_validation():

@@ -174,8 +174,8 @@ def assert_array_form_matches(p, X, seed, start, constraint_rows=None):
     form = p.arrays
     fns = ClosureArrays(reference_constraints(p), reference_losses(p))
     stop = start + len(X)
-    fx, grad = form.loss(X, form.params(seed, stop, start))
-    fx_ref, grad_ref = fns.loss(X, fns.params(seed, stop, start))
+    fx, grad = form.loss(X, form.params(seed, stop)[start:])
+    fx_ref, grad_ref = fns.loss(X, fns.params(seed, stop)[start:])
     assert same_bits(fx, fx_ref)
     assert same_bits(grad, grad_ref)
     X = X[:constraint_rows]  # one closure call per constraint and row
@@ -274,21 +274,6 @@ def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped, seed):
 
 
 @pytest.mark.parametrize("name", ["toy", "ds3", "dispatch"])
-def test_loss_stream_builds_only_row_t(name, monkeypatch):
-    p = dataclasses.replace(problem(name))  # a copy whose losses may break
-    x = np.linspace(-0.4, 0.6, p.n)
-    want = reference_losses(p)(5, 40)[33]
-
-    def no_stream(seed, T):
-        raise AssertionError("loss_stream built the whole stream")
-
-    monkeypatch.setattr(p, "losses", no_stream)
-    got = p.loss_stream(5, 33)
-    assert got.eval(x) == want.eval(x)
-    assert same_bits(got.subgrad(x), want.subgrad(x))
-
-
-@pytest.mark.parametrize("name", ["toy", "ds3", "dispatch"])
 def test_fn_arrays_keep_their_shapes_on_an_empty_batch(name):
     # the closure form of a built-in on an empty batch; a grid block whose
     # points all leave the ball is such a batch
@@ -345,7 +330,7 @@ def test_batch_rows_equal_single_runs(name, aggregation, data):
         cfgs.append(AlgoConfig(variant, T=T, beta=beta, alpha=alpha, lagrangian=lagrangian,
                                aggregation=aggregation, eta_override=eta, sigma_override=sigma))
         seeds.append(seed)
-    traces, _, _ = advance(p, cfgs, seeds)
+    traces = advance(p, cfgs, seeds)
     for cfg, seed, got in zip(cfgs, seeds, traces):
         want = run(p, cfg, seed)
         assert got.variant == want.variant
@@ -368,9 +353,9 @@ def test_batch_makes_one_kernel_call_per_aggregation(monkeypatch):
     calls = []
     exact = ocolc.algorithms.advance
 
-    def counted(problem, cfgs, seeds, **kw):
+    def counted(problem, cfgs, seeds):
         calls.append(sorted({cfg.aggregation for cfg in cfgs}))
-        return exact(problem, cfgs, seeds, **kw)
+        return exact(problem, cfgs, seeds)
 
     monkeypatch.setattr(ocolc.algorithms, "advance", counted)
     p = toy_problem()
@@ -445,16 +430,6 @@ def test_batch_stands_in_for_its_problem():
     assert same_bits(run(batch, cfg, 3).x, run(p, cfg, 3).x)
 
 
-def test_doubling_epochs_carry_x_through_the_kernel():
-    # an epoch is one kernel call started from the previous epoch's last step
-    p = toy_problem()
-    cfg = AlgoConfig("clipped-ogd", T=8, eta_override=0.2, sigma_override=4.0)
-    (whole,), _, _ = advance(p, [cfg], [4], steps=[8])
-    (head,), x_mid, _ = advance(p, [cfg], [4], steps=[3])
-    (tail,), _, _ = advance(p, [cfg], [4], steps=[5], x0=x_mid, start=3)
-    assert same_bits(np.concatenate([head.x, tail.x]), whole.x)
-
-
 # ------------------------------------------------------------ record memory
 
 # the quick acceptance grid's doubly-stochastic call has horizons
@@ -468,7 +443,7 @@ def test_records_are_not_padded_to_the_longest_row():
     # the exact records are sum(T) rows of x, fx, g, g_agg and lam (k = 1)
     p = problem("ds5")
     cfgs = [AlgoConfig("strong-clipped-ogd", T=T) for T in UNEVEN]
-    advance(p, cfgs[:1], [0], steps=[1])  # lazy state of the problem, if any
+    advance(p, [AlgoConfig("strong-clipped-ogd", T=1)], [0])  # lazy state of the problem, if any
     tracemalloc.start()
     try:
         advance(p, cfgs, list(range(len(cfgs))))
@@ -483,7 +458,7 @@ def test_traces_of_one_call_own_their_memory():
     # holding one trace must keep neither the records nor another trace alive
     p = problem("ds3")
     cfgs = [AlgoConfig("clipped-ogd", T=T) for T in (30, 7, 30, 12)]
-    traces, _, _ = advance(p, cfgs, [0, 1, 2, 3])
+    traces = advance(p, cfgs, [0, 1, 2, 3])
     arrays = [
         (j, getattr(tr, name)) for j, tr in enumerate(traces) for name in ("t", "x", "fx", "g", "g_agg", "lam")
     ]
@@ -510,18 +485,18 @@ def test_merged_sweep_call_stays_near_its_traces(monkeypatch):
     # 1.24 times the traces here, and 1.41 when g_agg is recorded
     p = toy_problem()
     cfgs, seeds = map(list, zip(*SWEEP_TOY_CELLS))
-    advance(p, cfgs[:1], seeds[:1], steps=[1])  # lazy state of the problem, if any
+    advance(p, [dataclasses.replace(cfgs[0], T=1)], seeds[:1])  # lazy state of the problem, if any
     streams = []
     params = p.arrays.params
 
-    def counted(seed, *span):
+    def counted(seed, T):
         streams.append(seed)
-        return params(seed, *span)
+        return params(seed, T)
 
     monkeypatch.setattr(p.arrays, "params", counted)
     tracemalloc.start()
     try:
-        traces, _, _ = advance(p, cfgs, seeds)
+        traces = advance(p, cfgs, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import tracemalloc
 from pathlib import Path
@@ -21,7 +20,7 @@ from ocolc.oracle import (
 )
 from ocolc.problems import DispatchParams, doubly_stochastic_problem, dispatch_problem, toy_problem
 
-from conftest import make_problem
+from conftest import make_problem, perfbench_module
 
 
 def _linear_loss(c):
@@ -445,20 +444,12 @@ def test_dispatch_certificate_negative_control(monkeypatch, moved):
         offline_value(dispatch_problem(), 0, 200)
 
 
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("slot", range(16))
 def test_exact_dispatch_matches_the_full_size_benchmark_references(tmp_path, slot):
     # perfbench's run-dispatch references (T = 2880) hold the penalty
     # solver's answers at 20 000 iterations, which sit within the
     # benchmark's 1e-9 relative tolerance of the exact optimum
-    wl_module = _perfbench_workloads()
+    wl_module = perfbench_module("workloads")
     refs = json.loads((Path(wl_module.__file__).parent / "references.json").read_text(encoding="utf-8"))
     wl = wl_module.WORKLOADS["run-dispatch"](slot, "full", tmp_path, refs)
     wl.prepare()

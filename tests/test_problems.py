@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocolc.core import ConvexFn, finite_diff_grad
+from ocolc.core import ConvexFn
 from ocolc.problems import (
     DispatchParams,
     dispatch_problem,
@@ -15,6 +15,7 @@ from ocolc.problems import (
     toy_raw_costs,
 )
 
+from reference import fd_grad
 from test_kernel import reference_constraints
 
 
@@ -37,14 +38,13 @@ def test_toy_raw_cost_mean_monte_carlo():
     np.testing.assert_allclose(raw.mean(axis=0), [0.6, 0.5], atol=0.01)
 
 
-def test_toy_loss_stream_pure_in_seed_and_t():
-    p = toy_problem()
-    x = np.array([0.3, -0.2])
-    f_a = p.loss_stream(5, 17)
-    f_b = p.loss_stream(5, 17)
-    assert f_a.eval(x) == f_b.eval(x)
-    # and independent of the horizon it is generated within
-    assert f_a.eval(x) == p.losses(5, 100)[17].eval(x)
+def test_loss_params_row_t_independent_of_horizon():
+    # row t of each built-in's params(seed, T) depends only on (seed, t):
+    # it is the same for every horizon T > t
+    for p in (toy_problem(), doubly_stochastic_problem(d=3), dispatch_problem()):
+        whole = p.arrays.params(5, 100)
+        for T in (1, 18, 99):
+            assert np.array_equal(p.arrays.params(5, T), whole[:T]), p.name
 
 
 def test_toy_subgradient_norms_within_G(rng):
@@ -108,7 +108,7 @@ def test_ds_gradient_finite_difference():
     f = p.losses(4, 2)[0]
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, size=9)
-    fd = finite_diff_grad(f, x, h=1e-6)
+    fd = fd_grad(f, x, h=1e-6)
     np.testing.assert_allclose(f.subgrad(x), fd, rtol=1e-6, atol=1e-7)
 
 
@@ -173,12 +173,12 @@ def test_dispatch_gradients_finite_difference(rng):
     for _ in range(20):
         x = rng.uniform(0, 15, size=3)
         f = fs[int(rng.integers(0, 5))]
-        fd = finite_diff_grad(f, x, h=1e-5)
+        fd = fd_grad(f, x, h=1e-5)
         np.testing.assert_allclose(f.subgrad(x), fd, rtol=1e-6)
     # emission constraint too
     g0 = ConvexFn(lambda x: p.constraint_values(x)[0], lambda x: p.arrays.jacobian(x[None])[0, 0])
     x = rng.uniform(0, 15, size=3)
-    np.testing.assert_allclose(g0.subgrad(x), finite_diff_grad(g0, x, h=1e-5), rtol=1e-6)
+    np.testing.assert_allclose(g0.subgrad(x), fd_grad(g0, x, h=1e-5), rtol=1e-6)
 
 
 def test_dispatch_subgradient_norms_within_G(rng):
@@ -265,7 +265,7 @@ def test_load_demand_csv_empty(tmp_path):
 
 def test_load_demand_csv_synthetic_fixture_roundtrip(tmp_path):
     # 10 days of 5-minute slots = 2880 rows
-    series = synthetic_demand(days=10)
+    series = synthetic_demand()
     assert series.size == 2880
     f = tmp_path / "fixture.csv"
     lines = ["t,demand"] + [f"{i},{float(v)!r}" for i, v in enumerate(series)]
@@ -276,7 +276,7 @@ def test_load_demand_csv_synthetic_fixture_roundtrip(tmp_path):
 
 
 def test_synthetic_demand_positive_and_diurnal():
-    s = synthetic_demand(days=2, seed=3)
+    s = synthetic_demand()
     assert np.all(s > 0)
     # sinusoid should make the daily max clearly exceed the daily min
     assert s[:288].max() - s[:288].min() > 10.0
