@@ -24,6 +24,7 @@ call; a ``Batch`` lets many ``run`` calls share one kernel call.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -187,7 +188,7 @@ def _aggregate(V: np.ndarray, mode: str) -> np.ndarray:
         return V
     if mode == "max" and V.shape[1] == 1:
         return V
-    top = V.max(axis=1, keepdims=True)
+    top = np.maximum.reduce(V, axis=1, keepdims=True)
     if mode == "max":
         return top
     return top + np.log(np.exp(V - top).sum(axis=1, keepdims=True))
@@ -200,25 +201,27 @@ def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
     the i with lam_i > 0, added in index order; under the clipped Lagrangian
     a satisfied constraint contributes zero. ``clipped`` is True or False
     for every row, or a (B, 1) mask of the rows whose Lagrangian clips. max
-    takes the lowest-index argmax row; logsumexp sums the softmax-weighted
-    rows in index order from zero, skipping zero weights. Skipped terms are
-    -0.0, which leaves every sum unchanged, so each result matches adding
-    the terms one at a time.
+    takes the lowest-index argmax row, straight from the form's constant
+    rows ``A`` when it has them; logsumexp sums the softmax-weighted rows in
+    index order from zero, skipping zero weights. Skipped terms are -0.0,
+    which leaves every sum unchanged, so each result matches adding the
+    terms one at a time.
     """
     pos = lam > 0.0
     if not np.count_nonzero(pos):
         return fgrad
-    J = form.jacobian(X)
-    if mode == "max":
-        D = J if J.shape[1] == 1 else J[np.arange(len(V)), V.argmax(axis=1)][:, None, :]
+    if mode == "max" and form.A is not None:
+        D = form.A[V.argmax(axis=1)][:, None, :]
+    else:
+        D = form.jacobian(X)
+    if mode == "max" and D.shape[1] > 1:
+        D = D[np.arange(len(V)), V.argmax(axis=1)][:, None, :]
     elif mode == "logsumexp":
         W = np.exp(V - V.max(axis=1, keepdims=True))
         W /= W.sum(axis=1, keepdims=True)
-        terms = np.where((W > 0.0)[:, :, None], W[:, :, None] * J, -0.0)
-        zero = np.zeros((len(V), 1, J.shape[2]))
+        terms = np.where((W > 0.0)[:, :, None], W[:, :, None] * D, -0.0)
+        zero = np.zeros((len(V), 1, D.shape[2]))
         D = np.add.accumulate(np.concatenate([zero, terms], axis=1), axis=1)[:, -1:]
-    else:
-        D = J
     if clipped is not False:
         satisfied = A <= 0.0
         if clipped is not True:
@@ -248,6 +251,11 @@ class _Rows:
     again. Every row sets its duals in exactly one way: as the clipped-ogd
     maximizer (``cdual``), as the strongly convex one (``strong``), or by
     ascent (``ascent``, mahdavi-ogd and a-ogd).
+
+    Only the ascent rows decide ``clip``, whether the Lagrangian clips: the
+    other rows' duals are [A]_+ over a positive step, zero wherever a
+    constraint is satisfied, so clipping its subgradient changes nothing,
+    and their ascent values are overwritten.
     """
 
     def __init__(self, betas, **columns):
@@ -263,11 +271,8 @@ class _Rows:
         self.cdual = _uniform(self.is_cdual)
         self.strong = _uniform(self.is_strong)
         self.ascent = _uniform(self.is_ascent)
-        self.clip = _uniform(self.is_clip)
-        # only the ascent rows decide the ascent's Lagrangian and powers: the
-        # other rows' ascent values are overwritten
         asc_clip = self.is_clip[self.is_ascent]
-        self.asc_clip = True if asc_clip.all() else self.is_clip if asc_clip.any() else False
+        self.clip = False if not asc_clip.any() else True if asc_clip.all() else self.is_clip
         asc_beta = np.unique(self.beta_idx[self.is_ascent])
         if asc_beta.size == 0 or asc_beta[0] == len(self.betas):
             self.beta = None  # no a-ogd row
@@ -291,6 +296,11 @@ class _Rows:
         return self.asc_step * mu, self.asc_reg * theta
 
 
+# steps whose loss parameters are gathered at once; a block also ends where
+# a row ends
+_BLOCK = 256
+
+
 def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> list:
     """Advance a batch of cells in lockstep: the run kernel.
 
@@ -302,6 +312,11 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     after its last recorded step still runs, so that a non-finite gradient
     at step T stops the row as one at any earlier step does.
 
+    A step evaluates only the loss gradient, and records only x and lam.
+    After the loop each trace gets its loss values from one ``loss_value``
+    call and its constraint values from one ``values`` call over its
+    recorded iterates.
+
     Returns one list, in input order: each row's RunTrace, or the RunError
     that stopped it.
     """
@@ -312,7 +327,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         raise ValueError("rows of one kernel call must share an aggregation")
     form = problem.arrays
     R = problem.dom.radius
-    k, n, m = scheds[0].m_eff, problem.n, problem.m
+    k, n = scheds[0].m_eff, problem.n
 
     # rows sorted by horizon, longest first: the live rows are then a prefix
     # until a row fails. Records are step-major with sum(T) rows: step s
@@ -357,9 +372,10 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         return sched.eta, sigma_eta, sched.eta, sigma_eta
 
     eta, sigma_eta, asc_step, asc_reg = zip(*map(stepsizes, sched_of))
+    stream = np.array([stream_at[seeds[b]] for b in order])
     rows = _Rows(
         betas,
-        stream=np.array([stream_at[seeds[b]] for b in order]),
+        stream=stream,
         is_cdual=column([v == "clipped-ogd" for v in variant_of], bool),
         is_strong=column([v == "strong-clipped-ogd" for v in variant_of], bool),
         is_ascent=column([v in ("mahdavi-ogd", "a-ogd") for v in variant_of], bool),
@@ -389,29 +405,21 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     A = _aggregate(V, mode)
     lam = set_duals(A, np.zeros((B, k)), 1)
 
-    # when the aggregation passes the values through, g_agg is a copy of g
-    # and is not recorded
-    through = A is V
-    rec = {
-        "x": np.empty((total, n)),
-        "fx": np.empty(total),
-        "g": np.empty((total, m)),
-        "lam": np.empty((total, k)),
-    }
-    if not through:
-        rec["g_agg"] = np.empty((total, k))
+    rec = {"x": np.empty((total, n)), "lam": np.empty((total, k))}
     errors = {}
 
     live = np.arange(B)  # sorted positions of the rows still running
     prefix = True  # whether they are 0, 1, ..., live.size - 1
     next_end = ends[-1]
+    block_end = 0  # the step before which the loss parameters are gathered again
 
     def keep(mask):
-        nonlocal live, prefix, next_end, X, V, A, lam
+        nonlocal live, prefix, next_end, X, V, A, lam, block
         live = live[mask]
         prefix = live.size == 0 or live[-1] == live.size - 1
         next_end = ends[live].min(initial=T_max)
         X, V, A, lam = X[mask], V[mask], A[mask], lam[mask]
+        block = block[:, mask]
         rows.keep(mask)
 
     def rows_at(s):
@@ -421,15 +429,15 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
 
     for s in range(T_max):
         t = s + 1
+        if s == block_end:
+            # the live rows' loss parameters up to the next row end, step-major
+            block_start, block_end = s, min(s + _BLOCK, next_end)
+            block = params[np.arange(s, block_end)[:, None] + rows.stream]
         at = rows_at(s)
-        fx, fgrad = form.loss(X, params[s:].take(rows.stream, axis=0))  # cheaper than params[stream + s]
         rec["x"][at] = X
-        rec["fx"][at] = fx
-        rec["g"][at] = V
-        if not through:
-            rec["g_agg"][at] = A
         rec["lam"][at] = lam
 
+        fgrad = form.grad(X, block[s - block_start])
         grad = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, rows.clip)
         if rows.strong is False:
             eta = rows.eta
@@ -439,32 +447,33 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
             eta = np.where(rows.is_strong, strong.eta_t(t), rows.eta)
         Y = X - eta * grad
         nrm = np.sqrt(np.vecdot(Y, Y))
-        if not math.isfinite(np.add.reduce(nrm)):  # a non-finite gradient, or overflow
-            bad = ~np.isfinite(grad).all(axis=1)
-            if bad.any():
-                for i in live[bad]:
-                    errors[order[i]] = RunError(t, "non-finite Lagrangian gradient")
-                Y, nrm = Y[~bad], nrm[~bad]
-                keep(~bad)
-                if live.size == 0:
-                    break
-            if not np.isfinite(Y).all():
-                raise ValueError("cannot project non-finite vector")
-            # finite rows whose squared norm overflows: scale each down by its
-            # largest entry, then project; they land on the sphere
-            huge = ~np.isfinite(nrm)
-            if huge.any():
-                Z = Y[huge] / np.abs(Y[huge]).max(axis=1, keepdims=True)
-                Y[huge] = Z * (R / np.sqrt(np.vecdot(Z, Z)))[:, None]
-                nrm[huge] = R
-        over = nrm > R
-        if over.any():
-            Y[over] = Y[over] * (R / nrm[over])[:, None]
+        if not np.maximum.reduce(nrm) <= R:  # a row leaves the ball, or is not finite
+            if not math.isfinite(np.add.reduce(nrm)):  # a non-finite gradient, or overflow
+                bad = ~np.isfinite(grad).all(axis=1)
+                if bad.any():
+                    for i in live[bad]:
+                        errors[order[i]] = RunError(t, "non-finite Lagrangian gradient")
+                    Y, nrm = Y[~bad], nrm[~bad]
+                    keep(~bad)
+                    if live.size == 0:
+                        break
+                if not np.isfinite(Y).all():
+                    raise ValueError("cannot project non-finite vector")
+                # finite rows whose squared norm overflows: scale each down by
+                # its largest entry, then project; they land on the sphere
+                huge = ~np.isfinite(nrm)
+                if huge.any():
+                    Z = Y[huge] / np.abs(Y[huge]).max(axis=1, keepdims=True)
+                    Y[huge] = Z * (R / np.sqrt(np.vecdot(Z, Z)))[:, None]
+                    nrm[huge] = R
+            over = nrm > R
+            if over.any():
+                Y[over] = Y[over] * (R / nrm[over])[:, None]
 
         if rows.ascent is not False:
             # every row's ascent; set_duals then overwrites the other rows
             step, reg = rows.ascent_steps(t)
-            clip = rows.asc_clip
+            clip = rows.clip
             if clip is False:
                 G = A
             elif clip is True:
@@ -486,7 +495,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     # trace keeps no other alive. One record is dropped before the next is
     # gathered, largest first, so the gather's peak is the records plus
     # one field of copies
-    del params
+    del block
     kept = [(i, b) for i, b in enumerate(order) if b not in errors]
     fields = {b: {} for _, b in kept}
     for name in sorted(rec, key=lambda name: -rec[name].size):
@@ -494,9 +503,15 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         for i, b in kept:
             fields[b][name] = record[slots(i)]
     del record
-    if through:
-        for _, b in kept:
-            fields[b]["g_agg"] = fields[b]["g"].copy()
+    # each trace's constraint and loss values, from its iterates and its
+    # stretch of the stream
+    for i, b in kept:
+        x = fields[b]["x"]
+        fields[b]["fx"] = form.loss_value(x, params[stream[i] : stream[i] + ends[i]])
+        fields[b]["g"] = g = form.values(x)
+        g_agg = _aggregate(g, mode)
+        fields[b]["g_agg"] = g.copy() if g_agg is g else g_agg
+    del params
 
     traces = [errors.get(b) for b in range(B)]
     for i, b in kept:
@@ -523,13 +538,16 @@ class Batch:
 
     ``run(batch, cfg, seed)`` returns the trace of one cell. The first such
     call advances every cell of its aggregation in one kernel call, whatever
-    their variants; later calls return rows already computed. For any other
-    attribute a batch stands in for its problem.
+    their variants; later calls return rows already computed. A cell is
+    handed out as many times as it was listed, after which the batch drops
+    it, so that a caller who reduces each trace as it goes holds one at a
+    time. For any other attribute a batch stands in for its problem.
     """
 
     def __init__(self, problem: ProblemSpec, cells):
         self.problem = problem
-        self._pending = list(dict.fromkeys(cells))
+        self._reads = Counter(cells)
+        self._pending = list(self._reads)
         self._done = {}
 
     def __getattr__(self, name):
@@ -537,14 +555,15 @@ class Batch:
 
     def trace(self, cfg: AlgoConfig, seed: int) -> RunTrace:
         key = (cfg, seed)
+        if not self._reads[key]:
+            raise KeyError(f"cell {key} is not in this batch, or was handed out already")
         if key not in self._done:
-            if key not in self._pending:
-                raise KeyError(f"cell {key} is not in this batch")
             group = [c for c in self._pending if c[0].aggregation == cfg.aggregation]
             self._pending = [c for c in self._pending if c not in group]
             traces = advance(self.problem, [c for c, _ in group], [s for _, s in group])
             self._done.update(zip(group, traces))
-        out = self._done[key]
+        self._reads[key] -= 1
+        out = self._done[key] if self._reads[key] else self._done.pop(key)
         if isinstance(out, RunError):
             raise out
         return out

@@ -189,17 +189,17 @@ def write_trace_csv(trace, path: str, per_constraint: bool = False) -> None:
     if per_constraint:
         for i in range(trace.g.shape[1]):
             cols.append((f"g_{i + 1}", trace.g[:, i]))
+    # one %-format per row, which prints each field as _fmt does
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(name for name, _ in cols) + "\n")
-        for r in range(trace.T):
-            fh.write(",".join(_fmt(col[r]) for _, col in cols) + "\n")
+        fh.writelines(row % fields for fields in zip(*(col.tolist() for _, col in cols)))
 
 
 def load_trace_csv(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array(rows, dtype=float)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return {name: data[:, j] for j, name in enumerate(header)}
 
 

@@ -14,10 +14,10 @@ Every problem is an array form (``ArrayForm``), the one representation the
 batched run kernel, the oracles and the acceptance checks read: loss
 parameters indexed by t, and losses, constraint values and constraint
 subgradients evaluated over a (B, n) batch of points in one call.
-``ArrayForm.loss`` is the only definition of a per-step loss, and
-``ArrayForm.values`` and ``ArrayForm.jacobian`` the only definition of the
-constraints. ``ProblemSpec.losses`` and ``constraint_values`` are one-row
-views of them.
+``ArrayForm.loss_value`` and ``ArrayForm.grad`` are the only definition of a
+per-step loss, and ``ArrayForm.values`` and ``ArrayForm.jacobian`` the only
+definition of the constraints. ``ProblemSpec.losses`` and
+``constraint_values`` are one-row views of them.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class ProblemSpec:
     # losses and constraint_values have no reader in this package; they stay
     # because the benchmark's tracer rebinds them by name on every spec
     def losses(self, seed: int, T: int) -> List[ConvexFn]:
-        """The T losses of a stream, as one-row views of ``arrays.loss``."""
+        """The T losses of a stream, as one-row views of ``arrays.loss_value``
+        and ``arrays.grad``."""
         P = self.arrays.params(seed, T)
         return [self._loss_view(P[t : t + 1]) for t in range(T)]
 
@@ -77,9 +78,12 @@ class ProblemSpec:
         return self.arrays.values(x[None])[0]
 
     def _loss_view(self, P) -> ConvexFn:
-        """``arrays.loss`` on a one-row batch with the one parameter row P."""
-        loss = self.arrays.loss
-        return ConvexFn(lambda x: float(loss(x[None], P)[0][0]), lambda x: loss(x[None], P)[1][0])
+        """The array form's loss on a one-row batch with the one parameter
+        row P."""
+        form = self.arrays
+        return ConvexFn(
+            lambda x: float(form.loss_value(x[None], P)[0]), lambda x: form.grad(x[None], P)[0]
+        )
 
     def x0(self) -> Vector:
         return np.zeros(self.n)
@@ -92,18 +96,33 @@ class ArrayForm:
 
     * ``params(seed, T)``: loss parameters of steps 0..T-1, one row per
       step, each a pure function of (seed, t);
-    * ``loss(X, P)``: loss values (B,) and gradients (B, n) at the points
-      X (B, n), row b taking its parameters from P[b];
+    * ``loss_value(X, P)``: loss values (B,) at the points X (B, n), row b
+      taking its parameters from P[b];
+    * ``grad(X, P)``: loss gradients (B, n), likewise;
     * ``values(X)``: constraint values (B, m);
     * ``jacobian(X)``: constraint subgradient rows (B, m, n);
-    * ``m``: the number of constraints.
+    * ``m``: the number of constraints;
+    * ``A``: the constant (m, n) jacobian rows of affine constraints, or
+      None (the default) when the jacobian depends on X.
 
-    Per-row dot products go through ``np.vecdot``, which matches ``c @ x``,
-    where ``(C * X).sum(1)`` does not, so that a row equals the per-point
-    expression bit for bit.
+    The run kernel calls only ``grad``, ``values`` and, unless ``A`` is
+    set, ``jacobian`` in its step loop. After the loop it calls
+    ``loss_value`` and ``values`` once per trace, over all of the trace's
+    iterates. ``loss`` returns both loss parts, for callers that read them
+    together.
+
+    Each row's result depends on that row alone, bit for bit, whatever
+    the batch around it. Per-row dot products go through ``np.vecdot``,
+    which matches ``c @ x``, where ``(C * X).sum(1)`` does not, so that a
+    row equals the per-point expression bit for bit.
     """
 
     m: int
+    A = None
+
+    def loss(self, X, P):
+        """Loss values (B,) and gradients (B, n) at the points X."""
+        return self.loss_value(X, P), self.grad(X, P)
 
 
 def _uniform_rows(seed: int, T: int, width: int) -> np.ndarray:
@@ -138,8 +157,11 @@ class _ToyArrays(ArrayForm):
     def params(self, seed, T):
         return toy_costs(seed, T)
 
-    def loss(self, X, C):
-        return np.vecdot(X, C), C
+    def loss_value(self, X, C):
+        return np.vecdot(X, C)
+
+    def grad(self, X, C):
+        return C
 
     def values(self, X):
         return (np.abs(X).sum(axis=1) - self.l1_radius)[:, None]
@@ -232,10 +254,18 @@ class _DoublyStochasticArrays(ArrayForm):
     def params(self, seed, T):
         return permutation_batch(seed, T, self.d) + self.offsets
 
-    def loss(self, X, P):
+    @staticmethod
+    def _targets(X, P):
+        """The flattened permutation matrices Y_t of the rows, (B, n)."""
         Y = np.zeros_like(X)
         np.put_along_axis(Y, P, 1.0, axis=1)
-        return 0.5 * ((Y - X) ** 2).sum(axis=1), X - Y
+        return Y
+
+    def loss_value(self, X, P):
+        return 0.5 * ((self._targets(X, P) - X) ** 2).sum(axis=1)
+
+    def grad(self, X, P):
+        return X - self._targets(X, P)
 
     def values(self, X):
         X3 = X.reshape(len(X), self.d, self.d)
@@ -475,13 +505,21 @@ class _DispatchArrays(ArrayForm):
     def params(self, seed, T):
         return self.p.demand[np.arange(T) % self.p.demand.size]
 
-    def loss(self, X, demand):
+    @staticmethod
+    def _residual(X, demand):
+        """Total output minus demand, (B,)."""
+        return X.sum(axis=1) - demand
+
+    def loss_value(self, X, demand):
         p = self.p
-        r = X.sum(axis=1) - demand
         # float_power is the scalar power the closures apply to one row;
         # the array power r ** 2 rounds differently
-        fx = np.vecdot(X * X, self.half_a) + np.vecdot(X, p.b) + p.xi * np.float_power(r, 2.0)
-        return fx, p.a * X + p.b + (2.0 * p.xi * r)[:, None]
+        r2 = np.float_power(self._residual(X, demand), 2.0)
+        return np.vecdot(X * X, self.half_a) + np.vecdot(X, p.b) + p.xi * r2
+
+    def grad(self, X, demand):
+        p = self.p
+        return p.a * X + p.b + (2.0 * p.xi * self._residual(X, demand))[:, None]
 
     def values(self, X):
         p = self.p

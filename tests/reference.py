@@ -42,10 +42,17 @@ class ClosureArrays(ArrayForm):
         fns[:] = self.losses(seed, T)
         return fns
 
-    def loss(self, X, fns):
-        fx = np.array([f.eval(x) for f, x in zip(fns, X)], dtype=float)
+    def loss_value(self, X, fns):
+        return np.array([f.eval(x) for f, x in zip(fns, X)], dtype=float)
+
+    def grad(self, X, fns):
         grad = np.array([np.asarray(f.subgrad(x), dtype=float) for f, x in zip(fns, X)])
-        return fx, grad.reshape(X.shape)
+        return grad.reshape(X.shape)
+
+    def loss(self, X, fns):
+        # written out because the ArrayForm of library versions before the
+        # gradient-only step has no ``loss`` to inherit
+        return self.loss_value(X, fns), self.grad(X, fns)
 
     def values(self, X):
         V = np.array([[g.eval(x) for g in self.gs] for x in X], dtype=float)

@@ -210,12 +210,14 @@ def test_negative_control_gradient_sign(monkeypatch):
 FLIPPED_ROW = {"toy": ("_ToyArrays", 0), "ds": ("_DoublyStochasticArrays", 7), "dispatch": ("_DispatchArrays", 5)}
 
 
-@pytest.mark.parametrize("part", ["values", "jacobian", "loss"])
+@pytest.mark.parametrize("part", ["values", "jacobian", "loss", "grad"])
 @pytest.mark.parametrize("name", sorted(FLIPPED_ROW))
 def test_negative_control_gradient_flip(monkeypatch, name, part):
     # one sign flipped in a column of values, a row of the jacobian or the
     # loss gradient of one built-in: its derivative and its differences
-    # disagree, and check 9 must report FAIL
+    # disagree, and check 9 must report FAIL. The gradient is flipped
+    # either in what ``loss`` returns or in ``grad``, the one loss call of
+    # the kernel's step loop
     cls = getattr(ocolc.problems, FLIPPED_ROW[name][0])
     row = FLIPPED_ROW[name][1]
     exact = getattr(cls, part)
@@ -224,6 +226,8 @@ def test_negative_control_gradient_flip(monkeypatch, name, part):
         out = exact(self, X, *params)
         if part == "loss":
             return out[0], -out[1]
+        if part == "grad":
+            return -out
         out = np.array(out)  # a writable copy: ds's jacobian is a broadcast view
         out[:, row] = -out[:, row]
         return out

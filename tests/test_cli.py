@@ -84,6 +84,57 @@ def test_trace_csv_roundtrip_bit_identical(tmp_path):
     assert np.array_equal(cols["lambda_norm"], np.linalg.norm(tr.lam, axis=1))
 
 
+def _trace_csv_per_field(trace, per_constraint):
+    """The trace CSV as printed one field at a time with f"{x:.17g}"."""
+    gmax = trace.g.max(axis=1)
+    cols = {
+        "t": trace.t.astype(float),
+        "fx": trace.fx,
+        "g_max": gmax,
+        "g_clip": np.maximum(gmax, 0.0),
+        "lambda_norm": np.linalg.norm(trace.lam, axis=1),
+        "x_norm": np.linalg.norm(trace.x, axis=1),
+    }
+    if per_constraint:
+        cols.update((f"g_{i + 1}", trace.g[:, i]) for i in range(trace.g.shape[1]))
+    lines = [",".join(cols)]
+    lines += [",".join(f"{col[r]:.17g}" for col in cols.values()) for r in range(trace.T)]
+    return "".join(line + "\n" for line in lines).encode(), cols
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(2, 3)], ids=["five-rows", "one-row"])
+def test_trace_csv_prints_each_field_as_17g_and_reads_back_bitwise(tmp_path, rows):
+    from ocolc import AlgoConfig
+    from ocolc.algorithms import RunTrace
+    from ocolc.cli import write_trace_csv
+
+    tiny = 5e-324  # the smallest subnormal
+    g = np.array([
+        [-0.0, 1.5, -2.0],
+        [np.inf, tiny, -tiny],
+        [np.nan, 0.1, -np.inf],
+        [1e308, -1e-310, 2.0 / 3.0],
+        [-1e-300, -0.0, 0.0],
+    ])[rows]
+    T = len(g)
+    trace = RunTrace(
+        problem="toy", variant="clipped-ogd", seed=0, config=AlgoConfig("clipped-ogd", T=T),
+        x=np.array([[-0.0, tiny], [3.0, -4.0], [np.inf, 1.0], [np.nan, 0.0], [1e-320, -0.0]])[rows],
+        fx=np.array([-0.0, np.inf, np.nan, tiny, -np.inf])[rows],
+        g=g, g_agg=g.max(axis=1, keepdims=True),
+        lam=np.array([[0.0], [tiny], [1e150], [np.nan], [-0.0]])[rows],
+        eta=None, sigma=None,
+    )
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path, per_constraint=True)
+    want, cols = _trace_csv_per_field(trace, per_constraint=True)
+    assert path.read_bytes() == want
+    got = load_trace_csv(path)
+    assert list(got) == list(cols)
+    for name, col in cols.items():
+        assert np.ascontiguousarray(got[name]).tobytes() == col.tobytes(), name
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text("# comment\nproblem=toy\nalgo=clipped-ogd\nT=60\nseed=3\n")
@@ -174,6 +225,16 @@ def test_sweep_parallel_matches_serial(tmp_path, algos, jobs):
     assert run_cli(*SWEEP_TOY, "--algos", algos, "--jobs", str(jobs), "--out", str(out)) == 0
     for name, text in want.items():
         assert (out / name).read_text() == text, name
+
+
+def test_sweep_naming_one_algorithm_twice_writes_both_rows(tmp_path):
+    # ogd is mahdavi-ogd: the batch lists the cell twice and hands it out
+    # twice, once per row
+    assert run_cli(*SWEEP_TOY, "--algos", "ogd,mahdavi-ogd", "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 3 * 2
+    ogd, mahdavi = ([r.split(",", 1)[1] for r in rows if r.startswith(f"{a},")] for a in ("ogd", "mahdavi-ogd"))
+    assert ogd == mahdavi
 
 
 def test_serial_sweep_is_one_kernel_call(tmp_path, monkeypatch):

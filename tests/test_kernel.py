@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -420,6 +421,53 @@ def test_failing_row_leaves_aogd_schedules_aligned():
             assert same_bits(got.lam, want.lam) and same_bits(got.x, want.x)
 
 
+def test_step_loop_reads_only_the_loss_gradient(monkeypatch):
+    # each step calls grad alone; each returned trace gets one loss_value
+    # call after the last step, and loss, which computes both, is never
+    # called. Seed 1's gradient is NaN at step 3, so its row returns an
+    # error and no loss values
+    def make_loss(seed, t):
+        bad = seed == 1 and t == 2
+        return ConvexFn(lambda x: float(3.0 * x[0]), lambda x: np.array([np.nan if bad else 3.0]))
+
+    g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
+    p = make_problem(1, [g], make_loss=make_loss)
+    form = p.arrays
+    calls = []
+    for name in ("loss", "loss_value", "grad"):
+        def spy(X, P, name=name, exact=getattr(form, name)):
+            calls.append((name, len(X)))
+            return exact(X, P)
+
+        monkeypatch.setattr(form, name, spy)
+    traces = advance(p, [AlgoConfig("clipped-ogd", T=T) for T in (4, 6, 6)], [0, 1, 2])
+    assert isinstance(traces[1], RunError) and traces[1].step == 3
+    assert [name for name, _ in calls] == ["grad"] * 6 + ["loss_value"] * 2
+    assert sorted(rows for name, rows in calls if name == "loss_value") == [4, 6]
+    for trace in (traces[0], traces[2]):
+        assert same_bits(trace.fx, 3.0 * trace.x[:, 0])
+
+
+def test_batch_hands_each_trace_out_once():
+    # a caller that reduces each trace as it goes holds one at a time: the
+    # batch keeps no trace it has handed out. A cell listed twice is handed
+    # out twice
+    p = toy_problem()
+    a, b = (AlgoConfig("clipped-ogd", T=5), 1), (AlgoConfig("a-ogd", T=7), 2)
+    batch = Batch(p, [a, b, a])
+    first = weakref.ref(run(batch, *a))
+    assert first() is not None
+    second = run(batch, *a)
+    assert second is first()
+    del second
+    assert first() is None
+    other = weakref.ref(run(batch, *b))
+    assert other() is None
+    for cell in (a, b):
+        with pytest.raises(KeyError, match="handed out already"):
+            batch.trace(*cell)
+
+
 def test_batch_stands_in_for_its_problem():
     p = toy_problem()
     cfg = AlgoConfig("clipped-ogd", T=5)
@@ -440,7 +488,8 @@ UNEVEN = [1000] + [62] * 9
 
 def test_records_are_not_padded_to_the_longest_row():
     # records padded to (B, T_max) would take 6.4 times the steps run here;
-    # the exact records are sum(T) rows of x, fx, g, g_agg and lam (k = 1)
+    # the traces are sum(T) rows of x, fx, g, g_agg and lam (k = 1). The
+    # peak is 1.35 times them, 1.65 when g was recorded
     p = problem("ds5")
     cfgs = [AlgoConfig("strong-clipped-ogd", T=T) for T in UNEVEN]
     advance(p, [AlgoConfig("strong-clipped-ogd", T=1)], [0])  # lazy state of the problem, if any
@@ -479,10 +528,10 @@ SWEEP_TOY_CELLS = [
 
 def test_merged_sweep_call_stays_near_its_traces(monkeypatch):
     # one kernel call over every algorithm's cells: the rows of a seed read
-    # one loss stream, g_agg (a copy of g under max with m = 1) is not
-    # recorded, and the records are gathered largest first. A trace stores
-    # x, fx, g, g_agg and lam; its t is computed on access. The peak is
-    # 1.24 times the traces here, and 1.41 when g_agg is recorded
+    # one loss stream, only x and lam are recorded, and the records are
+    # gathered largest first. A trace stores x, fx, g, g_agg and lam; its t
+    # is computed on access. The peak is 1.17 times the traces here; it was
+    # 1.24 when fx and g were recorded and 1.41 when g_agg was too
     p = toy_problem()
     cfgs, seeds = map(list, zip(*SWEEP_TOY_CELLS))
     advance(p, [dataclasses.replace(cfgs[0], T=1)], seeds[:1])  # lazy state of the problem, if any
