@@ -22,6 +22,7 @@ definition of the constraints. ``ProblemSpec.losses`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -359,8 +360,8 @@ class DispatchParams:
         self.demand = np.asarray(self.demand, dtype=float) * self.demand_rescale
         if self.demand.size == 0:
             raise ValueError("demand series is empty")
-        if np.any(self.demand <= 0):
-            raise ValueError("demand must be positive")
+        if not np.all((self.demand > 0) & (self.demand < np.inf)):
+            raise ValueError("demand must be positive and finite")
 
 
 # the synthetic demand fixture: ten days of 5-minute slots (MW)
@@ -385,7 +386,8 @@ def synthetic_demand() -> np.ndarray:
 
 def load_demand_csv(path) -> np.ndarray:
     """Read a demand series: comma-separated, optional header, demand in the
-    last column. Malformed rows are reported with their 1-based line number."""
+    last column. Malformed rows and non-finite values are reported with their
+    1-based line number."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -397,11 +399,14 @@ def load_demand_csv(path) -> np.ndarray:
                 raise ValueError(f"line {lineno}: expected at most 2 columns, got {len(fields)}")
             raw = fields[-1].strip()
             try:
-                values.append(float(raw))
+                value = float(raw)
             except ValueError:
                 if lineno == 1:  # optional header
                     continue
                 raise ValueError(f"line {lineno}: non-numeric demand {raw!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"line {lineno}: non-finite demand {raw!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"no demand values in {path}")
     return np.array(values)

@@ -171,6 +171,7 @@ def test_config_file_bad_boolean_is_a_usage_error(tmp_path, capsys):
     ("run", "bta"),  # a misspelt beta must not run at the default beta
     ("run", "T-grid"),  # a sweep setting
     ("sweep", "T"),  # a run setting
+    ("run", "lagrangian"),  # the variant fixes the Lagrangian; no setting reads it
 ])
 def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys, command, key):
     cfg = tmp_path / "c.txt"
@@ -415,7 +416,9 @@ BAD_COUNTS = {
     "unknown algorithm in a sweep": (
         "algos", ("sweep", "--problem", "toy", "--algos", "ogd,nope", "--T-grid", "50", "--seeds", "1"),
     ),
-    "plain lagrangian on clipped-ogd": ("lagrangian", (*TOY_RUN, "--lagrangian", "plain")),
+    "logsumexp aggregation in a config file": (
+        "aggregation", (*TOY_RUN, "--config", "{tmp}/logsumexp.cfg"),
+    ),
     "per-constraint a-ogd in a sweep": (
         "aggregation",
         (*TOY_SWEEP, "--T-grid", "50", "--seeds", "1", "--algos", "a-ogd", "--aggregation", "per_constraint"),
@@ -425,6 +428,13 @@ BAD_COUNTS = {
     ),
     "demand CSV not numeric": (
         "demand-csv", ("oracle", "--problem", "dispatch", "--T", "10", "--demand-csv", "{tmp}/bad.csv"),
+    ),
+    "demand CSV with a nan": (
+        "demand-csv", ("run", "--problem", "dispatch", "--algo", "clipped-ogd", "--T", "10",
+                       "--demand-csv", "{tmp}/nan.csv"),
+    ),
+    "demand CSV with an inf": (
+        "demand-csv", ("oracle", "--problem", "dispatch", "--T", "10", "--demand-csv", "{tmp}/inf.csv"),
     ),
     "zero demand rescale": (
         "demand-rescale", ("oracle", "--problem", "dispatch", "--T", "10", "--demand-rescale", "0"),
@@ -454,11 +464,24 @@ def test_bad_counts_are_usage_errors_before_any_oracle_call(tmp_path, capsys, mo
 
     monkeypatch.setattr(ocolc.cli, "offline_value", fail)
     (tmp_path / "bad.cfg").write_text("T=ten\n")
+    (tmp_path / "logsumexp.cfg").write_text("aggregation=logsumexp\n")
     (tmp_path / "bad.csv").write_text("t,demand\n0,30\n1,x\n")
+    (tmp_path / "nan.csv").write_text("t,demand\n0,30\n1,31\n2,nan\n")
+    (tmp_path / "inf.csv").write_text("t,demand\n0,30\n1,31\n2,inf\n")
     key, argv = BAD_COUNTS[case]
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path)) == 2
     assert f"usage error: --{key}" in capsys.readouterr().err
     assert not list(tmp_path.glob("oracle-*.json"))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lagrangian", "plain", "unrecognized arguments: --lagrangian plain"),
+    ("--aggregation", "logsumexp", "argument --aggregation: invalid choice: 'logsumexp'"),
+], ids=["lagrangian", "logsumexp"])
+def test_removed_flags_are_argument_errors(tmp_path, capsys, flag, value, message):
+    assert run_cli(*TOY_RUN, flag, value, "--out", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_value_error_in_a_run_still_exits_1(tmp_path, capsys, monkeypatch):

@@ -209,6 +209,9 @@ def test_dispatch_params_validation():
         DispatchParams(demand=np.array([]))
     with pytest.raises(ValueError):
         DispatchParams(demand=np.array([5.0, -1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DispatchParams(demand=np.array([5.0, bad]))
 
 
 def test_dispatch_rescale_recorded():
