@@ -12,15 +12,14 @@ Four variants:
                        schedules and a decaying dual regularization theta_t,
                        always on the max-aggregated scalar constraint.
 
-The variant fixes the Lagrangian: the two baselines use the plain term
-lambda*g, their published form, and the paper's variants the clipped term
-lambda*[g]_+. The aggregation is max (one scalar constraint) or
-per_constraint (one dual per constraint).
+mahdavi-ogd runs with either the plain Lagrangian term lambda*g (its
+original form, the default) or the clipped term lambda*[g]_+ (the retrofit).
+a-ogd runs only in its published form: max aggregation, plain Lagrangian.
 
 ``advance`` is the one kernel: it moves a (B, n) batch of iterates, one row
 per (config, seed) cell, through the problem's array form; the rows may mix
-variants but share an aggregation. ``run`` is a one-row call; a ``Batch``
-lets many ``run`` calls share one kernel call.
+variants and Lagrangians but share an aggregation. ``run`` is a one-row
+call; a ``Batch`` lets many ``run`` calls share one kernel call.
 """
 
 from __future__ import annotations
@@ -63,7 +62,8 @@ class AlgoConfig:
     T: int
     beta: float = 0.5
     alpha: float = 0.5
-    aggregation: str = "max"  # 'max' | 'per_constraint'
+    lagrangian: Optional[str] = None  # None -> clipped for our algorithms, plain for baselines
+    aggregation: str = "max"  # 'max' | 'logsumexp' | 'per_constraint'
     eta_override: Optional[float] = None
     sigma_override: Optional[float] = None
 
@@ -75,20 +75,22 @@ class AlgoConfig:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.aggregation not in ("max", "per_constraint"):
+        if self.aggregation not in ("max", "logsumexp", "per_constraint"):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         for name in ("eta_override", "sigma_override"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.variant == "a-ogd" and self.aggregation == "per_constraint":
-            raise ValueError("a-ogd uses a scalar dual; pick max aggregation")
-
-    @property
-    def lagrangian(self) -> str:
-        """The variant's Lagrangian term: plain lambda*g for the baselines,
-        clipped lambda*[g]_+ for the paper's variants."""
-        return "plain" if self.variant in ("mahdavi-ogd", "a-ogd") else "clipped"
+        lag = self.lagrangian
+        if lag is None:
+            lag = "clipped" if self.variant in ("clipped-ogd", "strong-clipped-ogd") else "plain"
+        if lag not in ("clipped", "plain"):
+            raise ValueError(f"unknown lagrangian {lag!r}")
+        if lag == "plain" and self.variant in ("clipped-ogd", "strong-clipped-ogd"):
+            raise ValueError(f"{self.variant} is defined by the clipped Lagrangian")
+        if self.variant == "a-ogd" and (self.aggregation != "max" or lag != "plain"):
+            raise ValueError("a-ogd runs in its published form: max aggregation, plain Lagrangian")
+        object.__setattr__(self, "lagrangian", lag)
 
 
 def tradeoff_eta(m: int, G: float, R: float, beta: float, T: int) -> float:
@@ -101,16 +103,18 @@ def tradeoff_eta(m: int, G: float, R: float, beta: float, T: int) -> float:
 
 
 class Schedule:
-    """One configuration resolved on one problem: the dual dimension m_eff
-    and the stepsizes of every step t (1-based).
+    """One configuration resolved on one problem: the dual dimension m_eff,
+    the effective constants, and the stepsizes of every step t (1-based).
 
-    Under max aggregation the dual faces one scalar constraint (m_eff = 1).
+    Under max or logsumexp aggregation the dual faces one scalar constraint
+    (m_eff = 1); logsumexp's Lipschitz bound is sqrt(m) G.
     """
 
     def __init__(self, problem: ProblemSpec, cfg: AlgoConfig):
         self.cfg = cfg
-        self.m_eff = problem.m if cfg.aggregation == "per_constraint" else 1
-        G = problem.G
+        m = problem.m
+        self.m_eff = m if cfg.aggregation == "per_constraint" else 1
+        self.G_eff = float(np.sqrt(m)) * problem.G if cfg.aggregation == "logsumexp" else problem.G
         self.eta = self.sigma = None
         if cfg.variant == "strong-clipped-ogd":
             if cfg.eta_override is not None or cfg.sigma_override is not None:
@@ -120,22 +124,22 @@ class Schedule:
                     f"{cfg.variant} needs a strongly convex problem (H1 > 0); "
                     f"{problem.name} has H1={problem.H1}"
                 )
-            self.H1, self.G = float(problem.H1), G
+            self.H1 = float(problem.H1)
             return
         self.sigma = (
             cfg.sigma_override
             if cfg.sigma_override is not None
-            else (self.m_eff + 1) * G**2 / (2.0 * (1.0 - cfg.alpha))
+            else (self.m_eff + 1) * self.G_eff**2 / (2.0 * (1.0 - cfg.alpha))
         )
         self.eta = (
             cfg.eta_override
             if cfg.eta_override is not None
-            else tradeoff_eta(self.m_eff, G, problem.dom.radius, cfg.beta, cfg.T)
+            else tradeoff_eta(self.m_eff, self.G_eff, problem.dom.radius, cfg.beta, cfg.T)
         )
         if cfg.variant == "a-ogd":
             # dual ascent at stepsize eta0 t^(beta-1) against the
             # regularization sigma eta0 t^(-beta) (``_Rows.ascent_steps``)
-            self.eta0 = 1.0 / (G * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
+            self.eta0 = 1.0 / (self.G_eff * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
             self.theta0 = self.sigma * self.eta0
 
     def eta_t(self, t: int) -> float:
@@ -144,7 +148,7 @@ class Schedule:
 
     def theta_t(self, t: int) -> float:
         """Dual regularization of the strongly convex variant, eta_t (m+1) G^2."""
-        return self.eta_t(t) * (self.m_eff + 1) * self.G**2
+        return self.eta_t(t) * (self.m_eff + 1) * self.G_eff**2
 
 
 def clipped_dual(agg: np.ndarray, sigma_eta: np.ndarray) -> np.ndarray:
@@ -180,25 +184,29 @@ class RunTrace:
 
 
 def _aggregate(V: np.ndarray, mode: str) -> np.ndarray:
-    """Dual-facing constraint values (B, k) from the raw values (B, m): the
-    values themselves per constraint, else each row's max."""
-    if mode == "per_constraint" or V.shape[1] == 1:
+    """Dual-facing constraint values (B, k) from the raw values (B, m)."""
+    if mode == "per_constraint":
         return V
-    return np.maximum.reduce(V, axis=1, keepdims=True)
+    if mode == "max" and V.shape[1] == 1:
+        return V
+    top = np.maximum.reduce(V, axis=1, keepdims=True)
+    if mode == "max":
+        return top
+    return top + np.log(np.exp(V - top).sum(axis=1, keepdims=True))
 
 
-def _lagrangian_grad(form, X, V, lam, fgrad, mode):
+def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
     """Primal subgradients (B, n) of the Lagrangian at the rows of X.
 
     fgrad plus lam_i times the subgradient of dual-facing constraint i, over
-    the i with lam_i > 0, added in index order: the plain Lagrangian's. max
+    the i with lam_i > 0, added in index order; under the clipped Lagrangian
+    a satisfied constraint contributes zero. ``clipped`` is True or False
+    for every row, or a (B, 1) mask of the rows whose Lagrangian clips. max
     takes the lowest-index argmax row, straight from the form's constant
-    rows ``A`` when it has them. Skipped terms are -0.0, which leaves every
-    sum unchanged, so each result matches adding the terms one at a time.
-
-    It is also the clipped Lagrangian's for the clipped-ogd and strong rows:
-    their duals are [g]_+ over a positive step, so lam_i > 0 only where
-    constraint i is violated, and there the clipped subgradient is g_i's.
+    rows ``A`` when it has them; logsumexp sums the softmax-weighted rows in
+    index order from zero, skipping zero weights. Skipped terms are -0.0,
+    which leaves every sum unchanged, so each result matches adding the
+    terms one at a time.
     """
     pos = lam > 0.0
     if not np.count_nonzero(pos):
@@ -209,6 +217,17 @@ def _lagrangian_grad(form, X, V, lam, fgrad, mode):
         D = form.jacobian(X)
     if mode == "max" and D.shape[1] > 1:
         D = D[np.arange(len(V)), V.argmax(axis=1)][:, None, :]
+    elif mode == "logsumexp":
+        W = np.exp(V - V.max(axis=1, keepdims=True))
+        W /= W.sum(axis=1, keepdims=True)
+        terms = np.where((W > 0.0)[:, :, None], W[:, :, None] * D, -0.0)
+        zero = np.zeros((len(V), 1, D.shape[2]))
+        D = np.add.accumulate(np.concatenate([zero, terms], axis=1), axis=1)[:, -1:]
+    if clipped is not False:
+        satisfied = A <= 0.0
+        if clipped is not True:
+            satisfied &= clipped
+        D = np.where(satisfied[:, :, None], 0.0, D)
     if lam.shape[1] == 1:
         return np.where(pos, fgrad + lam * D[:, 0], fgrad)
     terms = np.where(pos[:, :, None], lam[:, :, None] * D, -0.0)
@@ -233,6 +252,11 @@ class _Rows:
     again. Every row sets its duals in exactly one way: as the clipped-ogd
     maximizer (``cdual``), as the strongly convex one (``strong``), or by
     ascent (``ascent``, mahdavi-ogd and a-ogd).
+
+    Only the ascent rows decide ``clip``, whether the Lagrangian clips: the
+    other rows' duals are [A]_+ over a positive step, zero wherever a
+    constraint is satisfied, so clipping its subgradient changes nothing,
+    and their ascent values are overwritten.
     """
 
     def __init__(self, betas, **columns):
@@ -248,6 +272,8 @@ class _Rows:
         self.cdual = _uniform(self.is_cdual)
         self.strong = _uniform(self.is_strong)
         self.ascent = _uniform(self.is_ascent)
+        asc_clip = self.is_clip[self.is_ascent]
+        self.clip = False if not asc_clip.any() else True if asc_clip.all() else self.is_clip
         asc_beta = np.unique(self.beta_idx[self.is_ascent])
         if asc_beta.size == 0 or asc_beta[0] == len(self.betas):
             self.beta = None  # no a-ogd row
@@ -281,9 +307,9 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
 
     Row b runs cfgs[b] for cfgs[b].T steps on the loss stream of seeds[b],
     from the problem's x0. All rows share one aggregation, which fixes the
-    dual width m_eff; variant, eta, sigma, beta, alpha, seed and horizon may
-    differ per row. Each row computes exactly what its one-row call
-    computes. Each row is recorded before each of its steps; the update
+    dual width m_eff; variant, Lagrangian, eta, sigma, beta, alpha, seed and
+    horizon may differ per row. Each row computes exactly what its one-row
+    call computes. Each row is recorded before each of its steps; the update
     after its last recorded step still runs, so that a non-finite gradient
     at step T stops the row as one at any earlier step does.
 
@@ -354,6 +380,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         is_cdual=column([v == "clipped-ogd" for v in variant_of], bool),
         is_strong=column([v == "strong-clipped-ogd" for v in variant_of], bool),
         is_ascent=column([v in ("mahdavi-ogd", "a-ogd") for v in variant_of], bool),
+        is_clip=column([cfg.lagrangian == "clipped" for cfg in cfg_of], bool),
         beta_idx=column(
             [betas.index(cfg.beta) if cfg.variant == "a-ogd" else len(betas) for cfg in cfg_of], int
         ),
@@ -412,7 +439,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         rec["lam"][at] = lam
 
         fgrad = form.grad(X, block[s - block_start])
-        grad = _lagrangian_grad(form, X, V, lam, fgrad, mode)
+        grad = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, rows.clip)
         if rows.strong is False:
             eta = rows.eta
         elif rows.strong is True:
@@ -447,7 +474,14 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         if rows.ascent is not False:
             # every row's ascent; set_duals then overwrites the other rows
             step, reg = rows.ascent_steps(t)
-            lam = np.maximum(lam + step * (A - reg * lam), 0.0)
+            clip = rows.clip
+            if clip is False:
+                G = A
+            elif clip is True:
+                G = np.maximum(A, 0.0)
+            else:
+                G = np.where(clip, np.maximum(A, 0.0), A)
+            lam = np.maximum(lam + step * (G - reg * lam), 0.0)
         X = Y
         V = form.values(X)
         A = _aggregate(V, mode)
@@ -494,7 +528,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
             meta={
                 "g_bar_x1": float(fields[b]["g_agg"][0].max()),
                 "m_eff": sched.m_eff,
-                "G_eff": problem.G,
+                "G_eff": sched.G_eff,
             },
         )
     return traces

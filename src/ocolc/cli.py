@@ -155,6 +155,7 @@ def build_config(s: Settings, T=None, algo=None) -> AlgoConfig:
         ("beta", "beta", s.get("beta", float, 0.5)),
         ("alpha", "alpha", s.get("alpha", float, 0.5)),
         ("aggregation", "aggregation", s.get("aggregation", str, "max")),
+        ("lagrangian", "lagrangian", s.get("lagrangian", str)),
         ("eta", "eta_override", s.get("eta", float)),
         ("sigma", "sigma_override", s.get("sigma", float)),
     ):
@@ -504,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     def algo_settings(p):
         p.add_argument("--beta", type=float)
         p.add_argument("--alpha", type=float)
-        p.add_argument("--aggregation", choices=("max", "per_constraint"))
+        p.add_argument("--aggregation", choices=("max", "logsumexp", "per_constraint"))
+        p.add_argument("--lagrangian", choices=("clipped", "plain"))
         p.add_argument("--eta", type=float, help="override the stepsize")
         p.add_argument("--sigma", type=float, help="override the dual constant")
 

@@ -7,9 +7,9 @@ to change:
 
     PYTHONPATH=src python tests/make_golden.py
 
-Cases cover every supported (problem, variant, aggregation) combination at
-fixed seeds and small horizons, with the theorem stepsizes and with an
-engaged override pair, plus the offline oracles
+Cases cover every supported (problem, variant, aggregation, lagrangian)
+combination at fixed seeds and small horizons, with the theorem stepsizes
+and with an engaged override pair, plus the offline oracles
 (``offline_solve``, ``offline_value``, ``grid_oracle``) and a fixed set of
 ``ocolc run`` / ``sweep`` / ``validate --quick`` commands.
 
@@ -43,7 +43,8 @@ from reference import ClosureArrays
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
 VARIANTS = ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd")
-AGGREGATIONS = ("max", "per_constraint")
+AGGREGATIONS = ("max", "logsumexp", "per_constraint")
+LAGRANGIANS = ("clipped", "plain")
 TRACE_FIELDS = ("t", "x", "fx", "g", "g_agg", "lam")
 
 
@@ -114,26 +115,29 @@ HORIZON = {"toy": 80, "ds3": 60, "ds9": 25, "dispatch": 80, "inline": 60}
 
 
 def run_cases():
-    """Yield (case id, problem, config, seed) for every supported combination.
-
-    The id also names the variant's Lagrangian, which the variant fixes,
-    so that a case keeps its id and its committed digest.
-    """
+    """Yield (case id, problem, config, seed) for every supported combination."""
     probs = problems()
     for pname, problem in probs.items():
         T = HORIZON[pname]
-        for variant, agg in itertools.product(VARIANTS, AGGREGATIONS):
+        for variant, agg, lag in itertools.product(VARIANTS, AGGREGATIONS, LAGRANGIANS):
+            if variant == "a-ogd" and (agg, lag) != ("max", "plain"):
+                # a-ogd runs only in its published form; skipped here too so
+                # that a library which still accepts more yields the same set
+                continue
             settings = [("default", None, None)]
             if variant != "strong-clipped-ogd":
                 settings.append(("engaged",) + OVERRIDES[pname])
             for label, eta, sigma in settings:
                 try:
-                    cfg = AlgoConfig(variant, T=T, aggregation=agg, eta_override=eta, sigma_override=sigma)
+                    cfg = AlgoConfig(
+                        variant, T=T, lagrangian=lag, aggregation=agg,
+                        eta_override=eta, sigma_override=sigma,
+                    )
                 except ValueError:
                     continue  # unsupported combination
                 if variant == "strong-clipped-ogd" and problem.H1 is None:
                     continue
-                case = f"run/{pname}/{variant}/{agg}/{cfg.lagrangian}/{label}"
+                case = f"run/{pname}/{variant}/{agg}/{lag}/{label}"
                 yield case, problem, cfg, 7
 
 
@@ -187,9 +191,9 @@ CLI_COMMANDS = {
     "run-toy": [
         "run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "300", "--seed", "1",
     ],
-    "run-ds-max": [
+    "run-ds": [
         "run", "--problem", "doubly-stochastic", "--d", "4", "--algo", "strong",
-        "--T", "100", "--seed", "2", "--per-constraint-columns",
+        "--aggregation", "logsumexp", "--T", "100", "--seed", "2", "--per-constraint-columns",
     ],
     "run-dispatch-aogd": [
         "run", "--problem", "dispatch", "--algo", "a-ogd", "--T", "120", "--seed", "0",

@@ -62,28 +62,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AlgoConfig("nope", T=10)
     with pytest.raises(ValueError):
+        AlgoConfig("clipped-ogd", T=10, lagrangian="plain")
+    with pytest.raises(ValueError):
         AlgoConfig("a-ogd", T=10, aggregation="per_constraint")
+    # a-ogd runs only in its published form
+    with pytest.raises(ValueError, match="published form"):
+        AlgoConfig("a-ogd", T=10, aggregation="logsumexp")
+    with pytest.raises(ValueError, match="published form"):
+        AlgoConfig("a-ogd", T=10, lagrangian="clipped")
     for bad in (-1.0, 0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="eta_override"):
             AlgoConfig("clipped-ogd", T=10, eta_override=bad)
         with pytest.raises(ValueError, match="sigma_override"):
             AlgoConfig("mahdavi-ogd", T=10, sigma_override=bad)
-    with pytest.raises(ValueError, match="unknown aggregation 'logsumexp'"):
-        AlgoConfig("clipped-ogd", T=10, aggregation="logsumexp")
     # aliases resolve
     assert AlgoConfig("ogd", T=10).variant == "mahdavi-ogd"
     assert AlgoConfig("strong", T=10).variant == "strong-clipped-ogd"
-
-
-def test_variant_fixes_the_lagrangian():
-    # the baselines keep their published plain Lagrangian, the paper's
-    # variants the clipped one; no setting or field chooses it
-    variants = ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd")
-    assert [AlgoConfig(v, T=10).lagrangian for v in variants] == ["clipped", "clipped", "plain", "plain"]
-    with pytest.raises(TypeError):
-        AlgoConfig("mahdavi-ogd", T=10, lagrangian="clipped")
-    with pytest.raises(AttributeError):
-        AlgoConfig("clipped-ogd", T=10).lagrangian = "plain"
 
 
 # ----------------------------------------------------------- hand steps
@@ -166,9 +160,11 @@ def test_mahdavi_hand_step():
 
 
 def test_mahdavi_feasible_duals_stay_zero():
-    p = _one_d_problem(slope=0.0)
-    tr = run(p, AlgoConfig("mahdavi-ogd", T=10), seed=0)
-    assert np.all(tr.lam == 0.0)
+    for lag in ("plain", "clipped"):
+        p = _one_d_problem(slope=0.0)
+        cfg = AlgoConfig("mahdavi-ogd", T=10, lagrangian=lag)
+        tr = run(p, cfg, seed=0)
+        assert np.all(tr.lam == 0.0)
 
 
 def test_aogd_hand_step_frozen():
@@ -299,7 +295,7 @@ def lambda_identity_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     lambda_identity_cases(),
-    st.sampled_from(["max", "per_constraint"]),
+    st.sampled_from(["max", "logsumexp", "per_constraint"]),
     st.integers(1, 60),
     st.integers(0, 2**32 - 1),
     st.one_of(st.none(), st.floats(1e-3, 1e2)),
@@ -321,6 +317,16 @@ def test_per_constraint_duals_on_dispatch():
     assert tr.lam.shape == (50, p.m)
     lhs = tr.lam * tr.sigma * tr.eta
     np.testing.assert_allclose(lhs, np.maximum(tr.g, 0.0), atol=1e-12)
+
+
+def test_logsumexp_mode_scales_G():
+    p = dispatch_problem()
+    algo = Schedule(p, AlgoConfig("clipped-ogd", T=50, aggregation="logsumexp"))
+    assert algo.G_eff == pytest.approx(np.sqrt(p.m) * p.G)
+    tr = run(p, AlgoConfig("clipped-ogd", T=50, aggregation="logsumexp"), seed=0)
+    assert tr.meta["g_bar_x1"] == pytest.approx(
+        np.log(np.sum(np.exp(p.constraint_values(np.zeros(3)))))
+    )
 
 
 def test_degenerates_to_projected_ogd_bitwise():

@@ -171,7 +171,6 @@ def test_config_file_bad_boolean_is_a_usage_error(tmp_path, capsys):
     ("run", "bta"),  # a misspelt beta must not run at the default beta
     ("run", "T-grid"),  # a sweep setting
     ("sweep", "T"),  # a run setting
-    ("run", "lagrangian"),  # the variant fixes the Lagrangian; no setting reads it
 ])
 def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys, command, key):
     cfg = tmp_path / "c.txt"
@@ -416,8 +415,13 @@ BAD_COUNTS = {
     "unknown algorithm in a sweep": (
         "algos", ("sweep", "--problem", "toy", "--algos", "ogd,nope", "--T-grid", "50", "--seeds", "1"),
     ),
-    "logsumexp aggregation in a config file": (
-        "aggregation", (*TOY_RUN, "--config", "{tmp}/logsumexp.cfg"),
+    "plain lagrangian on clipped-ogd": ("lagrangian", (*TOY_RUN, "--lagrangian", "plain")),
+    "clipped lagrangian on a-ogd": (
+        "lagrangian", ("run", "--problem", "toy", "--algo", "a-ogd", "--T", "50", "--lagrangian", "clipped"),
+    ),
+    "logsumexp a-ogd in a config file": (
+        "aggregation",
+        ("run", "--problem", "toy", "--algo", "a-ogd", "--T", "50", "--config", "{tmp}/lse.cfg"),
     ),
     "per-constraint a-ogd in a sweep": (
         "aggregation",
@@ -464,7 +468,7 @@ def test_bad_counts_are_usage_errors_before_any_oracle_call(tmp_path, capsys, mo
 
     monkeypatch.setattr(ocolc.cli, "offline_value", fail)
     (tmp_path / "bad.cfg").write_text("T=ten\n")
-    (tmp_path / "logsumexp.cfg").write_text("aggregation=logsumexp\n")
+    (tmp_path / "lse.cfg").write_text("aggregation=logsumexp\n")
     (tmp_path / "bad.csv").write_text("t,demand\n0,30\n1,x\n")
     (tmp_path / "nan.csv").write_text("t,demand\n0,30\n1,31\n2,nan\n")
     (tmp_path / "inf.csv").write_text("t,demand\n0,30\n1,31\n2,inf\n")
@@ -472,16 +476,6 @@ def test_bad_counts_are_usage_errors_before_any_oracle_call(tmp_path, capsys, mo
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path)) == 2
     assert f"usage error: --{key}" in capsys.readouterr().err
     assert not list(tmp_path.glob("oracle-*.json"))
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    ("--lagrangian", "plain", "unrecognized arguments: --lagrangian plain"),
-    ("--aggregation", "logsumexp", "argument --aggregation: invalid choice: 'logsumexp'"),
-], ids=["lagrangian", "logsumexp"])
-def test_removed_flags_are_argument_errors(tmp_path, capsys, flag, value, message):
-    assert run_cli(*TOY_RUN, flag, value, "--out", str(tmp_path)) == 2
-    assert message in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
 
 
 def test_value_error_in_a_run_still_exits_1(tmp_path, capsys, monkeypatch):

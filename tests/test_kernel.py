@@ -30,7 +30,7 @@ from ocolc.problems import (
 
 from conftest import make_problem
 from golden_cases import inline_problem
-from reference import ClosureArrays, lagrangian_grad_x, max_aggregate
+from reference import ClosureArrays, lagrangian_grad_x, logsumexp_aggregate, max_aggregate
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,7 +230,11 @@ def test_array_form_matches_convexfn_path_at_edge_points(case, seed, start):
 def reference_grad(p, f, x, lam, mode, clipped):
     """The per-point Lagrangian gradient on the reference closures."""
     gs = reference_constraints(p)
-    fns = gs if mode == "per_constraint" else [max_aggregate(gs)]
+    if mode == "per_constraint":
+        fns = gs
+    else:
+        aggregate = max_aggregate if mode == "max" else logsumexp_aggregate
+        fns = [aggregate(gs)]
     if clipped:
         return lagrangian_grad_x(f, fns, x, lam)
     grad = np.asarray(f.subgrad(x), dtype=float)
@@ -243,17 +247,17 @@ def reference_grad(p, f, x, lam, mode, clipped):
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["toy", "ds3", "ds9", "dispatch", "inline"]),
-    st.sampled_from(["max", "per_constraint"]),
-    st.booleans(),
+    st.sampled_from(["max", "logsumexp", "per_constraint"]),
+    st.sampled_from([True, False, "rows"]),
     st.integers(0, 2**32 - 1),
 )
-def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped_dual, seed):
-    # the kernel computes the plain Lagrangian's subgradient. With a
-    # clipped-ogd dual, lam = c [A]_+, it must equal the clipped Lagrangian's
-    # too: the kernel never clips, and relies on that for its clipped rows
+def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped, seed):
+    # clipped is one flag for every row, or a (B, 1) mask of the rows that clip
     p = problem(name)
     rng = np.random.default_rng(seed)
     X = points(rng, 6, p.n) * (0.3 if name.startswith("ds") else 1.0)
+    if clipped == "rows":
+        clipped = rng.random((len(X), 1)) < 0.5
     form = p.arrays
     params = form.params(seed % 1000, 6)
     losses = p.losses(seed % 1000, 6)
@@ -261,15 +265,12 @@ def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped_dual, see
     V = form.values(X)
     A = _aggregate(V, mode)
     # some rows with every dual zero, some with every dual positive
-    scale = rng.choice([0.0, 0.5, 3.0], size=(len(X), 1))
-    if clipped_dual:
-        lam = scale * np.maximum(A, 0.0)
-    else:
-        active = rng.random(A.shape) < rng.choice([0.0, 0.3, 0.6, 1.0], size=(len(X), 1))
-        lam = rng.uniform(0.0, 3.0, size=A.shape) * active
-    got = _lagrangian_grad(form, X, V, lam, fgrad, mode)
+    active = rng.random(A.shape) < rng.choice([0.0, 0.3, 0.6, 1.0], size=(len(X), 1))
+    lam = rng.uniform(0.0, 3.0, size=A.shape) * active
+    got = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped)
+    row_clipped = np.broadcast_to(clipped, (len(X), 1))[:, 0]
     for b in range(len(X)):
-        want = reference_grad(p, losses[b], X[b], lam[b], mode, clipped_dual)
+        want = reference_grad(p, losses[b], X[b], lam[b], mode, row_clipped[b])
         assert same_bits(got[b], want)
 
 
@@ -289,12 +290,14 @@ def test_fn_arrays_keep_their_shapes_on_an_empty_batch(name):
 # ------------------------------------------------- B rows vs B run() calls
 
 KINDS = [
-    (v, a)
-    for v, a in itertools.product(
+    (v, a, lag)
+    for v, a, lag in itertools.product(
         ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd"),
-        ("max", "per_constraint"),
+        ("max", "logsumexp", "per_constraint"),
+        ("clipped", "plain"),
     )
-    if not (v == "a-ogd" and a == "per_constraint")
+    if not (lag == "plain" and v in ("clipped-ogd", "strong-clipped-ogd"))
+    and not (v == "a-ogd" and (a != "max" or lag != "plain"))
 ]
 ENGAGED = {"toy": (0.2, 4.0), "ds3": (0.05, 20.0), "dispatch": (0.01, 100.0), "inline": (0.1, 10.0)}
 
@@ -310,21 +313,23 @@ row_strategy = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["toy", "ds3", "dispatch", "inline"]),
-    st.sampled_from(["max", "per_constraint"]),
+    st.sampled_from(["max", "logsumexp", "per_constraint"]),
     st.data(),
 )
 def test_batch_rows_equal_single_runs(name, aggregation, data):
-    # rows share only the aggregation; the variant varies per row
+    # rows share only the aggregation; variant and Lagrangian vary per row
     p = problem(name)
     kinds = [
-        v for v, a in KINDS if a == aggregation and not (v == "strong-clipped-ogd" and p.H1 is None)
+        (v, lag)
+        for v, a, lag in KINDS
+        if a == aggregation and not (v == "strong-clipped-ogd" and p.H1 is None)
     ]
     rows = data.draw(st.lists(st.tuples(st.sampled_from(kinds), row_strategy), min_size=1, max_size=6))
     cfgs, seeds = [], []
-    for variant, (T, seed, beta, alpha, engaged) in rows:
+    for (variant, lagrangian), (T, seed, beta, alpha, engaged) in rows:
         eta, sigma = ENGAGED[name] if engaged and variant != "strong-clipped-ogd" else (None, None)
-        cfgs.append(AlgoConfig(variant, T=T, beta=beta, alpha=alpha, aggregation=aggregation,
-                               eta_override=eta, sigma_override=sigma))
+        cfgs.append(AlgoConfig(variant, T=T, beta=beta, alpha=alpha, lagrangian=lagrangian,
+                               aggregation=aggregation, eta_override=eta, sigma_override=sigma))
         seeds.append(seed)
     traces = advance(p, cfgs, seeds)
     for cfg, seed, got in zip(cfgs, seeds, traces):
@@ -357,17 +362,16 @@ def test_batch_makes_one_kernel_call_per_aggregation(monkeypatch):
     p = toy_problem()
     cells = [
         (AlgoConfig(v, T=T, aggregation=a), seed)
-        for v, a in (
-            ("clipped-ogd", "max"), ("mahdavi-ogd", "max"), ("a-ogd", "max"),
-            ("clipped-ogd", "per_constraint"), ("mahdavi-ogd", "per_constraint"),
-        )
+        for v in ("clipped-ogd", "mahdavi-ogd", "a-ogd")
+        for a in ("max", "logsumexp")
+        if not (v == "a-ogd" and a != "max")
         for T in (5, 9)
         for seed in (1, 2)
     ]
     batch = Batch(p, cells)
     for cfg, seed in cells:
         run(batch, cfg, seed)
-    assert calls == [["max"], ["per_constraint"]]
+    assert calls == [["max"], ["logsumexp"]]
 
 
 def test_failing_row_stops_alone():
