@@ -380,6 +380,15 @@ def cmd_sweep(s: Settings) -> int:
             "does not depend on the seed, so every seed would repeat the same cells"
         )
     cfgs = {(algo, T): build_config(s, T=T, algo=algo) for algo in algos for T in t_grid}
+    named = {}  # variant -> the first --algos name that resolves to it
+    for algo in algos:
+        variant = cfgs[(algo, t_grid[0])].variant
+        if variant in named:
+            raise UsageError(
+                f"--algos names one algorithm twice: "
+                f"{named[variant]!r} and {algo!r} are both {variant}"
+            )
+        named[variant] = algo
 
     # the offline value is shared by every algorithm in a (T, seed) cell
     oracle_vals = {}

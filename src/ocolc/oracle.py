@@ -12,7 +12,8 @@ from .core import ConvexFn, project_ball
 from .problems import ProblemSpec
 
 
-# points per grid_oracle block: a few MiB of work arrays at n <= 3
+# points per grid_oracle block: a few MiB of work arrays at n <= 3 (the
+# block's ball mask and squares, and its inside points as (n, N) and (N, n))
 GRID_BLOCK = 1 << 16
 
 
@@ -130,6 +131,16 @@ def offline_solve(
     )
 
 
+def _in_ball(axes, R: float) -> np.ndarray:
+    """sqrt((x0^2 + x1^2) + x2^2) <= R, broadcast over the coordinate arrays
+    `axes`: the order in which ``np.linalg.norm(X, axis=1)`` sums a row of X,
+    so that the same points pass."""
+    squares = axes[0] * axes[0]
+    for a in axes[1:]:
+        squares = squares + a * a
+    return np.sqrt(squares) <= R
+
+
 def grid_oracle(
     problem: ProblemSpec,
     loss: ConvexFn,
@@ -142,7 +153,13 @@ def grid_oracle(
     walked in blocks of whole slices along the first coordinate, about
     GRID_BLOCK points each (at least one slice), so memory stays bounded by
     the block and not the grid; the first minimiser in grid order wins ties.
-    Feasibility is one ``values`` call of the problem's array form per block.
+
+    Each block is tested against the ball on its sparse coordinate axes, by
+    summing the squares of the axes in broadcast (``_in_ball``), and the
+    points inside are gathered coordinate-major, as an (n, N) array, so that
+    no step reduces along the short n-wide axis. Feasibility is one
+    ``values`` call of the problem's array form per block, on the transposed
+    (N, n) view; the feasible points reach the loss as C-contiguous rows.
     """
     if problem.n > 3:
         raise ValueError(f"grid oracle limited to n <= 3, got n={problem.n}")
@@ -156,12 +173,13 @@ def grid_oracle(
 
     best_x, best_val, points = None, None, 0
     for start in range(0, steps, rows):
-        grids = np.meshgrid(
-            coords[start : start + rows], *([coords] * (problem.n - 1)), indexing="ij"
+        axes = np.meshgrid(
+            coords[start : start + rows], *([coords] * (problem.n - 1)), indexing="ij", sparse=True
         )
-        X = np.stack([g.ravel() for g in grids], axis=1)
-        X = X[np.linalg.norm(X, axis=1) <= R]
-        X = X[(form.values(X) <= 0.0).all(axis=1)]
+        inside = _in_ball(axes, R)
+        P = np.stack([np.broadcast_to(a, inside.shape)[inside] for a in axes])
+        keep = (form.values(P.T) <= 0.0).all(axis=1)
+        X = np.stack([p[keep] for p in P], axis=1)
         if len(X) == 0:
             continue
 

@@ -115,7 +115,10 @@ class ArrayForm:
     Each row's result depends on that row alone, bit for bit, whatever
     the batch around it. Per-row dot products go through ``np.vecdot``,
     which matches ``c @ x``, where ``(C * X).sum(1)`` does not, so that a
-    row equals the per-point expression bit for bit.
+    row equals the per-point expression bit for bit. ``values`` gives the
+    same bits for any memory layout of a (B, n) X: C-contiguous rows, or
+    the transposed view of a coordinate-major (n, B) array, which
+    ``grid_oracle`` passes.
     """
 
     m: int

@@ -124,17 +124,16 @@ def run_cases():
                 # a-ogd runs only in its published form; skipped here too so
                 # that a library which still accepts more yields the same set
                 continue
+            if variant in ("clipped-ogd", "strong-clipped-ogd") and lag == "plain":
+                continue  # both are defined by the clipped Lagrangian
             settings = [("default", None, None)]
             if variant != "strong-clipped-ogd":
                 settings.append(("engaged",) + OVERRIDES[pname])
             for label, eta, sigma in settings:
-                try:
-                    cfg = AlgoConfig(
-                        variant, T=T, lagrangian=lag, aggregation=agg,
-                        eta_override=eta, sigma_override=sigma,
-                    )
-                except ValueError:
-                    continue  # unsupported combination
+                cfg = AlgoConfig(
+                    variant, T=T, lagrangian=lag, aggregation=agg,
+                    eta_override=eta, sigma_override=sigma,
+                )
                 if variant == "strong-clipped-ogd" and problem.H1 is None:
                     continue
                 case = f"run/{pname}/{variant}/{agg}/{lag}/{label}"

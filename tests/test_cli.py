@@ -227,14 +227,22 @@ def test_sweep_parallel_matches_serial(tmp_path, algos, jobs):
         assert (out / name).read_text() == text, name
 
 
-def test_sweep_naming_one_algorithm_twice_writes_both_rows(tmp_path):
-    # ogd is mahdavi-ogd: the batch lists the cell twice and hands it out
-    # twice, once per row
-    assert run_cli(*SWEEP_TOY, "--algos", "ogd,mahdavi-ogd", "--out", str(tmp_path)) == 0
-    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
-    assert len(rows) == 2 * 3 * 2
-    ogd, mahdavi = ([r.split(",", 1)[1] for r in rows if r.startswith(f"{a},")] for a in ("ogd", "mahdavi-ogd"))
-    assert ogd == mahdavi
+@pytest.mark.parametrize(
+    "algos, first, second",
+    [("ogd,mahdavi-ogd", "ogd", "mahdavi-ogd"), ("a-ogd,clipped-ogd,a-ogd", "a-ogd", "a-ogd")],
+    ids=["alias", "same-name"],
+)
+def test_sweep_naming_one_algorithm_twice_is_a_usage_error(tmp_path, capsys, monkeypatch, algos, first, second):
+    # ogd is mahdavi-ogd: each cell would be written, and counted in the
+    # stats, once under each name
+    def fail(*args, **kwargs):
+        raise AssertionError("oracle called on bad input")
+
+    monkeypatch.setattr(ocolc.cli, "offline_value", fail)
+    assert run_cli(*SWEEP_TOY, "--algos", algos, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "usage error: --algos" in err and f"{first!r} and {second!r}" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_serial_sweep_is_one_kernel_call(tmp_path, monkeypatch):

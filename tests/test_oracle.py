@@ -220,6 +220,40 @@ def test_grid_oracle_tie_across_blocks_keeps_first(monkeypatch):
     assert np.copysign(1.0, res.value) == 1.0
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [toy_problem(), toy_problem(l1_radius=10), dispatch_problem(), doubly_stochastic_problem(d=3)],
+    ids=["toy", "toy-l1-10", "dispatch", "ds3"],
+)
+def test_values_on_coordinate_major_view_match_c_rows(problem):
+    # grid_oracle passes the transposed view of its (n, N) points
+    rng = np.random.default_rng(problem.n)
+    P = problem.dom.radius * rng.uniform(-1.0, 1.0, size=(problem.n, 5000))
+    rows = np.ascontiguousarray(P.T)
+    assert P.T.flags.f_contiguous and rows.flags.c_contiguous
+    got, ref = problem.arrays.values(P.T), problem.arrays.values(rows)
+    assert got.shape == ref.shape == (5000, problem.arrays.m)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("R", [1.0, dispatch_problem().dom.radius])
+def test_ball_mask_sums_squares_in_norm_order(R):
+    # points within a few ulps of the sphere, kept where the association of
+    # the three squares changes their sum
+    rng = np.random.default_rng(8)
+    U = rng.normal(size=(20000, 3))
+    X = R * U / np.linalg.norm(U, axis=1, keepdims=True)
+    X *= 1.0 + rng.integers(-3, 4, size=(len(X), 1)) * 2.0**-52
+    a, b, c = (X * X).T
+    X = X[(a + b) + c != a + (b + c)]
+    a, b, c = (X * X).T
+    other = np.sqrt(a + (b + c)) <= R
+    got = ocolc.oracle._in_ball(list(X.T), R)
+    ref = np.linalg.norm(X, axis=1) <= R
+    assert (got != other).sum() > 50  # the order decides these points
+    assert np.array_equal(got, ref)
+
+
 # -------------------------------------------------------------- Dykstra
 
 
