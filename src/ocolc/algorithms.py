@@ -36,6 +36,8 @@ from .problems import ProblemSpec
 
 VARIANTS = ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd")
 _ALIASES = {"strong": "strong-clipped-ogd", "ogd": "mahdavi-ogd", "aogd": "a-ogd"}
+# the dual faces the max-aggregated constraint max_i g_i, or each g_i
+AGGREGATIONS = ("max", "per_constraint")
 
 
 class RunError(RuntimeError):
@@ -63,7 +65,7 @@ class AlgoConfig:
     beta: float = 0.5
     alpha: float = 0.5
     lagrangian: Optional[str] = None  # None -> clipped for our algorithms, plain for baselines
-    aggregation: str = "max"  # 'max' | 'logsumexp' | 'per_constraint'
+    aggregation: str = "max"  # one of AGGREGATIONS
     eta_override: Optional[float] = None
     sigma_override: Optional[float] = None
 
@@ -75,7 +77,7 @@ class AlgoConfig:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.aggregation not in ("max", "logsumexp", "per_constraint"):
+        if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         for name in ("eta_override", "sigma_override"):
             value = getattr(self, name)
@@ -103,18 +105,16 @@ def tradeoff_eta(m: int, G: float, R: float, beta: float, T: int) -> float:
 
 
 class Schedule:
-    """One configuration resolved on one problem: the dual dimension m_eff,
-    the effective constants, and the stepsizes of every step t (1-based).
+    """One configuration resolved on one problem: the dual dimension m_eff
+    and the stepsizes of every step t (1-based).
 
-    Under max or logsumexp aggregation the dual faces one scalar constraint
-    (m_eff = 1); logsumexp's Lipschitz bound is sqrt(m) G.
+    Under max aggregation the dual faces one scalar constraint (m_eff = 1).
     """
 
     def __init__(self, problem: ProblemSpec, cfg: AlgoConfig):
         self.cfg = cfg
-        m = problem.m
-        self.m_eff = m if cfg.aggregation == "per_constraint" else 1
-        self.G_eff = float(np.sqrt(m)) * problem.G if cfg.aggregation == "logsumexp" else problem.G
+        self.m_eff = problem.m if cfg.aggregation == "per_constraint" else 1
+        self.G = problem.G
         self.eta = self.sigma = None
         if cfg.variant == "strong-clipped-ogd":
             if cfg.eta_override is not None or cfg.sigma_override is not None:
@@ -129,17 +129,17 @@ class Schedule:
         self.sigma = (
             cfg.sigma_override
             if cfg.sigma_override is not None
-            else (self.m_eff + 1) * self.G_eff**2 / (2.0 * (1.0 - cfg.alpha))
+            else (self.m_eff + 1) * self.G**2 / (2.0 * (1.0 - cfg.alpha))
         )
         self.eta = (
             cfg.eta_override
             if cfg.eta_override is not None
-            else tradeoff_eta(self.m_eff, self.G_eff, problem.dom.radius, cfg.beta, cfg.T)
+            else tradeoff_eta(self.m_eff, self.G, problem.dom.radius, cfg.beta, cfg.T)
         )
         if cfg.variant == "a-ogd":
             # dual ascent at stepsize eta0 t^(beta-1) against the
             # regularization sigma eta0 t^(-beta) (``_Rows.ascent_steps``)
-            self.eta0 = 1.0 / (self.G_eff * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
+            self.eta0 = 1.0 / (self.G * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
             self.theta0 = self.sigma * self.eta0
 
     def eta_t(self, t: int) -> float:
@@ -148,7 +148,7 @@ class Schedule:
 
     def theta_t(self, t: int) -> float:
         """Dual regularization of the strongly convex variant, eta_t (m+1) G^2."""
-        return self.eta_t(t) * (self.m_eff + 1) * self.G_eff**2
+        return self.eta_t(t) * (self.m_eff + 1) * self.G**2
 
 
 def clipped_dual(agg: np.ndarray, sigma_eta: np.ndarray) -> np.ndarray:
@@ -185,14 +185,9 @@ class RunTrace:
 
 def _aggregate(V: np.ndarray, mode: str) -> np.ndarray:
     """Dual-facing constraint values (B, k) from the raw values (B, m)."""
-    if mode == "per_constraint":
+    if mode == "per_constraint" or V.shape[1] == 1:
         return V
-    if mode == "max" and V.shape[1] == 1:
-        return V
-    top = np.maximum.reduce(V, axis=1, keepdims=True)
-    if mode == "max":
-        return top
-    return top + np.log(np.exp(V - top).sum(axis=1, keepdims=True))
+    return np.maximum.reduce(V, axis=1, keepdims=True)
 
 
 def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
@@ -203,10 +198,8 @@ def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
     a satisfied constraint contributes zero. ``clipped`` is True or False
     for every row, or a (B, 1) mask of the rows whose Lagrangian clips. max
     takes the lowest-index argmax row, straight from the form's constant
-    rows ``A`` when it has them; logsumexp sums the softmax-weighted rows in
-    index order from zero, skipping zero weights. Skipped terms are -0.0,
-    which leaves every sum unchanged, so each result matches adding the
-    terms one at a time.
+    rows ``A`` when it has them. Skipped terms are -0.0, which leaves every
+    sum unchanged, so each result matches adding the terms one at a time.
     """
     pos = lam > 0.0
     if not np.count_nonzero(pos):
@@ -217,12 +210,6 @@ def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
         D = form.jacobian(X)
     if mode == "max" and D.shape[1] > 1:
         D = D[np.arange(len(V)), V.argmax(axis=1)][:, None, :]
-    elif mode == "logsumexp":
-        W = np.exp(V - V.max(axis=1, keepdims=True))
-        W /= W.sum(axis=1, keepdims=True)
-        terms = np.where((W > 0.0)[:, :, None], W[:, :, None] * D, -0.0)
-        zero = np.zeros((len(V), 1, D.shape[2]))
-        D = np.add.accumulate(np.concatenate([zero, terms], axis=1), axis=1)[:, -1:]
     if clipped is not False:
         satisfied = A <= 0.0
         if clipped is not True:
@@ -528,7 +515,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
             meta={
                 "g_bar_x1": float(fields[b]["g_agg"][0].max()),
                 "m_eff": sched.m_eff,
-                "G_eff": sched.G_eff,
+                "G_eff": problem.G,
             },
         )
     return traces

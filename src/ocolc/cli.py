@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .algorithms import AlgoConfig, Batch, RunError, run
+from .algorithms import AGGREGATIONS, AlgoConfig, Batch, RunError, run
 from .metrics import summarize
 from .oracle import OracleError, offline_value
 from .problems import (
@@ -367,6 +367,9 @@ def cmd_sweep(s: Settings) -> int:
         t_grid = [_at_least("T-grid", int(v)) for v in raw_grid.split(",")]
     except ValueError:
         raise UsageError(f"--T-grid must be positive integers, got {raw_grid!r}") from None
+    for i, T in enumerate(t_grid):
+        if T in t_grid[:i]:
+            raise UsageError(f"--T-grid names horizon {T} twice, in {raw_grid!r}")
     algos = [a.strip() for a in s.get("algos", str, required=True).split(",")]
     n_seeds = _at_least("seeds", s.get("seeds", int, 10))
     base_seed = _at_least("seed", s.get("seed", int, BASE_SWEEP_SEED), 0)
@@ -398,11 +401,13 @@ def cmd_sweep(s: Settings) -> int:
             blob, _ = cached_offline_value(problem, key, seed, T, iters, tol, out)
             oracle_vals[(T, i)] = blob["value"]
 
-    # every cell, longest horizon first; --jobs J deals them round-robin into
-    # J groups, so that each worker gets a share of every horizon. Cells are
-    # reduced in this order, so the trace reduced last, which a caller of
-    # run() may still hold during the next call, is a short one
+    # every cell, longest horizon first, dealt round-robin into one group per
+    # worker, so that each worker gets a share of every horizon; --jobs J
+    # asks for J workers, capped at the CPU count and the cell count. Cells
+    # are reduced in this order, so the trace reduced last, which a caller
+    # of run() may still hold during the next call, is a short one
     cells = sorted(itertools.product(algos, t_grid, range(n_seeds)), key=lambda cell: -cell[1])
+    workers = min(jobs, os.cpu_count() or 1, len(cells))
     settings_snapshot = {k: v for k, v in vars(s.ns).items() if k != "command"}
     groups = [
         {
@@ -419,12 +424,12 @@ def cmd_sweep(s: Settings) -> int:
                 for algo, T, i in share
             ],
         }
-        for share in (cells[j::jobs] for j in range(min(jobs, len(cells))))
+        for share in (cells[j::workers] for j in range(workers))
     ]
-    if jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for group in pool.map(_sweep_group, groups) for row in group]
     else:
         (group,) = groups
@@ -514,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     def algo_settings(p):
         p.add_argument("--beta", type=float)
         p.add_argument("--alpha", type=float)
-        p.add_argument("--aggregation", choices=("max", "logsumexp", "per_constraint"))
+        p.add_argument("--aggregation", choices=AGGREGATIONS)
         p.add_argument("--lagrangian", choices=("clipped", "plain"))
         p.add_argument("--eta", type=float, help="override the stepsize")
         p.add_argument("--sigma", type=float, help="override the dual constant")
@@ -535,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, help="base seed for the splitting rule")
     algo_settings(p_sweep)
     p_sweep.add_argument("--jobs", type=int,
-                         help="worker processes; the cells are dealt among them in horizon order")
+                         help="worker processes, at most one per CPU and per cell; "
+                         "the cells are dealt among them in horizon order")
 
     p_oracle = sub.add_parser("oracle", help="offline optimum for one (problem, seed, T)")
     common(p_oracle)

@@ -1,12 +1,12 @@
 """Per-point reference math the tests check the library against.
 
-The Lagrangian subgradient of one point, the max and log-sum-exp
-aggregations of a constraint list, and the closed-form Theorem 1
-parameters, all written on ConvexFn closures one point at a time. The
-batched kernel (``ocolc.algorithms._lagrangian_grad``) and the stepsize
-schedule compute the same quantities; ``tests/test_kernel.py`` compares them
-bit for bit. ``ClosureArrays`` is the array form of such closures, for the
-problems the tests write by hand and for the closures they compare against.
+The Lagrangian subgradient of one point, the max aggregation of a
+constraint list, and the closed-form Theorem 1 parameters, all written on
+ConvexFn closures one point at a time. The batched kernel
+(``ocolc.algorithms._lagrangian_grad``) and the stepsize schedule compute
+the same quantities; ``tests/test_kernel.py`` compares them bit for bit.
+``ClosureArrays`` is the array form of such closures, for the problems the
+tests write by hand and for the closures they compare against.
 ``fd_grad`` is the central-difference gradient of one closure at one point.
 """
 
@@ -128,34 +128,6 @@ def max_aggregate(gs: Sequence[ConvexFn]) -> ConvexFn:
         vals = _values(gs, x)
         # np.argmax already breaks ties toward the lowest index
         return gs[int(np.argmax(vals))].subgrad(x)
-
-    return ConvexFn(ev, sg)
-
-
-def logsumexp_aggregate(gs: Sequence[ConvexFn]) -> ConvexFn:
-    """Smooth upper bound g(x) = log sum_i exp g_i(x).
-
-    Evaluation shifts by the max before exponentiating so large constraint
-    values on the ball boundary cannot overflow. The subgradient is the
-    softmax-weighted combination of the member subgradients.
-    """
-    if len(gs) == 0:
-        raise ValueError("cannot aggregate an empty constraint list")
-
-    def ev(x):
-        vals = _values(gs, x)
-        top = float(np.max(vals))
-        return top + float(np.log(np.sum(np.exp(vals - top))))
-
-    def sg(x):
-        vals = _values(gs, x)
-        w = np.exp(vals - np.max(vals))
-        w /= w.sum()
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for w_i, g in zip(w, gs):
-            if w_i > 0.0:
-                out += w_i * np.asarray(g.subgrad(x), dtype=float)
-        return out
 
     return ConvexFn(ev, sg)
 

@@ -63,11 +63,11 @@ def test_config_validation():
         AlgoConfig("nope", T=10)
     with pytest.raises(ValueError):
         AlgoConfig("clipped-ogd", T=10, lagrangian="plain")
-    with pytest.raises(ValueError):
-        AlgoConfig("a-ogd", T=10, aggregation="per_constraint")
+    with pytest.raises(ValueError, match="unknown aggregation 'logsumexp'"):
+        AlgoConfig("clipped-ogd", T=10, aggregation="logsumexp")
     # a-ogd runs only in its published form
     with pytest.raises(ValueError, match="published form"):
-        AlgoConfig("a-ogd", T=10, aggregation="logsumexp")
+        AlgoConfig("a-ogd", T=10, aggregation="per_constraint")
     with pytest.raises(ValueError, match="published form"):
         AlgoConfig("a-ogd", T=10, lagrangian="clipped")
     for bad in (-1.0, 0.0, float("inf"), float("nan")):
@@ -295,7 +295,7 @@ def lambda_identity_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     lambda_identity_cases(),
-    st.sampled_from(["max", "logsumexp", "per_constraint"]),
+    st.sampled_from(["max", "per_constraint"]),
     st.integers(1, 60),
     st.integers(0, 2**32 - 1),
     st.one_of(st.none(), st.floats(1e-3, 1e2)),
@@ -317,16 +317,6 @@ def test_per_constraint_duals_on_dispatch():
     assert tr.lam.shape == (50, p.m)
     lhs = tr.lam * tr.sigma * tr.eta
     np.testing.assert_allclose(lhs, np.maximum(tr.g, 0.0), atol=1e-12)
-
-
-def test_logsumexp_mode_scales_G():
-    p = dispatch_problem()
-    algo = Schedule(p, AlgoConfig("clipped-ogd", T=50, aggregation="logsumexp"))
-    assert algo.G_eff == pytest.approx(np.sqrt(p.m) * p.G)
-    tr = run(p, AlgoConfig("clipped-ogd", T=50, aggregation="logsumexp"), seed=0)
-    assert tr.meta["g_bar_x1"] == pytest.approx(
-        np.log(np.sum(np.exp(p.constraint_values(np.zeros(3)))))
-    )
 
 
 def test_degenerates_to_projected_ogd_bitwise():

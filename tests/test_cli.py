@@ -245,6 +245,40 @@ def test_sweep_naming_one_algorithm_twice_is_a_usage_error(tmp_path, capsys, mon
     assert not list(tmp_path.iterdir())
 
 
+def test_sweep_workers_never_exceed_the_cpu_count(tmp_path, monkeypatch):
+    # SWEEP_TOY with three algorithms has 18 cells; on a 2-CPU host --jobs 64
+    # gets 2 workers, and one cell or one CPU runs serially. The pool is a
+    # stand-in that maps in this process, so no test starts a process
+    import concurrent.futures
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    three = (*SWEEP_TOY, "--algos", "clipped-ogd,ogd,a-ogd")
+    one_cell = ("sweep", "--problem", "toy", "--T-grid", "50", "--seeds", "1", "--algos", "ogd")
+    cases = [(three, 64, 2, [2]), (three, 2, 2, [2]), (three, 64, None, []), (one_cell, 64, 2, [])]
+    for case, (argv, jobs, cpus, want) in enumerate(cases):
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert run_cli(*argv, "--jobs", str(jobs), "--out", str(tmp_path / str(case))) == 0
+        assert pools == want, (argv, jobs, cpus)
+    # the pool's rows and the serial rows
+    assert (tmp_path / "0" / "sweep.csv").read_bytes() == (tmp_path / "2" / "sweep.csv").read_bytes()
+
+
 def test_serial_sweep_is_one_kernel_call(tmp_path, monkeypatch):
     import ocolc.algorithms
 
@@ -407,6 +441,7 @@ TOY_RUN = ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "10")
 BAD_COUNTS = {
     "T-grid entry not an integer": ("T-grid", (*TOY_SWEEP, "--T-grid", "50,x", "--seeds", "1")),
     "T-grid entry zero": ("T-grid", (*TOY_SWEEP, "--T-grid", "0", "--seeds", "1")),
+    "T-grid horizon repeated": ("T-grid", (*TOY_SWEEP, "--T-grid", "100,50,100", "--seeds", "2")),
     "zero seeds": ("seeds", (*TOY_SWEEP, "--T-grid", "50", "--seeds", "0")),
     "negative seeds": ("seeds", (*TOY_SWEEP, "--T-grid", "50", "--seeds", "-2")),
     "zero jobs": ("jobs", (*TOY_SWEEP, "--T-grid", "50", "--seeds", "1", "--jobs", "0")),
@@ -484,6 +519,22 @@ def test_bad_counts_are_usage_errors_before_any_oracle_call(tmp_path, capsys, mo
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--out", str(tmp_path)) == 2
     assert f"usage error: --{key}" in capsys.readouterr().err
     assert not list(tmp_path.glob("oracle-*.json"))
+
+
+def test_logsumexp_is_no_aggregation(tmp_path, capsys):
+    # logsumexp was removed: the flag and a leftover config entry both exit 2
+    from ocolc.algorithms import AGGREGATIONS
+
+    assert run_cli(*TOY_RUN, "--aggregation", "logsumexp", "--out", str(tmp_path)) == 2
+    assert "--aggregation: invalid choice: 'logsumexp'" in capsys.readouterr().err
+    (tmp_path / "lse.cfg").write_text("aggregation = logsumexp\n")
+    assert run_cli(*TOY_RUN, "--config", str(tmp_path / "lse.cfg"), "--out", str(tmp_path)) == 2
+    assert "usage error: --aggregation: unknown aggregation 'logsumexp'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("oracle-*.json"))
+    commands = next(a for a in ocolc.cli.build_parser()._actions if a.dest == "command").choices
+    for command in ("run", "sweep"):
+        (flag,) = [a for a in commands[command]._actions if a.dest == "aggregation"]
+        assert tuple(flag.choices) == AGGREGATIONS
 
 
 def test_value_error_in_a_run_still_exits_1(tmp_path, capsys, monkeypatch):

@@ -30,7 +30,7 @@ from ocolc.problems import (
 
 from conftest import make_problem
 from golden_cases import inline_problem
-from reference import ClosureArrays, lagrangian_grad_x, logsumexp_aggregate, max_aggregate
+from reference import ClosureArrays, lagrangian_grad_x, max_aggregate
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,11 +230,7 @@ def test_array_form_matches_convexfn_path_at_edge_points(case, seed, start):
 def reference_grad(p, f, x, lam, mode, clipped):
     """The per-point Lagrangian gradient on the reference closures."""
     gs = reference_constraints(p)
-    if mode == "per_constraint":
-        fns = gs
-    else:
-        aggregate = max_aggregate if mode == "max" else logsumexp_aggregate
-        fns = [aggregate(gs)]
+    fns = gs if mode == "per_constraint" else [max_aggregate(gs)]
     if clipped:
         return lagrangian_grad_x(f, fns, x, lam)
     grad = np.asarray(f.subgrad(x), dtype=float)
@@ -247,7 +243,7 @@ def reference_grad(p, f, x, lam, mode, clipped):
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["toy", "ds3", "ds9", "dispatch", "inline"]),
-    st.sampled_from(["max", "logsumexp", "per_constraint"]),
+    st.sampled_from(["max", "per_constraint"]),
     st.sampled_from([True, False, "rows"]),
     st.integers(0, 2**32 - 1),
 )
@@ -293,7 +289,7 @@ KINDS = [
     (v, a, lag)
     for v, a, lag in itertools.product(
         ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd"),
-        ("max", "logsumexp", "per_constraint"),
+        ("max", "per_constraint"),
         ("clipped", "plain"),
     )
     if not (lag == "plain" and v in ("clipped-ogd", "strong-clipped-ogd"))
@@ -313,7 +309,7 @@ row_strategy = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["toy", "ds3", "dispatch", "inline"]),
-    st.sampled_from(["max", "logsumexp", "per_constraint"]),
+    st.sampled_from(["max", "per_constraint"]),
     st.data(),
 )
 def test_batch_rows_equal_single_runs(name, aggregation, data):
@@ -363,7 +359,7 @@ def test_batch_makes_one_kernel_call_per_aggregation(monkeypatch):
     cells = [
         (AlgoConfig(v, T=T, aggregation=a), seed)
         for v in ("clipped-ogd", "mahdavi-ogd", "a-ogd")
-        for a in ("max", "logsumexp")
+        for a in ("max", "per_constraint")
         if not (v == "a-ogd" and a != "max")
         for T in (5, 9)
         for seed in (1, 2)
@@ -371,7 +367,7 @@ def test_batch_makes_one_kernel_call_per_aggregation(monkeypatch):
     batch = Batch(p, cells)
     for cfg, seed in cells:
         run(batch, cfg, seed)
-    assert calls == [["max"], ["logsumexp"]]
+    assert calls == [["max"], ["per_constraint"]]
 
 
 def test_failing_row_stops_alone():
