@@ -12,13 +12,13 @@ Four variants:
                        schedules and a decaying dual regularization theta_t,
                        always on the max-aggregated scalar constraint.
 
-mahdavi-ogd runs with either the plain Lagrangian term lambda*g (its
-original form, the default) or the clipped term lambda*[g]_+ (the retrofit).
-a-ogd runs only in its published form: max aggregation, plain Lagrangian.
+The Lagrangian follows from the variant: clipped-ogd and strong-clipped-ogd
+use the clipped term lambda*[g]_+, and both baselines run in their published
+form, with the plain term lambda*g; a-ogd also only under max aggregation.
 
 ``advance`` is the one kernel: it moves a (B, n) batch of iterates, one row
 per (config, seed) cell, through the problem's array form; the rows may mix
-variants and Lagrangians but share an aggregation. ``run`` is a one-row
+variants but share an aggregation. ``run`` is a one-row
 call; a ``Batch`` lets many ``run`` calls share one kernel call.
 """
 
@@ -64,7 +64,6 @@ class AlgoConfig:
     T: int
     beta: float = 0.5
     alpha: float = 0.5
-    lagrangian: Optional[str] = None  # None -> clipped for our algorithms, plain for baselines
     aggregation: str = "max"  # one of AGGREGATIONS
     eta_override: Optional[float] = None
     sigma_override: Optional[float] = None
@@ -83,16 +82,13 @@ class AlgoConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        lag = self.lagrangian
-        if lag is None:
-            lag = "clipped" if self.variant in ("clipped-ogd", "strong-clipped-ogd") else "plain"
-        if lag not in ("clipped", "plain"):
-            raise ValueError(f"unknown lagrangian {lag!r}")
-        if lag == "plain" and self.variant in ("clipped-ogd", "strong-clipped-ogd"):
-            raise ValueError(f"{self.variant} is defined by the clipped Lagrangian")
-        if self.variant == "a-ogd" and (self.aggregation != "max" or lag != "plain"):
-            raise ValueError("a-ogd runs in its published form: max aggregation, plain Lagrangian")
-        object.__setattr__(self, "lagrangian", lag)
+        if self.variant == "a-ogd" and self.aggregation != "max":
+            raise ValueError("a-ogd runs in its published form: max aggregation")
+
+    @property
+    def lagrangian(self) -> str:
+        """clipped for clipped-ogd and strong-clipped-ogd, plain for the baselines."""
+        return "clipped" if self.variant in ("clipped-ogd", "strong-clipped-ogd") else "plain"
 
 
 def tradeoff_eta(m: int, G: float, R: float, beta: float, T: int) -> float:
@@ -190,16 +186,17 @@ def _aggregate(V: np.ndarray, mode: str) -> np.ndarray:
     return np.maximum.reduce(V, axis=1, keepdims=True)
 
 
-def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
+def _lagrangian_grad(form, X, V, lam, fgrad, mode):
     """Primal subgradients (B, n) of the Lagrangian at the rows of X.
 
     fgrad plus lam_i times the subgradient of dual-facing constraint i, over
-    the i with lam_i > 0, added in index order; under the clipped Lagrangian
-    a satisfied constraint contributes zero. ``clipped`` is True or False
-    for every row, or a (B, 1) mask of the rows whose Lagrangian clips. max
-    takes the lowest-index argmax row, straight from the form's constant
-    rows ``A`` when it has them. Skipped terms are -0.0, which leaves every
-    sum unchanged, so each result matches adding the terms one at a time.
+    the i with lam_i > 0, added in index order. This is also the clipped
+    Lagrangian's subgradient for every row whose duals are zero wherever a
+    constraint is satisfied, as the clipped-ogd and strongly convex duals
+    [g]_+ / (positive step) are. max takes the lowest-index argmax row,
+    straight from the form's constant rows ``A`` when it has them. Skipped
+    terms are -0.0, which leaves every sum unchanged, so each result matches
+    adding the terms one at a time.
     """
     pos = lam > 0.0
     if not np.count_nonzero(pos):
@@ -210,11 +207,6 @@ def _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped):
         D = form.jacobian(X)
     if mode == "max" and D.shape[1] > 1:
         D = D[np.arange(len(V)), V.argmax(axis=1)][:, None, :]
-    if clipped is not False:
-        satisfied = A <= 0.0
-        if clipped is not True:
-            satisfied &= clipped
-        D = np.where(satisfied[:, :, None], 0.0, D)
     if lam.shape[1] == 1:
         return np.where(pos, fgrad + lam * D[:, 0], fgrad)
     terms = np.where(pos[:, :, None], lam[:, :, None] * D, -0.0)
@@ -239,11 +231,6 @@ class _Rows:
     again. Every row sets its duals in exactly one way: as the clipped-ogd
     maximizer (``cdual``), as the strongly convex one (``strong``), or by
     ascent (``ascent``, mahdavi-ogd and a-ogd).
-
-    Only the ascent rows decide ``clip``, whether the Lagrangian clips: the
-    other rows' duals are [A]_+ over a positive step, zero wherever a
-    constraint is satisfied, so clipping its subgradient changes nothing,
-    and their ascent values are overwritten.
     """
 
     def __init__(self, betas, **columns):
@@ -259,8 +246,6 @@ class _Rows:
         self.cdual = _uniform(self.is_cdual)
         self.strong = _uniform(self.is_strong)
         self.ascent = _uniform(self.is_ascent)
-        asc_clip = self.is_clip[self.is_ascent]
-        self.clip = False if not asc_clip.any() else True if asc_clip.all() else self.is_clip
         asc_beta = np.unique(self.beta_idx[self.is_ascent])
         if asc_beta.size == 0 or asc_beta[0] == len(self.betas):
             self.beta = None  # no a-ogd row
@@ -294,8 +279,8 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
 
     Row b runs cfgs[b] for cfgs[b].T steps on the loss stream of seeds[b],
     from the problem's x0. All rows share one aggregation, which fixes the
-    dual width m_eff; variant, Lagrangian, eta, sigma, beta, alpha, seed and
-    horizon may differ per row. Each row computes exactly what its one-row
+    dual width m_eff; variant, eta, sigma, beta, alpha, seed and horizon may
+    differ per row. Each row computes exactly what its one-row
     call computes. Each row is recorded before each of its steps; the update
     after its last recorded step still runs, so that a non-finite gradient
     at step T stops the row as one at any earlier step does.
@@ -367,7 +352,6 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         is_cdual=column([v == "clipped-ogd" for v in variant_of], bool),
         is_strong=column([v == "strong-clipped-ogd" for v in variant_of], bool),
         is_ascent=column([v in ("mahdavi-ogd", "a-ogd") for v in variant_of], bool),
-        is_clip=column([cfg.lagrangian == "clipped" for cfg in cfg_of], bool),
         beta_idx=column(
             [betas.index(cfg.beta) if cfg.variant == "a-ogd" else len(betas) for cfg in cfg_of], int
         ),
@@ -426,7 +410,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         rec["lam"][at] = lam
 
         fgrad = form.grad(X, block[s - block_start])
-        grad = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, rows.clip)
+        grad = _lagrangian_grad(form, X, V, lam, fgrad, mode)
         if rows.strong is False:
             eta = rows.eta
         elif rows.strong is True:
@@ -461,14 +445,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         if rows.ascent is not False:
             # every row's ascent; set_duals then overwrites the other rows
             step, reg = rows.ascent_steps(t)
-            clip = rows.clip
-            if clip is False:
-                G = A
-            elif clip is True:
-                G = np.maximum(A, 0.0)
-            else:
-                G = np.where(clip, np.maximum(A, 0.0), A)
-            lam = np.maximum(lam + step * (G - reg * lam), 0.0)
+            lam = np.maximum(lam + step * (A - reg * lam), 0.0)
         X = Y
         V = form.values(X)
         A = _aggregate(V, mode)

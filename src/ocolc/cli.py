@@ -97,6 +97,20 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and through add_subparsers each subcommand's, whose
+    errors are UsageErrors naming the flag: one line, no usage block."""
+
+    def error(self, message):
+        raise UsageError(message.removeprefix("argument "))
+
+    def parse_args(self, args=None, namespace=None):
+        ns, extra = self.parse_known_args(args, namespace)
+        if extra:
+            raise UsageError(f"{' '.join(extra)}: unrecognized arguments for 'ocolc {ns.command}'")
+        return ns
+
+
 def _at_least(key: str, value: int, low: int = 1) -> int:
     """A horizon or a count of seeds or workers (low 1), or a seed (low 0, as
     numpy's seed sequences require): anything below low is a usage error."""
@@ -155,7 +169,6 @@ def build_config(s: Settings, T=None, algo=None) -> AlgoConfig:
         ("beta", "beta", s.get("beta", float, 0.5)),
         ("alpha", "alpha", s.get("alpha", float, 0.5)),
         ("aggregation", "aggregation", s.get("aggregation", str, "max")),
-        ("lagrangian", "lagrangian", s.get("lagrangian", str)),
         ("eta", "eta_override", s.get("eta", float)),
         ("sigma", "sigma_override", s.get("sigma", float)),
     ):
@@ -501,7 +514,7 @@ def cmd_validate(s: Settings) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ocolc", description=__doc__)
+    ap = _Parser(prog="ocolc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -520,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float)
         p.add_argument("--alpha", type=float)
         p.add_argument("--aggregation", choices=AGGREGATIONS)
-        p.add_argument("--lagrangian", choices=("clipped", "plain"))
         p.add_argument("--eta", type=float, help="override the stepsize")
         p.add_argument("--sigma", type=float, help="override the dual constant")
 
@@ -556,11 +568,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else EXIT_OK
+        ns = build_parser().parse_args(argv)
+    except SystemExit:  # --help, which exits 0 once it has printed
+        return EXIT_OK
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         s = Settings(ns)
         handler = {

@@ -7,11 +7,12 @@ to change:
 
     PYTHONPATH=src python tests/make_golden.py
 
-Cases cover every supported (problem, variant, aggregation, lagrangian)
-combination at fixed seeds and small horizons, with the theorem stepsizes
-and with an engaged override pair, plus the offline oracles
-(``offline_solve``, ``offline_value``, ``grid_oracle``) and a fixed set of
-``ocolc run`` / ``sweep`` / ``validate --quick`` commands.
+Cases cover every supported (problem, variant, aggregation) combination,
+each under the Lagrangian its variant defines, at fixed seeds and small
+horizons, with the theorem stepsizes and with an engaged override pair,
+plus the offline oracles (``offline_solve``, ``offline_value``,
+``grid_oracle``) and a fixed set of ``ocolc run`` / ``sweep`` /
+``validate --quick`` commands.
 
 Bitwise results depend on the numpy build, its BLAS and the CPU features it
 dispatches to, so the file records the platform it was made on.
@@ -46,7 +47,6 @@ VARIANTS = ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd")
 # written out, not imported: CI's golden-vs-base job runs this case set on
 # the base commit's library, whose own tuple may name more aggregations
 AGGREGATIONS = ("max", "per_constraint")
-LAGRANGIANS = ("clipped", "plain")
 TRACE_FIELDS = ("t", "x", "fx", "g", "g_agg", "lam")
 
 
@@ -121,24 +121,21 @@ def run_cases():
     probs = problems()
     for pname, problem in probs.items():
         T = HORIZON[pname]
-        for variant, agg, lag in itertools.product(VARIANTS, AGGREGATIONS, LAGRANGIANS):
-            if variant == "a-ogd" and (agg, lag) != ("max", "plain"):
+        for variant, agg in itertools.product(VARIANTS, AGGREGATIONS):
+            if variant == "a-ogd" and agg != "max":
                 # a-ogd runs only in its published form; skipped here too so
                 # that a library which still accepts more yields the same set
                 continue
-            if variant in ("clipped-ogd", "strong-clipped-ogd") and lag == "plain":
-                continue  # both are defined by the clipped Lagrangian
+            if variant == "strong-clipped-ogd" and problem.H1 is None:
+                continue
             settings = [("default", None, None)]
             if variant != "strong-clipped-ogd":
                 settings.append(("engaged",) + OVERRIDES[pname])
             for label, eta, sigma in settings:
-                cfg = AlgoConfig(
-                    variant, T=T, lagrangian=lag, aggregation=agg,
-                    eta_override=eta, sigma_override=sigma,
-                )
-                if variant == "strong-clipped-ogd" and problem.H1 is None:
-                    continue
-                case = f"run/{pname}/{variant}/{agg}/{lag}/{label}"
+                cfg = AlgoConfig(variant, T=T, aggregation=agg, eta_override=eta, sigma_override=sigma)
+                # the id names the Lagrangian the variant defines, which a
+                # library that still takes it as a setting gives by default
+                case = f"run/{pname}/{variant}/{agg}/{cfg.lagrangian}/{label}"
                 yield case, problem, cfg, 7
 
 
@@ -257,6 +254,17 @@ def validate_quick_digest() -> dict:
     with contextlib.redirect_stdout(buf):
         code = main(["validate", "--quick"])
     return {"exit": code, "stdout": sha(buf.getvalue().encode())}
+
+
+def case_ids() -> list:
+    """Every golden case id, in the order all_digests computes them; listing
+    them runs no case."""
+    return (
+        [case for case, *_ in run_cases()]
+        + [case for case, _ in oracle_cases()]
+        + [f"cli/{name}" for name in CLI_COMMANDS]
+        + ["cli/validate-quick"]
+    )
 
 
 def all_digests(tmp: Path) -> dict:

@@ -61,15 +61,16 @@ def test_config_validation():
         AlgoConfig("clipped-ogd", T=10, alpha=0.0)
     with pytest.raises(ValueError):
         AlgoConfig("nope", T=10)
-    with pytest.raises(ValueError):
-        AlgoConfig("clipped-ogd", T=10, lagrangian="plain")
     with pytest.raises(ValueError, match="unknown aggregation 'logsumexp'"):
         AlgoConfig("clipped-ogd", T=10, aggregation="logsumexp")
     # a-ogd runs only in its published form
     with pytest.raises(ValueError, match="published form"):
         AlgoConfig("a-ogd", T=10, aggregation="per_constraint")
-    with pytest.raises(ValueError, match="published form"):
-        AlgoConfig("a-ogd", T=10, lagrangian="clipped")
+    # the Lagrangian follows from the variant, and is no setting
+    assert AlgoConfig("clipped-ogd", T=10).lagrangian == "clipped"
+    assert AlgoConfig("ogd", T=10).lagrangian == "plain"
+    with pytest.raises(TypeError):
+        AlgoConfig("mahdavi-ogd", T=10, lagrangian="clipped")
     for bad in (-1.0, 0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="eta_override"):
             AlgoConfig("clipped-ogd", T=10, eta_override=bad)
@@ -160,11 +161,9 @@ def test_mahdavi_hand_step():
 
 
 def test_mahdavi_feasible_duals_stay_zero():
-    for lag in ("plain", "clipped"):
-        p = _one_d_problem(slope=0.0)
-        cfg = AlgoConfig("mahdavi-ogd", T=10, lagrangian=lag)
-        tr = run(p, cfg, seed=0)
-        assert np.all(tr.lam == 0.0)
+    p = _one_d_problem(slope=0.0)
+    tr = run(p, AlgoConfig("mahdavi-ogd", T=10), seed=0)
+    assert np.all(tr.lam == 0.0)
 
 
 def test_aogd_hand_step_frozen():

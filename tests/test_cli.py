@@ -437,7 +437,8 @@ def test_oracle_over_corrupt_cache_recomputes(tmp_path, capsys):
 
 TOY_SWEEP = ("sweep", "--problem", "toy", "--algos", "ogd")
 TOY_RUN = ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "10")
-# case -> (the setting the usage error names, argv); {tmp} is the test's directory
+# case -> (what the usage error names, from its flag on, argv); {tmp} is the
+# test's directory
 BAD_COUNTS = {
     "T-grid entry not an integer": ("T-grid", (*TOY_SWEEP, "--T-grid", "50,x", "--seeds", "1")),
     "T-grid entry zero": ("T-grid", (*TOY_SWEEP, "--T-grid", "0", "--seeds", "1")),
@@ -458,9 +459,14 @@ BAD_COUNTS = {
     "unknown algorithm in a sweep": (
         "algos", ("sweep", "--problem", "toy", "--algos", "ogd,nope", "--T-grid", "50", "--seeds", "1"),
     ),
-    "plain lagrangian on clipped-ogd": ("lagrangian", (*TOY_RUN, "--lagrangian", "plain")),
-    "clipped lagrangian on a-ogd": (
-        "lagrangian", ("run", "--problem", "toy", "--algo", "a-ogd", "--T", "50", "--lagrangian", "clipped"),
+    # the Lagrangian follows from the variant: it is no setting
+    "lagrangian in a config file": (
+        "config: unknown setting 'lagrangian' for 'ocolc run'",
+        ("run", "--problem", "toy", "--algo", "ogd", "--T", "50", "--config", "{tmp}/lag.cfg"),
+    ),
+    "lagrangian flag": (
+        "lagrangian plain: unrecognized arguments for 'ocolc run'",
+        (*TOY_RUN, "--lagrangian", "plain"),
     ),
     "logsumexp a-ogd in a config file": (
         "aggregation",
@@ -512,6 +518,7 @@ def test_bad_counts_are_usage_errors_before_any_oracle_call(tmp_path, capsys, mo
     monkeypatch.setattr(ocolc.cli, "offline_value", fail)
     (tmp_path / "bad.cfg").write_text("T=ten\n")
     (tmp_path / "lse.cfg").write_text("aggregation=logsumexp\n")
+    (tmp_path / "lag.cfg").write_text("lagrangian = clipped\n")
     (tmp_path / "bad.csv").write_text("t,demand\n0,30\n1,x\n")
     (tmp_path / "nan.csv").write_text("t,demand\n0,30\n1,31\n2,nan\n")
     (tmp_path / "inf.csv").write_text("t,demand\n0,30\n1,31\n2,inf\n")
@@ -535,6 +542,20 @@ def test_logsumexp_is_no_aggregation(tmp_path, capsys):
     for command in ("run", "sweep"):
         (flag,) = [a for a in commands[command]._actions if a.dest == "aggregation"]
         assert tuple(flag.choices) == AGGREGATIONS
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--aggregation", "logsumexp"), ("--lagrangian", "plain"), ("--T", "ten"), ("--problem", "nope"),
+])
+def test_parser_errors_are_one_line_usage_errors(tmp_path, capsys, flag, value):
+    # a value the parser rejects gets the form a config file's value gets:
+    # one line naming the flag, with no usage block
+    args = ["run", "--problem", "toy", "--algo", "ogd", "--T", "10", "--out", str(tmp_path)]
+    assert run_cli(*args, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag}") and err.count("\n") == 1
+    assert "usage:" not in err
+    assert run_cli(*args, "--help") == 0
 
 
 def test_value_error_in_a_run_still_exits_1(tmp_path, capsys, monkeypatch):

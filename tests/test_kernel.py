@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ocolc.algorithms import AlgoConfig, Batch, RunError, _aggregate, _lagrangian_grad, advance, run
+from ocolc.algorithms import (
+    AlgoConfig, Batch, RunError, _aggregate, _lagrangian_grad, advance, clipped_dual, run,
+)
 from ocolc.core import ConvexFn
 from ocolc.problems import (
     dispatch_problem,
@@ -244,16 +246,15 @@ def reference_grad(p, f, x, lam, mode, clipped):
 @given(
     st.sampled_from(["toy", "ds3", "ds9", "dispatch", "inline"]),
     st.sampled_from(["max", "per_constraint"]),
-    st.sampled_from([True, False, "rows"]),
     st.integers(0, 2**32 - 1),
 )
-def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped, seed):
-    # clipped is one flag for every row, or a (B, 1) mask of the rows that clip
+def test_lagrangian_gradient_matches_convexfn_path(name, mode, seed):
+    # the kernel's gradient is the plain Lagrangian's at any duals, and the
+    # clipped Lagrangian's at each row's own clipped-ogd duals, which are
+    # zero wherever a constraint is satisfied: so no row needs the clip
     p = problem(name)
     rng = np.random.default_rng(seed)
     X = points(rng, 6, p.n) * (0.3 if name.startswith("ds") else 1.0)
-    if clipped == "rows":
-        clipped = rng.random((len(X), 1)) < 0.5
     form = p.arrays
     params = form.params(seed % 1000, 6)
     losses = p.losses(seed % 1000, 6)
@@ -263,11 +264,13 @@ def test_lagrangian_gradient_matches_convexfn_path(name, mode, clipped, seed):
     # some rows with every dual zero, some with every dual positive
     active = rng.random(A.shape) < rng.choice([0.0, 0.3, 0.6, 1.0], size=(len(X), 1))
     lam = rng.uniform(0.0, 3.0, size=A.shape) * active
-    got = _lagrangian_grad(form, X, V, A, lam, fgrad, mode, clipped)
-    row_clipped = np.broadcast_to(clipped, (len(X), 1))[:, 0]
+    got = _lagrangian_grad(form, X, V, lam, fgrad, mode)
     for b in range(len(X)):
-        want = reference_grad(p, losses[b], X[b], lam[b], mode, row_clipped[b])
-        assert same_bits(got[b], want)
+        assert same_bits(got[b], reference_grad(p, losses[b], X[b], lam[b], mode, False)), "plain"
+    lam = clipped_dual(A, rng.choice([1e-3, 0.1, 1.0, 10.0], size=(len(X), 1)))
+    got = _lagrangian_grad(form, X, V, lam, fgrad, mode)
+    for b in range(len(X)):
+        assert same_bits(got[b], reference_grad(p, losses[b], X[b], lam[b], mode, True)), "clipped"
 
 
 @pytest.mark.parametrize("name", ["toy", "ds3", "dispatch"])
@@ -286,14 +289,12 @@ def test_fn_arrays_keep_their_shapes_on_an_empty_batch(name):
 # ------------------------------------------------- B rows vs B run() calls
 
 KINDS = [
-    (v, a, lag)
-    for v, a, lag in itertools.product(
+    (v, a)
+    for v, a in itertools.product(
         ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd"),
         ("max", "per_constraint"),
-        ("clipped", "plain"),
     )
-    if not (lag == "plain" and v in ("clipped-ogd", "strong-clipped-ogd"))
-    and not (v == "a-ogd" and (a != "max" or lag != "plain"))
+    if not (v == "a-ogd" and a != "max")
 ]
 ENGAGED = {"toy": (0.2, 4.0), "ds3": (0.05, 20.0), "dispatch": (0.01, 100.0), "inline": (0.1, 10.0)}
 
@@ -313,19 +314,15 @@ row_strategy = st.tuples(
     st.data(),
 )
 def test_batch_rows_equal_single_runs(name, aggregation, data):
-    # rows share only the aggregation; variant and Lagrangian vary per row
+    # rows share only the aggregation; the variant varies per row
     p = problem(name)
-    kinds = [
-        (v, lag)
-        for v, a, lag in KINDS
-        if a == aggregation and not (v == "strong-clipped-ogd" and p.H1 is None)
-    ]
+    kinds = [v for v, a in KINDS if a == aggregation and not (v == "strong-clipped-ogd" and p.H1 is None)]
     rows = data.draw(st.lists(st.tuples(st.sampled_from(kinds), row_strategy), min_size=1, max_size=6))
     cfgs, seeds = [], []
-    for (variant, lagrangian), (T, seed, beta, alpha, engaged) in rows:
+    for variant, (T, seed, beta, alpha, engaged) in rows:
         eta, sigma = ENGAGED[name] if engaged and variant != "strong-clipped-ogd" else (None, None)
-        cfgs.append(AlgoConfig(variant, T=T, beta=beta, alpha=alpha, lagrangian=lagrangian,
-                               aggregation=aggregation, eta_override=eta, sigma_override=sigma))
+        cfgs.append(AlgoConfig(variant, T=T, beta=beta, alpha=alpha, aggregation=aggregation,
+                               eta_override=eta, sigma_override=sigma))
         seeds.append(seed)
     traces = advance(p, cfgs, seeds)
     for cfg, seed, got in zip(cfgs, seeds, traces):
