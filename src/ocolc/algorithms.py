@@ -4,17 +4,24 @@ Four variants:
 
 * ``clipped-ogd``      constant stepsize, dual set by explicitly maximizing the
                        clipped augmented Lagrangian: lambda = [g(x)]_+ / (sigma*eta).
-* ``strong-clipped-ogd``  same dual rule with time-varying eta_t = 1/(H1 (t+1))
-                       and theta_t = eta_t (m+1) G^2, for strongly convex losses.
+* ``strong-clipped-ogd``  same dual rule with the time-varying eta = 1/(H1 (t+1))
+                       and theta = eta (m+1) G^2 of step t, for strongly convex
+                       losses.
 * ``mahdavi-ogd``      simultaneous gradient descent/ascent on the augmented
                        Lagrangian with a single stepsize; dual projected to >= 0.
 * ``a-ogd``            gradient descent/ascent with distinct primal/dual stepsize
-                       schedules and a decaying dual regularization theta_t,
+                       schedules and a decaying dual regularization theta,
                        always on the max-aggregated scalar constraint.
 
 The Lagrangian follows from the variant: clipped-ogd and strong-clipped-ogd
 use the clipped term lambda*[g]_+, and both baselines run in their published
 form, with the plain term lambda*g; a-ogd also only under max aggregation.
+
+A variant is a stepsize schedule and one of two dual rules. ``Schedule.steps``
+gives a configuration's primal stepsize eta, dual ascent step mu and dual
+regularization theta over a range of steps. The clipped variants set the dual
+in closed form, [g]_+ / theta, the maximizer of lambda g - theta lambda^2 / 2;
+the baselines ascend it, max(lambda + mu (g - theta lambda), 0).
 
 ``advance`` is the one kernel: it moves a (B, n) batch of iterates, one row
 per (config, seed) cell, through the problem's array form; the rows may mix
@@ -102,7 +109,7 @@ def tradeoff_eta(m: int, G: float, R: float, beta: float, T: int) -> float:
 
 class Schedule:
     """One configuration resolved on one problem: the dual dimension m_eff
-    and the stepsizes of every step t (1-based).
+    and the stepsizes of every step t (1-based), from ``steps``.
 
     Under max aggregation the dual faces one scalar constraint (m_eff = 1).
     """
@@ -134,22 +141,39 @@ class Schedule:
         )
         if cfg.variant == "a-ogd":
             # dual ascent at stepsize eta0 t^(beta-1) against the
-            # regularization sigma eta0 t^(-beta) (``_Rows.ascent_steps``)
+            # regularization sigma eta0 t^(-beta)
             self.eta0 = 1.0 / (self.G * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
             self.theta0 = self.sigma * self.eta0
 
-    def eta_t(self, t: int) -> float:
-        """Primal stepsize of the strongly convex variant, 1/(H1 (t+1))."""
-        return 1.0 / (self.H1 * (t + 1))
+    def steps(self, t0: int, t1: int) -> np.ndarray:
+        """The stepsizes of steps t0..t1-1, a (3, t1 - t0) array with rows
+        (eta, mu, theta): the primal stepsize, the dual ascent step and the
+        dual regularization of each step.
 
-    def theta_t(self, t: int) -> float:
-        """Dual regularization of the strongly convex variant, eta_t (m+1) G^2."""
-        return self.eta_t(t) * (self.m_eff + 1) * self.G**2
+        clipped-ogd and mahdavi-ogd: eta, eta and sigma eta, constant.
+        strong-clipped-ogd: eta = 1/(H1 (t+1)), mu = eta and theta = eta (m+1) G^2.
+        a-ogd: constant eta, mu = eta0 t^(beta-1) and theta = theta0 t^(-beta),
+        each power Python's scalar ``t ** e``: np.power rounds differently on
+        some steps. A closed-form variant never reads mu.
+        """
+        cfg = self.cfg
+        if cfg.variant == "strong-clipped-ogd":
+            eta = 1.0 / (self.H1 * np.arange(t0 + 1, t1 + 1))
+            return np.array([eta, eta, eta * (self.m_eff + 1) * self.G**2])
+        if cfg.variant == "a-ogd":
+            return np.array([
+                [self.eta] * (t1 - t0),
+                [self.eta0 * t ** (cfg.beta - 1.0) for t in range(t0, t1)],
+                [self.theta0 * t ** -cfg.beta for t in range(t0, t1)],
+            ])
+        return np.array([[self.eta], [self.eta], [self.sigma * self.eta]]).repeat(t1 - t0, axis=1)
 
 
-def clipped_dual(agg: np.ndarray, sigma_eta: np.ndarray) -> np.ndarray:
-    """The clipped-ogd dual, the explicit maximizer [g]_+ / (sigma eta)."""
-    return np.maximum(agg, 0.0) / sigma_eta
+def clipped_dual(agg: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The closed-form dual of clipped-ogd and strong-clipped-ogd, the
+    explicit maximizer [g]_+ / theta of the clipped augmented Lagrangian;
+    theta is sigma eta, or the strongly convex theta of the step."""
+    return np.maximum(agg, 0.0) / theta
 
 
 @dataclass
@@ -192,9 +216,10 @@ def _lagrangian_grad(form, X, V, lam, fgrad, mode):
     fgrad plus lam_i times the subgradient of dual-facing constraint i, over
     the i with lam_i > 0, added in index order. This is also the clipped
     Lagrangian's subgradient for every row whose duals are zero wherever a
-    constraint is satisfied, as the clipped-ogd and strongly convex duals
-    [g]_+ / (positive step) are. max takes the lowest-index argmax row,
-    straight from the form's constant rows ``A`` when it has them. Skipped
+    constraint is satisfied, as the closed-form duals [g]_+ / theta of
+    clipped-ogd and strong-clipped-ogd are. max takes the lowest-index
+    argmax row, straight from the form's constant rows ``A`` when it has
+    them. Skipped
     terms are -0.0, which leaves every sum unchanged, so each result matches
     adding the terms one at a time.
     """
@@ -211,62 +236,6 @@ def _lagrangian_grad(form, X, V, lam, fgrad, mode):
         return np.where(pos, fgrad + lam * D[:, 0], fgrad)
     terms = np.where(pos[:, :, None], lam[:, :, None] * D, -0.0)
     return np.add.accumulate(np.concatenate([fgrad[:, None], terms], axis=1), axis=1)[:, -1]
-
-
-def _uniform(mask):
-    """True or False when every row of `mask` agrees, else the mask."""
-    if mask.all():
-        return True
-    return mask if mask.any() else False
-
-
-class _Rows:
-    """The per-row constants of a kernel call's live rows.
-
-    Stepsizes and row masks are (B, 1) columns that broadcast against the
-    (B, k) duals; ``stream`` is each row's offset into the loss parameters.
-    Each mask is also kept resolved over the live rows: True or False when
-    they all agree, so that the step loop uses the plain expression and
-    skips np.where, else the mask itself. ``keep`` drops rows and resolves
-    again. Every row sets its duals in exactly one way: as the clipped-ogd
-    maximizer (``cdual``), as the strongly convex one (``strong``), or by
-    ascent (``ascent``, mahdavi-ogd and a-ogd).
-    """
-
-    def __init__(self, betas, **columns):
-        self.betas = betas  # distinct a-ogd betas; other rows' beta_idx is len(betas)
-        self._set(columns)
-
-    def keep(self, mask):
-        self._set({name: col[mask] for name, col in self.columns.items()})
-
-    def _set(self, columns):
-        self.columns = columns
-        self.__dict__.update(columns)
-        self.cdual = _uniform(self.is_cdual)
-        self.strong = _uniform(self.is_strong)
-        self.ascent = _uniform(self.is_ascent)
-        asc_beta = np.unique(self.beta_idx[self.is_ascent])
-        if asc_beta.size == 0 or asc_beta[0] == len(self.betas):
-            self.beta = None  # no a-ogd row
-        elif asc_beta.size == 1:
-            self.beta = self.betas[asc_beta[0]]
-        else:
-            self.beta = self.beta_idx
-
-    def ascent_steps(self, t):
-        """The dual ascent stepsize and regularization of every row at step
-        t: a-ogd's eta0 t^(beta-1) and theta0 t^(-beta), one Python power per
-        (beta, t), and mahdavi-ogd's constant eta and sigma eta."""
-        beta = self.beta
-        if beta is None:
-            return self.asc_step, self.asc_reg
-        if isinstance(beta, np.ndarray):
-            mu = np.array([t ** (b - 1.0) for b in self.betas] + [1.0]).take(beta)
-            theta = np.array([t ** (-b) for b in self.betas] + [1.0]).take(beta)
-        else:
-            mu, theta = t ** (beta - 1.0), t ** (-beta)
-        return self.asc_step * mu, self.asc_reg * theta
 
 
 # steps whose loss parameters are gathered at once; a block also ends where
@@ -294,13 +263,13 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     that stopped it.
     """
     B = len(cfgs)
-    scheds = [Schedule(problem, cfg) for cfg in cfgs]
+    schedule = {cfg: Schedule(problem, cfg) for cfg in cfgs}
     mode = cfgs[0].aggregation
     if any(cfg.aggregation != mode for cfg in cfgs):
         raise ValueError("rows of one kernel call must share an aggregation")
     form = problem.arrays
     R = problem.dom.radius
-    k, n = scheds[0].m_eff, problem.n
+    k, n = schedule[cfgs[0]].m_eff, problem.n
 
     # rows sorted by horizon, longest first: the live rows are then a prefix
     # until a row fails. Records are step-major with sum(T) rows: step s
@@ -324,58 +293,26 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         lengths.setdefault(seeds[b], int(ends[i]))
     stream_at = dict(zip(lengths, np.cumsum([0, *lengths.values()])))
     params = np.concatenate([form.params(seed, length) for seed, length in lengths.items()])
-
-    cfg_of = [cfgs[b] for b in order]
-    sched_of = [scheds[b] for b in order]
-    variant_of = [cfg.variant for cfg in cfg_of]
-    betas = sorted({cfg.beta for cfg in cfg_of if cfg.variant == "a-ogd"})
-    strong = next((s for s, v in zip(sched_of, variant_of) if v == "strong-clipped-ogd"), None)
-
-    def column(values, dtype=float):
-        return np.array(values, dtype=dtype)[:, None]
-
-    def stepsizes(sched):
-        """(eta, sigma eta, ascent step, ascent regularization) of a row;
-        a stepsize its variant does not use is 1.0, computed but never kept."""
-        if sched.eta is None:  # strong-clipped-ogd: eta_t and theta_t are per step
-            return 1.0, 1.0, 1.0, 1.0
-        sigma_eta = sched.sigma * sched.eta
-        if sched.cfg.variant == "a-ogd":
-            return sched.eta, sigma_eta, sched.eta0, sched.theta0
-        return sched.eta, sigma_eta, sched.eta, sigma_eta
-
-    eta, sigma_eta, asc_step, asc_reg = zip(*map(stepsizes, sched_of))
     stream = np.array([stream_at[seeds[b]] for b in order])
-    rows = _Rows(
-        betas,
-        stream=stream,
-        is_cdual=column([v == "clipped-ogd" for v in variant_of], bool),
-        is_strong=column([v == "strong-clipped-ogd" for v in variant_of], bool),
-        is_ascent=column([v in ("mahdavi-ogd", "a-ogd") for v in variant_of], bool),
-        beta_idx=column(
-            [betas.index(cfg.beta) if cfg.variant == "a-ogd" else len(betas) for cfg in cfg_of], int
-        ),
-        eta=column(eta),
-        sigma_eta=column(sigma_eta),
-        asc_step=column(asc_step),
-        asc_reg=column(asc_reg),
-    )
 
-    def set_duals(A, lam, t):
-        """lam with the duals of the rows that set them from A before step t;
-        ascent rows keep theirs."""
-        if rows.cdual is not False:
-            new = clipped_dual(A, rows.sigma_eta)
-            lam = new if rows.cdual is True else np.where(rows.is_cdual, new, lam)
-        if rows.strong is not False:
-            new = np.maximum(A, 0.0) / strong.theta_t(t)
-            lam = new if rows.strong is True else np.where(rows.is_strong, new, lam)
-        return lam
+    # row i takes its stepsizes from schedule number cfg_id[i], one per
+    # distinct config. The rows with the clipped Lagrangian set their duals
+    # in closed form, the others by ascent; ``closed`` is that mask resolved
+    # over the live rows: True or False when they all agree, so that the
+    # step loop uses the plain expression and skips np.where, else the mask
+    scheds = list(schedule.values())
+    cfg_id = np.array([scheds.index(schedule[cfgs[b]]) for b in order])
+    closes = np.array([[cfgs[b].lagrangian == "clipped"] for b in order])
+
+    def resolve(mask):
+        return True if mask.all() else mask if mask.any() else False
+
+    is_closed, closed = closes, resolve(closes)
 
     X = np.tile(problem.x0(), (B, 1))
     V = form.values(X)
     A = _aggregate(V, mode)
-    lam = set_duals(A, np.zeros((B, k)), 1)
+    lam = np.zeros((B, k))
 
     rec = {"x": np.empty((total, n)), "lam": np.empty((total, k))}
     errors = {}
@@ -383,16 +320,19 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     live = np.arange(B)  # sorted positions of the rows still running
     prefix = True  # whether they are 0, 1, ..., live.size - 1
     next_end = ends[-1]
-    block_end = 0  # the step before which the loss parameters are gathered again
+    block_end = 0  # the step before which the block is gathered again
 
     def keep(mask):
-        nonlocal live, prefix, next_end, X, V, A, lam, block
+        """Keep the `mask` rows of step s; the next step gathers a block
+        for them."""
+        nonlocal live, prefix, next_end, block_end, is_closed, closed, X, V, A, lam
         live = live[mask]
         prefix = live.size == 0 or live[-1] == live.size - 1
         next_end = ends[live].min(initial=T_max)
+        block_end = s + 1
+        is_closed = closes[live]
+        closed = resolve(is_closed)
         X, V, A, lam = X[mask], V[mask], A[mask], lam[mask]
-        block = block[:, mask]
-        rows.keep(mask)
 
     def rows_at(s):
         """The record rows of the live rows at step s, as a slice while
@@ -402,22 +342,30 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     for s in range(T_max):
         t = s + 1
         if s == block_end:
-            # the live rows' loss parameters up to the next row end, step-major
+            # the live rows' loss parameters and stepsizes up to the next
+            # row end, step-major; one stepsize table per live config. When
+            # the live rows share one config its stepsizes are Python
+            # floats, which numpy applies faster than a column
             block_start, block_end = s, min(s + _BLOCK, next_end)
-            block = params[np.arange(s, block_end)[:, None] + rows.stream]
+            block = params[np.arange(s, block_end)[:, None] + stream[live]]
+            ids, row = np.unique(cfg_id[live], return_inverse=True)
+            tables = np.stack([scheds[c].steps(t, block_end + 1) for c in ids], axis=-1)
+            etas, mus, thetas = tables[:, :, 0].tolist() if ids.size == 1 else tables[:, :, row, None]
+        j = s - block_start
+        if closed is not False:
+            new = clipped_dual(A, thetas[j])
+            lam = new if closed is True else np.where(is_closed, new, lam)
         at = rows_at(s)
         rec["x"][at] = X
         rec["lam"][at] = lam
 
-        fgrad = form.grad(X, block[s - block_start])
+        fgrad = form.grad(X, block[j])
         grad = _lagrangian_grad(form, X, V, lam, fgrad, mode)
-        if rows.strong is False:
-            eta = rows.eta
-        elif rows.strong is True:
-            eta = strong.eta_t(t)
-        else:
-            eta = np.where(rows.is_strong, strong.eta_t(t), rows.eta)
-        Y = X - eta * grad
+        Y = X - etas[j] * grad
+        if closed is not True:
+            # every row's ascent; a closed-form row sets its dual again
+            # before it reads it
+            lam = np.maximum(lam + mus[j] * (A - thetas[j] * lam), 0.0)
         nrm = np.sqrt(np.vecdot(Y, Y))
         if not np.maximum.reduce(nrm) <= R:  # a row leaves the ball, or is not finite
             if not math.isfinite(np.add.reduce(nrm)):  # a non-finite gradient, or overflow
@@ -442,14 +390,9 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
             if over.any():
                 Y[over] = Y[over] * (R / nrm[over])[:, None]
 
-        if rows.ascent is not False:
-            # every row's ascent; set_duals then overwrites the other rows
-            step, reg = rows.ascent_steps(t)
-            lam = np.maximum(lam + step * (A - reg * lam), 0.0)
         X = Y
         V = form.values(X)
         A = _aggregate(V, mode)
-        lam = set_duals(A, lam, t + 1)
 
         if t == next_end:
             keep(ends[live] != t)
@@ -460,7 +403,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     # trace keeps no other alive. One record is dropped before the next is
     # gathered, largest first, so the gather's peak is the records plus
     # one field of copies
-    del block
+    del block, tables, etas, mus, thetas
     kept = [(i, b) for i, b in enumerate(order) if b not in errors]
     fields = {b: {} for _, b in kept}
     for name in sorted(rec, key=lambda name: -rec[name].size):
@@ -480,7 +423,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
 
     traces = [errors.get(b) for b in range(B)]
     for i, b in kept:
-        sched = scheds[b]
+        sched = schedule[cfgs[b]]
         traces[b] = RunTrace(
             problem=problem.name,
             variant=cfgs[b].variant,

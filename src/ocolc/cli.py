@@ -230,18 +230,30 @@ def _oracle_settings(s: Settings):
     return iters, tol
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _read_cache_entry(path: str, full_key: dict):
     """The cached blob at `path`, or None (with a warning) when the file is
-    unreadable JSON or not an entry for `full_key`."""
+    unreadable JSON or not an entry for `full_key`: one whose value and
+    residual are numbers and whose x_star is a list of them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
     except ValueError as e:  # truncated or garbled: JSON or UTF-8 decode error
         problem = str(e)
     else:
-        if isinstance(blob, dict) and blob.get("key") == full_key and "value" in blob:
+        if (
+            isinstance(blob, dict)
+            and blob.get("key") == full_key
+            and _is_real(blob.get("value"))
+            and _is_real(blob.get("residual"))
+            and isinstance(blob.get("x_star"), list)
+            and all(map(_is_real, blob["x_star"]))
+        ):
             return blob
-        problem = "not an entry for this key"
+        problem = "not a valid entry for this key"
     print(f"warning: recomputing corrupt oracle cache entry {path}: {problem}", file=sys.stderr)
     return None
 

@@ -129,7 +129,7 @@ class ArrayForm:
         return self.loss_value(X, P), self.grad(X, P)
 
 
-def _uniform_rows(seed: int, T: int, width: int) -> np.ndarray:
+def _stream_draws(seed: int, T: int, width: int) -> np.ndarray:
     """The loss stream's (T, width) uniform draws, width per step."""
     return _rng(seed, _STREAM_LOSS).uniform(size=(T, width))
 
@@ -142,7 +142,7 @@ def _uniform_rows(seed: int, T: int, width: int) -> np.ndarray:
 def toy_raw_costs(seed: int, T: int) -> np.ndarray:
     """Cost vectors of steps 0..T-1 before normalization: uniform on
     [0, 1.2] x [0, 1]."""
-    return _uniform_rows(seed, T, 2) * np.array([1.2, 1.0])
+    return _stream_draws(seed, T, 2) * np.array([1.2, 1.0])
 
 
 def toy_costs(seed: int, T: int) -> np.ndarray:
@@ -234,7 +234,7 @@ def permutation_batch(seed: int, T: int, d: int) -> np.ndarray:
     argsort keeps per-step variate consumption fixed at d, preserving the
     (seed, t) purity that rejection-sampling shuffles would break.
     """
-    return np.argsort(_uniform_rows(seed, T, d), axis=1)
+    return np.argsort(_stream_draws(seed, T, d), axis=1)
 
 
 class _DoublyStochasticArrays(ArrayForm):

@@ -1,10 +1,12 @@
 """Per-point reference math the tests check the library against.
 
 The Lagrangian subgradient of one point, the max aggregation of a
-constraint list, and the closed-form Theorem 1 parameters, all written on
+constraint list, the closed-form Theorem 1 parameters, each variant's
+stepsizes at one step and a whole run one point per step, all written on
 ConvexFn closures one point at a time. The batched kernel
-(``ocolc.algorithms._lagrangian_grad``) and the stepsize schedule compute
-the same quantities; ``tests/test_kernel.py`` compares them bit for bit.
+(``ocolc.algorithms._lagrangian_grad`` and ``advance``) and the stepsize
+schedule compute the same quantities; ``tests/test_kernel.py`` and
+``tests/test_algorithms.py`` compare them bit for bit.
 ``ClosureArrays`` is the array form of such closures, for the problems the
 tests write by hand and for the closures they compare against.
 ``fd_grad`` is the central-difference gradient of one closure at one point.
@@ -16,7 +18,8 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ocolc.core import ConvexFn, Vector
+from ocolc.algorithms import Schedule
+from ocolc.core import ConvexFn, Vector, project_ball
 from ocolc.problems import ArrayForm
 from ocolc.validation import central_differences
 
@@ -90,9 +93,10 @@ def clipped_subgrad(g: ConvexFn, x: Vector) -> Vector:
 
 
 def lagrangian_grad_x(
-    f: ConvexFn, gs: Sequence[ConvexFn], x: Vector, lam: np.ndarray
+    f: ConvexFn, gs: Sequence[ConvexFn], x: Vector, lam: np.ndarray, clipped: bool = True
 ) -> Vector:
-    """Primal subgradient of f(x) + sum_i lam_i * max(0, g_i(x)).
+    """Primal subgradient of f(x) + sum_i lam_i * max(0, g_i(x)), or of the
+    plain f(x) + sum_i lam_i * g_i(x) when not `clipped`.
 
     lam must be elementwise nonnegative; a negative multiplier means the
     caller's dual update is broken, so it is an error rather than a clamp.
@@ -105,7 +109,8 @@ def lagrangian_grad_x(
     grad = np.asarray(f.subgrad(x), dtype=float)
     for lam_i, g in zip(lam, gs):
         if lam_i > 0.0:
-            grad = grad + lam_i * clipped_subgrad(g, x)
+            sub = clipped_subgrad(g, x) if clipped else np.asarray(g.subgrad(x), dtype=float)
+            grad = grad + lam_i * sub
     return grad
 
 
@@ -147,3 +152,68 @@ def theorem1_params(m: int, G: float, R: float, alpha: float, T: int) -> tuple:
     sigma = (m + 1) * G * G / (2.0 * (1.0 - alpha))
     eta = 1.0 / (G * np.sqrt((m + 1) * R * T))
     return sigma, float(eta)
+
+
+def scalar_steps(sched: Schedule, t: int) -> tuple:
+    """(eta, mu, theta) of step t: the primal stepsize, the dual ascent step
+    and the dual regularization, from the scalar formulas on the schedule's
+    constants.
+
+    strong-clipped-ogd: eta = 1/(H1 (t+1)), mu = eta, theta = eta (m+1) G^2.
+    a-ogd: constant eta, mu = eta0 t^(beta-1), theta = theta0 t^(-beta).
+    clipped-ogd and mahdavi-ogd: eta, eta and sigma eta.
+    """
+    cfg = sched.cfg
+    if cfg.variant == "strong-clipped-ogd":
+        eta = 1.0 / (sched.H1 * (t + 1))
+        return eta, eta, eta * (sched.m_eff + 1) * sched.G**2
+    if cfg.variant == "a-ogd":
+        return sched.eta, sched.eta0 * t ** (cfg.beta - 1.0), sched.theta0 * t ** -cfg.beta
+    return sched.eta, sched.eta, sched.sigma * sched.eta
+
+
+# ----------------------------------------------------------------- runs
+
+
+def point_constraints(form: ArrayForm) -> List[ConvexFn]:
+    """The constraints of an array form as per-point closures."""
+    return [
+        ConvexFn(
+            lambda x, i=i: float(form.values(x[None])[0, i]),
+            lambda x, i=i: form.jacobian(x[None])[0, i],
+        )
+        for i in range(form.m)
+    ]
+
+
+def reference_run(problem, cfg, seed: int) -> tuple:
+    """The (T, n) iterates and (T, k) duals of one run, one point per step.
+
+    At step t the clipped variants set the dual to [g(x)]_+ / theta; x then
+    moves along ``lagrangian_grad_x`` of the step's loss (clipped or plain,
+    as the variant's Lagrangian) with stepsize eta and is projected by
+    ``core.project_ball``; the baselines then ascend the dual,
+    max(lam + mu (g(x) - theta lam), 0). The stepsizes are ``scalar_steps``.
+    """
+    sched = Schedule(problem, cfg)
+    form = problem.arrays
+    params = form.params(seed, cfg.T)
+    closed = cfg.lagrangian == "clipped"
+    gs = point_constraints(form)
+    if cfg.aggregation == "max":
+        gs = [max_aggregate(gs)]
+    x, lam = problem.x0(), np.zeros(len(gs))
+    xs, lams = np.empty((cfg.T, problem.n)), np.empty((cfg.T, len(gs)))
+    for t in range(1, cfg.T + 1):
+        eta, mu, theta = scalar_steps(sched, t)
+        g = np.array([gi.eval(x) for gi in gs])
+        if closed:
+            lam = np.maximum(g, 0.0) / theta
+        xs[t - 1], lams[t - 1] = x, lam
+        fgrad = form.grad(x[None], params[t - 1 : t])[0]
+        f = ConvexFn(lambda _: 0.0, lambda _: fgrad)
+        x_next = project_ball(x - eta * lagrangian_grad_x(f, gs, x, lam, clipped=closed), problem.dom)
+        if not closed:
+            lam = np.maximum(lam + mu * (g - theta * lam), 0.0)
+        x = x_next
+    return xs, lams

@@ -110,7 +110,7 @@ def test_negative_control_fault_injection(monkeypatch):
     # a corrupted dual update must trip the lambda-identity check
     exact = ocolc.algorithms.clipped_dual
     monkeypatch.setattr(
-        ocolc.algorithms, "clipped_dual", lambda agg, sigma_eta: exact(agg, sigma_eta) * 1.5 + 1e-3
+        ocolc.algorithms, "clipped_dual", lambda agg, theta: exact(agg, theta) * 1.5 + 1e-3
     )
     small = AcceptanceSuite(t_grid=(100, 200, 400), toy_seeds=2, ds_seeds=1)
     result = small.check_lambda_identity()
@@ -124,10 +124,10 @@ def figure(details, label):
 
 
 def test_negative_control_frozen_dual(monkeypatch):
-    # with the clipped-ogd dual frozen at 0 the iterates are plain OGD, which
-    # leaves the l1 ball: each violation figure must cross its bound, and the
-    # checks must report FAIL, not raise
-    monkeypatch.setattr(ocolc.algorithms, "clipped_dual", lambda agg, sigma_eta: np.zeros_like(agg))
+    # with the closed-form dual frozen at 0 the clipped-ogd iterates are
+    # plain OGD, which leaves the l1 ball: each violation figure must cross
+    # its bound, and the checks must report FAIL, not raise
+    monkeypatch.setattr(ocolc.algorithms, "clipped_dual", lambda agg, theta: np.zeros_like(agg))
     quick = AcceptanceSuite(t_grid=(250, 500, 1000, 2000, 4000), toy_seeds=3, ds_seeds=2)
     results = [quick.check_theorem1_scaling(), quick.check_lemma1_per_step(), quick.check_baseline_contrast()]
     for result in results:

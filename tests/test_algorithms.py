@@ -16,7 +16,7 @@ from ocolc.core import ConvexFn
 from ocolc.problems import toy_problem, doubly_stochastic_problem, dispatch_problem
 
 from conftest import make_problem
-from reference import theorem1_params
+from reference import scalar_steps, theorem1_params
 
 
 def _one_d_problem(R=1.0, G=1.0, slope=1.0, H1=None, x0=0.0):
@@ -131,12 +131,32 @@ def test_clipped_ogd_constant_loss_fixed_point():
 def test_strong_schedule_values():
     # H1 = 1, m = 1, G = 2: eta_3 = 0.25, theta_3 = 0.25 * 2 * 4 = 2.0
     p = _one_d_problem(G=2.0, H1=1.0)
-    algo = Schedule(p, AlgoConfig("strong", T=10))
-    assert algo.eta_t(1) == pytest.approx(0.5)  # 1/(2 H1)
-    assert algo.eta_t(3) == pytest.approx(0.25)
-    assert algo.theta_t(3) == pytest.approx(2.0)
-    etas = [algo.eta_t(t) for t in range(1, 20)]
+    etas, mus, thetas = Schedule(p, AlgoConfig("strong", T=10)).steps(1, 20)
+    assert etas[0] == pytest.approx(0.5)  # 1/(2 H1)
+    assert etas[2] == pytest.approx(0.25)
+    assert thetas[2] == pytest.approx(2.0)
     assert all(b < a for a, b in zip(etas, etas[1:]))  # strictly decreasing
+
+
+# (variant, beta, aggregation): a-ogd at the betas of the sweeps and
+# checks, the others at both aggregations, which set m_eff
+SCHEDULES = [("a-ogd", beta, "max") for beta in (0.3, 0.5, 0.6, 2.0 / 3.0)] + [
+    (v, 0.5, a)
+    for v in ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd")
+    for a in ("max", "per_constraint")
+]
+
+
+@pytest.mark.parametrize("variant,beta,aggregation", SCHEDULES)
+def test_schedule_tables_equal_the_scalar_formulas(variant, beta, aggregation):
+    # bit for bit, up to t = 40 000 and on ranges that start mid-stream; a-ogd's
+    # powers are Python's scalar t ** e, which np.power does not match on
+    # every step
+    sched = Schedule(dispatch_problem(), AlgoConfig(variant, T=40000, beta=beta, aggregation=aggregation))
+    for t0, t1 in ((1, 40001), (257, 513), (39990, 40001), (7, 8)):
+        want = np.array([scalar_steps(sched, t) for t in range(t0, t1)]).T
+        got = sched.steps(t0, t1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (t0, t1)
 
 
 def test_strong_requires_H1():
@@ -176,9 +196,10 @@ def test_aogd_hand_step_frozen():
     algo = Schedule(p, cfg)
     assert algo.eta0 == pytest.approx(0.5)
     assert algo.eta == pytest.approx(0.125)
-    t = 1
-    assert algo.theta0 * t ** -cfg.beta == pytest.approx(1.0)  # theta_1
-    assert algo.eta0 * t ** (cfg.beta - 1.0) == pytest.approx(0.5)  # mu_1
+    ((eta,), (mu,), (theta,)) = algo.steps(1, 2)
+    assert eta == pytest.approx(0.125)
+    assert theta == pytest.approx(1.0)  # theta_1
+    assert mu == pytest.approx(0.5)  # mu_1
     _, _, lam = _one_step(p, cfg)
     assert lam[0] == pytest.approx(0.25, abs=1e-15)
 

@@ -404,25 +404,35 @@ def test_oracle_error_exits_1_with_message(tmp_path, capsys, monkeypatch, comman
     assert "error: oracle failed: feasibility 1e-3 > tol" in capsys.readouterr().err
 
 
+def value_not_a_number(raw):
+    """A cache entry with the right key whose value is a string."""
+    return json.dumps(dict(json.loads(raw), value="abc")).encode()
+
+
 def test_run_over_corrupt_cache_recomputes(tmp_path, capsys):
     clean, dirty = tmp_path / "clean", tmp_path / "dirty"
     assert run_cli(*DISPATCH_RUN, "--out", str(clean)) == 0
     assert run_cli(*DISPATCH_RUN, "--out", str(dirty)) == 0
     (entry,) = dirty.glob("oracle-*.json")
-    entry.write_bytes(entry.read_bytes()[:40])  # truncated mid-file
-    capsys.readouterr()
-    assert run_cli(*DISPATCH_RUN, "--out", str(dirty)) == 0
-    assert "warning: recomputing corrupt oracle cache entry" in capsys.readouterr().err
-    assert (dirty / "summary.json").read_bytes() == (clean / "summary.json").read_bytes()
-    assert entry.read_bytes() == next(clean.glob("oracle-*.json")).read_bytes()
-    assert sorted(p.name for p in dirty.iterdir()) == sorted(p.name for p in clean.iterdir())
+    valid = entry.read_bytes()
+    for corrupt in (valid[:40], value_not_a_number(valid)):  # truncated mid-file; a string value
+        entry.write_bytes(corrupt)
+        capsys.readouterr()
+        assert run_cli(*DISPATCH_RUN, "--out", str(dirty)) == 0
+        assert "warning: recomputing corrupt oracle cache entry" in capsys.readouterr().err
+        assert (dirty / "summary.json").read_bytes() == (clean / "summary.json").read_bytes()
+        assert entry.read_bytes() == next(clean.glob("oracle-*.json")).read_bytes()
+        assert sorted(p.name for p in dirty.iterdir()) == sorted(p.name for p in clean.iterdir())
 
 
 def test_oracle_over_corrupt_cache_recomputes(tmp_path, capsys):
     args = (*ORACLE_COMMANDS["oracle"], "--out", str(tmp_path))
     assert run_cli(*args) == 0
     (entry,) = tmp_path.glob("oracle-*.json")
-    for corrupt in (b'{"key": {"T": 50, "iter', b'\xff\xfe', b'[1, 2]', b'{"value": 1.0}'):
+    valid = entry.read_bytes()
+    no_residual = json.dumps({k: v for k, v in json.loads(valid).items() if k != "residual"}).encode()
+    for corrupt in (b'{"key": {"T": 50, "iter', b'\xff\xfe', b'[1, 2]', b'{"value": 1.0}',
+                    no_residual, value_not_a_number(valid)):
         entry.write_bytes(corrupt)
         capsys.readouterr()
         assert run_cli(*args) == 0

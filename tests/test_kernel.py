@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ocolc.algorithms import (
-    AlgoConfig, Batch, RunError, _aggregate, _lagrangian_grad, advance, clipped_dual, run,
+    VARIANTS, AlgoConfig, Batch, RunError, _aggregate, _lagrangian_grad, advance, clipped_dual, run,
 )
 from ocolc.core import ConvexFn
 from ocolc.problems import (
@@ -32,7 +32,7 @@ from ocolc.problems import (
 
 from conftest import make_problem
 from golden_cases import inline_problem
-from reference import ClosureArrays, lagrangian_grad_x, max_aggregate
+from reference import ClosureArrays, lagrangian_grad_x, max_aggregate, reference_run
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,13 +233,7 @@ def reference_grad(p, f, x, lam, mode, clipped):
     """The per-point Lagrangian gradient on the reference closures."""
     gs = reference_constraints(p)
     fns = gs if mode == "per_constraint" else [max_aggregate(gs)]
-    if clipped:
-        return lagrangian_grad_x(f, fns, x, lam)
-    grad = np.asarray(f.subgrad(x), dtype=float)
-    for lam_i, g in zip(lam, fns):
-        if lam_i > 0.0:
-            grad = grad + lam_i * np.asarray(g.subgrad(x), dtype=float)
-    return grad
+    return lagrangian_grad_x(f, fns, x, lam, clipped)
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,6 +327,36 @@ def test_batch_rows_equal_single_runs(name, aggregation, data):
         assert (got.eta, got.sigma, got.meta) == (want.eta, want.sigma, want.meta)
 
 
+# ------------------------------------- rows vs a per-point reference run
+# The property tests above stop at T = 40, inside the kernel's first block
+# of 256 steps, and compare kernel rows only with kernel rows. Here each row
+# runs 600 steps, across two block edges, against ``reference_run``, which
+# takes one point per step and writes each variant's stepsizes as scalar
+# formulas. The inline problem's losses pull x out of the feasible set, so
+# every variant's duals move.
+
+
+def assert_reference_rows(p, cfgs, seeds):
+    for cfg, seed, got in zip(cfgs, seeds, advance(p, cfgs, seeds)):
+        x, lam = reference_run(p, cfg, seed)
+        assert lam[256:].any(), "the duals must move after the first block"
+        assert same_bits(got.x, x), (cfg, "x")
+        assert same_bits(got.lam, lam), (cfg, "lam")
+
+
+@pytest.mark.parametrize("variant,aggregation", KINDS)
+def test_rows_equal_the_per_point_reference_across_block_edges(variant, aggregation):
+    assert_reference_rows(problem("inline"), [AlgoConfig(variant, T=600, aggregation=aggregation)], [3])
+
+
+def test_mixed_rows_equal_the_per_point_reference_across_block_edges():
+    # all four variants, a-ogd at two betas, and a row that ends between
+    # two block edges (the block then ends with it)
+    cfgs = [AlgoConfig(v, T=600) for v in VARIANTS]
+    cfgs += [AlgoConfig("a-ogd", T=600, beta=2.0 / 3.0), AlgoConfig("clipped-ogd", T=300, beta=0.3)]
+    assert_reference_rows(problem("inline"), cfgs, [0, 1, 2, 3, 4, 5])
+
+
 def test_advance_rejects_mixed_aggregations():
     # the dual width depends on the aggregation, so rows must share it
     p = dispatch_problem()
@@ -387,10 +411,10 @@ def test_failing_row_stops_alone():
 
 
 def test_failing_row_leaves_aogd_schedules_aligned():
-    # a-ogd computes mu_t and theta_t of each row's beta at each step, and
-    # mahdavi-ogd rows in the same call keep their constant steps; after a
-    # row fails, the others must still get their own. The loss pushes x into
-    # violation, so the duals move
+    # each row reads its own config's stepsize table: a-ogd's mu and theta
+    # at its beta, mahdavi-ogd's constants; after a row fails mid-block, the
+    # others must still get their own. The loss pushes x into violation, so
+    # the duals move
     def make_loss(seed, t):
         bad = seed == 1 and t == 2
         return ConvexFn(lambda x: float(-x[0]), lambda x: np.array([np.nan if bad else -1.0 - seed]))
