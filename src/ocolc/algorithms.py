@@ -251,8 +251,10 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     dual width m_eff; variant, eta, sigma, beta, alpha, seed and horizon may
     differ per row. Each row computes exactly what its one-row
     call computes. Each row is recorded before each of its steps; the update
-    after its last recorded step still runs, so that a non-finite gradient
-    at step T stops the row as one at any earlier step does.
+    after its last recorded step still runs, so that a row fails on a
+    non-finite step T as on any earlier one. A row fails alone: it keeps
+    its slot until its horizon, restarted from x0, and its records are
+    never read.
 
     A step evaluates only the loss gradient, and records only x and lam.
     After the loop each trace gets its loss values from one ``loss_value``
@@ -271,10 +273,10 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     R = problem.dom.radius
     k, n = schedule[cfgs[0]].m_eff, problem.n
 
-    # rows sorted by horizon, longest first: the live rows are then a prefix
-    # until a row fails. Records are step-major with sum(T) rows: step s
-    # holds the rows still running at s, row i of them at off[s] + i, so a
-    # row keeps its slot at every step and nothing is padded
+    # rows sorted by horizon, longest first. A failed row keeps its slot
+    # until its horizon, so the rows running at step s are always the first
+    # running[s]. Records are step-major with sum(T) rows: step s holds the
+    # rows running at s, row i of them at off[s] + i, so nothing is padded
     order = sorted(range(B), key=lambda b: -cfgs[b].T)
     ends = np.array([cfgs[b].T for b in order])
     T_max = int(ends[0])
@@ -297,47 +299,22 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
 
     # row i takes its stepsizes from schedule number cfg_id[i], one per
     # distinct config. The rows with the clipped Lagrangian set their duals
-    # in closed form, the others by ascent; ``closed`` is that mask resolved
-    # over the live rows: True or False when they all agree, so that the
-    # step loop uses the plain expression and skips np.where, else the mask
+    # in closed form, the others by ascent; ``closed`` is that mask over the
+    # live rows, resolved to True or False when they all agree, so that the
+    # step loop uses the plain expression and skips np.where
     scheds = list(schedule.values())
     cfg_id = np.array([scheds.index(schedule[cfgs[b]]) for b in order])
     closes = np.array([[cfgs[b].lagrangian == "clipped"] for b in order])
 
-    def resolve(mask):
-        return True if mask.all() else mask if mask.any() else False
-
-    is_closed, closed = closes, resolve(closes)
-
-    X = np.tile(problem.x0(), (B, 1))
+    x0 = problem.x0()
+    X = np.tile(x0, (B, 1))
     V = form.values(X)
     A = _aggregate(V, mode)
     lam = np.zeros((B, k))
 
     rec = {"x": np.empty((total, n)), "lam": np.empty((total, k))}
     errors = {}
-
-    live = np.arange(B)  # sorted positions of the rows still running
-    prefix = True  # whether they are 0, 1, ..., live.size - 1
-    next_end = ends[-1]
     block_end = 0  # the step before which the block is gathered again
-
-    def keep(mask):
-        """Keep the `mask` rows of step s; the next step gathers a block
-        for them."""
-        nonlocal live, prefix, next_end, block_end, is_closed, closed, X, V, A, lam
-        live = live[mask]
-        prefix = live.size == 0 or live[-1] == live.size - 1
-        next_end = ends[live].min(initial=T_max)
-        block_end = s + 1
-        is_closed = closes[live]
-        closed = resolve(is_closed)
-        X, V, A, lam = X[mask], V[mask], A[mask], lam[mask]
-
-    def rows_at(s):
-        """The record rows of the live rows at step s, as a slice while
-        they are a prefix."""
-        return slice(off[s], off[s] + live.size) if prefix else off[s] + live
 
     for s in range(T_max):
         t = s + 1
@@ -346,16 +323,22 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
             # row end, step-major; one stepsize table per live config. When
             # the live rows share one config its stepsizes are Python
             # floats, which numpy applies faster than a column
-            block_start, block_end = s, min(s + _BLOCK, next_end)
-            block = params[np.arange(s, block_end)[:, None] + stream[live]]
-            ids, row = np.unique(cfg_id[live], return_inverse=True)
+            live = int(running[s])
+            if all(order[i] in errors for i in range(live)):
+                break
+            X, V, A, lam = X[:live], V[:live], A[:live], lam[:live]
+            block_start, block_end = s, min(s + _BLOCK, ends[live - 1])
+            block = params[np.arange(s, block_end)[:, None] + stream[:live]]
+            ids, row = np.unique(cfg_id[:live], return_inverse=True)
             tables = np.stack([scheds[c].steps(t, block_end + 1) for c in ids], axis=-1)
             etas, mus, thetas = tables[:, :, 0].tolist() if ids.size == 1 else tables[:, :, row, None]
+            is_closed = closes[:live]
+            closed = True if is_closed.all() else is_closed if is_closed.any() else False
         j = s - block_start
         if closed is not False:
             new = clipped_dual(A, thetas[j])
             lam = new if closed is True else np.where(is_closed, new, lam)
-        at = rows_at(s)
+        at = slice(off[s], off[s] + live)
         rec["x"][at] = X
         rec["lam"][at] = lam
 
@@ -368,17 +351,17 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
             lam = np.maximum(lam + mus[j] * (A - thetas[j] * lam), 0.0)
         nrm = np.sqrt(np.vecdot(Y, Y))
         if not np.maximum.reduce(nrm) <= R:  # a row leaves the ball, or is not finite
-            if not math.isfinite(np.add.reduce(nrm)):  # a non-finite gradient, or overflow
-                bad = ~np.isfinite(grad).all(axis=1)
+            if not math.isfinite(np.add.reduce(nrm)):  # a non-finite step, or overflow
+                bad = ~np.isfinite(Y).all(axis=1)
                 if bad.any():
-                    for i in live[bad]:
-                        errors[order[i]] = RunError(t, "non-finite Lagrangian gradient")
-                    Y, nrm = Y[~bad], nrm[~bad]
-                    keep(~bad)
-                    if live.size == 0:
-                        break
-                if not np.isfinite(Y).all():
-                    raise ValueError("cannot project non-finite vector")
+                    # a failed row restarts from x0 (norm 0) with a zero
+                    # dual, so it stays finite until its horizon; its
+                    # records are dropped. The next step starts a block,
+                    # which ends the loop once every live row has failed
+                    for i in np.flatnonzero(bad):
+                        errors.setdefault(order[i], RunError(t, "non-finite step"))
+                    Y[bad], lam[bad], nrm[bad] = x0, 0.0, 0.0
+                    block_end = s + 1
                 # finite rows whose squared norm overflows: scale each down by
                 # its largest entry, then project; they land on the sphere
                 huge = ~np.isfinite(nrm)
@@ -393,11 +376,6 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         X = Y
         V = form.values(X)
         A = _aggregate(V, mode)
-
-        if t == next_end:
-            keep(ends[live] != t)
-            if live.size == 0:
-                break
 
     # each trace gathers its own rows into arrays it owns, so holding one
     # trace keeps no other alive. One record is dropped before the next is

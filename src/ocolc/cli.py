@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .algorithms import AGGREGATIONS, AlgoConfig, Batch, RunError, run
+from .algorithms import AGGREGATIONS, AlgoConfig, Batch, RunError, Schedule, run
 from .metrics import summarize
 from .oracle import OracleError, offline_value
 from .problems import (
@@ -154,17 +154,19 @@ def build_problem(s: Settings):
     raise UsageError(f"unknown problem {name!r}; expected one of {PROBLEMS}")
 
 
-def build_config(s: Settings, T=None, algo=None) -> AlgoConfig:
+def build_config(s: Settings, problem, T=None, algo=None) -> AlgoConfig:
     """The AlgoConfig of the settings (sweep passes each T and algorithm).
 
     A value AlgoConfig rejects is a usage error naming the setting that
     brings the rejection on: the settings are added one at a time, in the
-    order below, to a config that is valid so far.
+    order below, to a config that is valid so far. A config whose Schedule
+    the problem rejects (strong-clipped-ogd on a problem that is not
+    strongly convex, or with --eta or --sigma) is one naming the algorithm.
     """
+    algo_key = "algos" if algo is not None else "algo"
     fields = {"T": 1}
     for key, name, value in (
-        ("algos" if algo is not None else "algo", "variant",
-         algo if algo is not None else s.get("algo", str, required=True)),
+        (algo_key, "variant", algo if algo is not None else s.get("algo", str, required=True)),
         ("T", "T", T if T is not None else _at_least("T", s.get("T", int, required=True))),
         ("beta", "beta", s.get("beta", float, 0.5)),
         ("alpha", "alpha", s.get("alpha", float, 0.5)),
@@ -175,6 +177,8 @@ def build_config(s: Settings, T=None, algo=None) -> AlgoConfig:
         fields[name] = value
         with _setting(key):
             cfg = AlgoConfig(**fields)
+    with _setting(algo_key):
+        Schedule(problem, cfg)
     return cfg
 
 
@@ -306,7 +310,7 @@ def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol:
 
 def cmd_run(s: Settings) -> int:
     problem, key = build_problem(s)
-    cfg = build_config(s)
+    cfg = build_config(s, problem)
     seed = _at_least("seed", s.get("seed", int, 0), 0)
     iters, tol = _oracle_settings(s)
     per_constraint = s.get("per-constraint-columns", bool, False)
@@ -407,7 +411,7 @@ def cmd_sweep(s: Settings) -> int:
             f"--seeds must be 1 for dispatch, got {n_seeds}: its demand stream "
             "does not depend on the seed, so every seed would repeat the same cells"
         )
-    cfgs = {(algo, T): build_config(s, T=T, algo=algo) for algo in algos for T in t_grid}
+    cfgs = {(algo, T): build_config(s, problem, T=T, algo=algo) for algo in algos for T in t_grid}
     named = {}  # variant -> the first --algos name that resolves to it
     for algo in algos:
         variant = cfgs[(algo, t_grid[0])].variant

@@ -469,6 +469,16 @@ BAD_COUNTS = {
     "unknown algorithm in a sweep": (
         "algos", ("sweep", "--problem", "toy", "--algos", "ogd,nope", "--T-grid", "50", "--seeds", "1"),
     ),
+    # a config whose Schedule the problem rejects, before the sweep's oracle
+    "strong on a problem that is not strongly convex": (
+        "algo", ("run", "--problem", "toy", "--algo", "strong", "--T", "5"),
+    ),
+    "strong with an eta": (
+        "algo", ("run", "--problem", "doubly-stochastic", "--algo", "strong", "--T", "3", "--eta", "0.1"),
+    ),
+    "strong in a sweep on a problem that is not strongly convex": (
+        "algos", ("sweep", "--problem", "toy", "--algos", "clipped-ogd,strong", "--T-grid", "5,10", "--seeds", "2"),
+    ),
     # the Lagrangian follows from the variant: it is no setting
     "lagrangian in a config file": (
         "config: unknown setting 'lagrangian' for 'ocolc run'",

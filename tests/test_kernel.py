@@ -400,14 +400,33 @@ def test_failing_row_stops_alone():
     g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
     p = make_problem(1, [g], make_loss=make_loss)
     cells = [(AlgoConfig("clipped-ogd", T=T), seed) for T in (4, 6) for seed in (0, 1, 2)]
+    assert_fails_alone(p, cells, lambda cfg, seed: seed == 1, step=3)
+
+
+def test_overflowing_row_stops_alone():
+    # the gradient is finite, but eta = 1e307 times it overflows at step 1;
+    # the other rows, of other horizons and both dual rules, run on
+    cells = [
+        (AlgoConfig("clipped-ogd", T=40), 0),
+        (AlgoConfig("clipped-ogd", T=30, eta_override=1e307), 0),
+        (AlgoConfig("mahdavi-ogd", T=20), 0),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_fails_alone(problem("dispatch"), cells, lambda cfg, seed: cfg.eta_override, step=1)
+
+
+def assert_fails_alone(p, cells, fails, step):
+    """The cells for which fails(cfg, seed) holds raise RunError at `step`;
+    every other cell's x and lam equal its one-row run bit for bit."""
     batch = Batch(p, cells)
     for cfg, seed in cells:
-        if seed == 1:
-            with pytest.raises(RunError) as ei:
+        if fails(cfg, seed):
+            with pytest.raises(RunError, match="non-finite step") as ei:
                 run(batch, cfg, seed)
-            assert ei.value.step == 3
+            assert ei.value.step == step
         else:
-            assert same_bits(run(batch, cfg, seed).x, run(p, cfg, seed).x)
+            got, want = run(batch, cfg, seed), run(p, cfg, seed)
+            assert same_bits(got.x, want.x) and same_bits(got.lam, want.lam)
 
 
 def test_failing_row_leaves_aogd_schedules_aligned():
@@ -464,6 +483,32 @@ def test_step_loop_reads_only_the_loss_gradient(monkeypatch):
     assert sorted(rows for name, rows in calls if name == "loss_value") == [4, 6]
     for trace in (traces[0], traces[2]):
         assert same_bits(trace.fx, 3.0 * trace.x[:, 0])
+
+
+@pytest.mark.parametrize(
+    "failing, steps", [({0, 1, 2}, 3), ({1, 2}, 4)], ids=["at-the-failure", "where-the-survivor-ends"]
+)
+def test_call_whose_rows_all_failed_stops(monkeypatch, failing, steps):
+    # a failed row keeps its slot until its horizon, but the loop stops once
+    # every live row has failed: at the failure itself, or where the last
+    # row that still runs ends. The rows of seeds in `failing` fail at step 3
+    def make_loss(seed, t):
+        bad = seed in failing and t == 2
+        return ConvexFn(lambda x: float(3.0 * x[0]), lambda x: np.array([np.nan if bad else 3.0]))
+
+    g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
+    p = make_problem(1, [g], make_loss=make_loss)
+    calls = []
+    exact = p.arrays.grad
+
+    def counted(X, P):
+        calls.append(len(X))
+        return exact(X, P)
+
+    monkeypatch.setattr(p.arrays, "grad", counted)
+    traces = advance(p, [AlgoConfig("clipped-ogd", T=T) for T in (4, 6, 6)], [0, 1, 2])
+    assert [isinstance(trace, RunError) for trace in traces] == [b in failing for b in range(3)]
+    assert len(calls) == steps
 
 
 def test_batch_hands_each_trace_out_once():
