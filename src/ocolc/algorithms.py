@@ -243,6 +243,7 @@ def _lagrangian_grad(form, X, V, lam, fgrad, mode):
 _BLOCK = 256
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> list:
     """Advance a batch of cells in lockstep: the run kernel.
 

@@ -1,8 +1,9 @@
 """Command-line harness: single runs, sweeps, oracle values, acceptance checks.
 
 Subcommands: run | sweep | oracle | validate. Settings come from CLI flags,
-which override a flat key=value config file (--config), which overrides the
-built-in defaults. Exit codes: 0 success, 1 run/check failure, 2 usage error.
+which override a flat key=value config file (--config), whose entries are
+parsed as flags, which overrides the built-in defaults. Exit codes: 0
+success, 1 run/check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -56,33 +57,6 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-class Settings:
-    """CLI flags > config file > defaults, with typed access."""
-
-    def __init__(self, ns: argparse.Namespace):
-        self.ns = ns
-        self.file = {}
-        if getattr(ns, "config", None):
-            with _setting("config"):
-                self.file = read_config_file(ns.config)
-        # a key that no flag of this subcommand reads would be ignored silently
-        flags = vars(ns).keys() - {"command", "config"}
-        for key in self.file:
-            if key.replace("-", "_") not in flags:
-                raise UsageError(f"--config: unknown setting {key!r} for 'ocolc {ns.command}'")
-
-    def get(self, key: str, cast, default=None, required=False):
-        cli_val = getattr(self.ns, key.replace("-", "_"), None)
-        if cli_val is not None:
-            return cli_val
-        if key in self.file:
-            with _setting(key):
-                return (_parse_bool if cast is bool else cast)(self.file[key])
-        if required and default is None:
-            raise UsageError(f"missing required setting --{key}")
-        return default
-
-
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -97,12 +71,47 @@ class UsageError(Exception):
     pass
 
 
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list:
+    """The entries of config file `path` as flags of the subcommand `parser`
+    parses: key=value as --key=value, a true boolean as its bare flag. A key
+    that is not exactly one of its flags is a usage error, not ignored."""
+    with _setting("config"):
+        entries = read_config_file(path)
+    options, flags = parser._option_string_actions, []
+    for key, value in entries.items():
+        flag = f"--{key}"
+        if flag not in options or key in ("help", "config"):
+            raise UsageError(f"--config: unknown setting {key!r} for {parser.prog!r}")
+        if options[flag].nargs != 0:
+            flags.append(f"{flag}={value}")
+        else:
+            with _setting(key):
+                if _parse_bool(value):
+                    flags.append(flag)
+    return flags
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and through add_subparsers each subcommand's, whose
-    errors are UsageErrors naming the flag: one line, no usage block."""
+    errors are UsageErrors naming the flag: one line, no usage block. A
+    subcommand's --config entries are parsed as its flags, placed before the
+    command line's own, so that the command line's win."""
 
     def error(self, message):
         raise UsageError(message.removeprefix("argument "))
+
+    def parse_known_args(self, args=None, namespace=None):
+        if "--config" in self._option_string_actions:
+            # the file is read before the parse that applies it
+            find = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+            find.add_argument("--config")
+            try:
+                path = find.parse_known_args(args)[0].config
+            except argparse.ArgumentError:  # --config with no value: the parse below reports it
+                path = None
+            if path is not None:
+                args = _config_flags(self, path) + args
+        return super().parse_known_args(args, namespace)
 
     def parse_args(self, args=None, namespace=None):
         ns, extra = self.parse_known_args(args, namespace)
@@ -111,12 +120,39 @@ class _Parser(argparse.ArgumentParser):
         return ns
 
 
-def _at_least(key: str, value: int, low: int = 1) -> int:
-    """A horizon or a count of seeds or workers (low 1), or a seed (low 0, as
-    numpy's seed sequences require): anything below low is a usage error."""
-    if value < low:
-        raise UsageError(f"--{key} must be an integer >= {low}, got {value}")
-    return value
+def _checked(cast, ok, what: str):
+    """The type of a setting: cast(raw), which must be `what`."""
+
+    def parse(raw: str):
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {raw!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+# a horizon or a count of seeds, workers or iterations; a seed, as numpy's
+# seed sequences require; a rescale or a tolerance
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive = _checked(float, lambda v: 0.0 < v < float("inf"), "positive and finite")
+
+
+def _t_grid(raw: str) -> list:
+    """The type of --T-grid: comma-separated horizons, none named twice,
+    which would write and count each of its cells twice."""
+    try:
+        grid = [_count(v) for v in raw.split(",")]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"must be positive integers, got {raw!r}") from None
+    for i, T in enumerate(grid):
+        if T in grid[:i]:
+            raise argparse.ArgumentTypeError(f"names horizon {T} twice, in {raw!r}")
+    return grid
 
 
 @contextlib.contextmanager
@@ -129,32 +165,27 @@ def _setting(key: str):
         raise UsageError(f"--{key}: {e}") from None
 
 
-def build_problem(s: Settings):
+def build_problem(ns: argparse.Namespace):
     """The problem the settings name, and the key that identifies it in the
     oracle cache. The demand CSV is read once, for both."""
-    name = s.get("problem", str, required=True)
-    key = {"problem": name}
-    if name == "toy":
+    key = {"problem": ns.problem}
+    if ns.problem == "toy":
         return toy_problem(), key
-    if name == "doubly-stochastic":
-        key["d"] = s.get("d", int, 5)
+    if ns.problem == "doubly-stochastic":
+        key["d"] = ns.d
         with _setting("d"):
-            return doubly_stochastic_problem(d=key["d"]), key
-    if name == "dispatch":
-        csv = s.get("demand-csv", str)
-        rescale = key["rescale"] = s.get("demand-rescale", float, 1.0)
-        if not 0.0 < rescale < float("inf"):
-            raise UsageError(f"--demand-rescale must be positive and finite, got {rescale}")
-        with _setting("demand-csv"):
-            demand = load_demand_csv(csv) if csv else None
-            problem = dispatch_problem(DispatchParams(demand=demand, demand_rescale=rescale))
-        if csv:
-            key["demand_sha"] = hashlib.sha256(demand.tobytes()).hexdigest()[:16]
-        return problem, key
-    raise UsageError(f"unknown problem {name!r}; expected one of {PROBLEMS}")
+            return doubly_stochastic_problem(d=ns.d), key
+    csv = ns.demand_csv
+    key["rescale"] = ns.demand_rescale
+    with _setting("demand-csv"):
+        demand = load_demand_csv(csv) if csv else None
+        problem = dispatch_problem(DispatchParams(demand=demand, demand_rescale=ns.demand_rescale))
+    if csv:
+        key["demand_sha"] = hashlib.sha256(demand.tobytes()).hexdigest()[:16]
+    return problem, key
 
 
-def build_config(s: Settings, problem, T=None, algo=None) -> AlgoConfig:
+def build_config(ns: argparse.Namespace, problem, T=None, algo=None) -> AlgoConfig:
     """The AlgoConfig of the settings (sweep passes each T and algorithm).
 
     A value AlgoConfig rejects is a usage error naming the setting that
@@ -166,13 +197,13 @@ def build_config(s: Settings, problem, T=None, algo=None) -> AlgoConfig:
     algo_key = "algos" if algo is not None else "algo"
     fields = {"T": 1}
     for key, name, value in (
-        (algo_key, "variant", algo if algo is not None else s.get("algo", str, required=True)),
-        ("T", "T", T if T is not None else _at_least("T", s.get("T", int, required=True))),
-        ("beta", "beta", s.get("beta", float, 0.5)),
-        ("alpha", "alpha", s.get("alpha", float, 0.5)),
-        ("aggregation", "aggregation", s.get("aggregation", str, "max")),
-        ("eta", "eta_override", s.get("eta", float)),
-        ("sigma", "sigma_override", s.get("sigma", float)),
+        (algo_key, "variant", ns.algo if algo is None else algo),
+        ("T", "T", ns.T if T is None else T),
+        ("beta", "beta", ns.beta),
+        ("alpha", "alpha", ns.alpha),
+        ("aggregation", "aggregation", ns.aggregation),
+        ("eta", "eta_override", ns.eta),
+        ("sigma", "sigma_override", ns.sigma),
     ):
         fields[name] = value
         with _setting(key):
@@ -182,10 +213,9 @@ def build_config(s: Settings, problem, T=None, algo=None) -> AlgoConfig:
     return cfg
 
 
-def _out_dir(s: Settings) -> str:
-    out = s.get("out", str) or os.environ.get(OUTDIR_ENV, "out")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(ns: argparse.Namespace) -> str:
+    os.makedirs(ns.out, exist_ok=True)
+    return ns.out
 
 
 # ------------------------------------------------------------- trace CSV
@@ -221,17 +251,6 @@ def load_trace_csv(path: str) -> dict:
 
 
 # ---------------------------------------------------------- oracle cache
-
-
-def _oracle_settings(s: Settings):
-    """(iters, tol) for the penalty oracle; out-of-range values are usage errors."""
-    iters = s.get("oracle-iters", int, 20000)
-    tol = s.get("oracle-tol", float, 1e-6)
-    if iters < 1:
-        raise UsageError(f"--oracle-iters must be >= 1, got {iters}")
-    if not tol > 0:
-        raise UsageError(f"--oracle-tol must be > 0, got {tol}")
-    return iters, tol
 
 
 def _is_real(v) -> bool:
@@ -308,20 +327,17 @@ def cached_offline_value(problem, key: dict, seed: int, T: int, iters: int, tol:
 # ------------------------------------------------------------- commands
 
 
-def cmd_run(s: Settings) -> int:
-    problem, key = build_problem(s)
-    cfg = build_config(s, problem)
-    seed = _at_least("seed", s.get("seed", int, 0), 0)
-    iters, tol = _oracle_settings(s)
-    per_constraint = s.get("per-constraint-columns", bool, False)
-    out = _out_dir(s)
+def cmd_run(ns: argparse.Namespace) -> int:
+    problem, key = build_problem(ns)
+    cfg = build_config(ns, problem)
+    out = _out_dir(ns)
     try:
-        trace = run(problem, cfg, seed)
+        trace = run(problem, cfg, ns.seed)
     except RunError as e:
         print(f"error: run aborted at {e}", file=sys.stderr)
         return EXIT_FAIL
-    oracle_blob, _ = cached_offline_value(problem, key, seed, cfg.T, iters, tol, out)
-    summary = summarize(trace, oracle_blob["value"])
+    oracle, _ = cached_offline_value(problem, key, ns.seed, cfg.T, ns.oracle_iters, ns.oracle_tol, out)
+    summary = summarize(trace, oracle["value"])
     blob = {
         "problem": problem.name,
         "algo": cfg.variant,
@@ -330,10 +346,10 @@ def cmd_run(s: Settings) -> int:
         "alpha": cfg.alpha,
         "aggregation": cfg.aggregation,
         "lagrangian": cfg.lagrangian,
-        "seed": seed,
+        "seed": ns.seed,
         "eta": trace.eta,
         "sigma": trace.sigma,
-        "offline_value": oracle_blob["value"],
+        "offline_value": oracle["value"],
         "regret": summary.regret,
         "sum_g": [float(v) for v in summary.sum_g],
         "sum_clip": [float(v) for v in summary.sum_clip],
@@ -345,11 +361,11 @@ def cmd_run(s: Settings) -> int:
         "g_bar_x1": trace.meta["g_bar_x1"],
     }
     trace_path = os.path.join(out, "trace.csv")
-    write_trace_csv(trace, trace_path, per_constraint=per_constraint)
+    write_trace_csv(trace, trace_path, per_constraint=ns.per_constraint_columns)
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=1, sort_keys=True)
     print(
-        f"{problem.name}/{cfg.variant} T={cfg.T} seed={seed}: "
+        f"{problem.name}/{cfg.variant} T={cfg.T} seed={ns.seed}: "
         f"regret={_fmt(summary.regret)} sum_clip={_fmt(summary.agg_sum_clip)} "
         f"max_viol={_fmt(summary.max_step_violation)}"
     )
@@ -384,34 +400,23 @@ def _sweep_group(group: dict, problem=None) -> list:
     """Sweep cells of any algorithms: one kernel call, one row per cell.
     In a worker process, which is given no problem, it builds its own."""
     if problem is None:
-        problem, _ = build_problem(Settings(argparse.Namespace(**group["settings"])))
+        problem, _ = build_problem(group["settings"])
     cfgs, cells = group["cfgs"], group["cells"]
     batch = Batch(problem, [(cfg, c["seed"]) for cfg, c in zip(cfgs, cells)])
     return [_sweep_cell(batch, cfg, c) for cfg, c in zip(cfgs, cells)]
 
 
-def cmd_sweep(s: Settings) -> int:
-    raw_grid = s.get("T-grid", str, required=True)
-    try:
-        t_grid = [_at_least("T-grid", int(v)) for v in raw_grid.split(",")]
-    except ValueError:
-        raise UsageError(f"--T-grid must be positive integers, got {raw_grid!r}") from None
-    for i, T in enumerate(t_grid):
-        if T in t_grid[:i]:
-            raise UsageError(f"--T-grid names horizon {T} twice, in {raw_grid!r}")
-    algos = [a.strip() for a in s.get("algos", str, required=True).split(",")]
-    n_seeds = _at_least("seeds", s.get("seeds", int, 10))
-    base_seed = _at_least("seed", s.get("seed", int, BASE_SWEEP_SEED), 0)
-    jobs = _at_least("jobs", s.get("jobs", int, 1))
-    iters, tol = _oracle_settings(s)
-    out = _out_dir(s)
-    problem, key = build_problem(s)
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    t_grid, n_seeds, base_seed = ns.T_grid, ns.seeds, ns.seed
+    algos = [a.strip() for a in ns.algos.split(",")]
+    out = _out_dir(ns)
+    problem, key = build_problem(ns)
     if key["problem"] == "dispatch" and n_seeds > 1:
         raise UsageError(
             f"--seeds must be 1 for dispatch, got {n_seeds}: its demand stream "
             "does not depend on the seed, so every seed would repeat the same cells"
         )
-    cfgs = {(algo, T): build_config(s, problem, T=T, algo=algo) for algo in algos for T in t_grid}
+    cfgs = {(algo, T): build_config(ns, problem, T=T, algo=algo) for algo in algos for T in t_grid}
     named = {}  # variant -> the first --algos name that resolves to it
     for algo in algos:
         variant = cfgs[(algo, t_grid[0])].variant
@@ -427,7 +432,7 @@ def cmd_sweep(s: Settings) -> int:
     for T in t_grid:
         for i in range(n_seeds):
             seed = derive_seed(base_seed, i)
-            blob, _ = cached_offline_value(problem, key, seed, T, iters, tol, out)
+            blob, _ = cached_offline_value(problem, key, seed, T, ns.oracle_iters, ns.oracle_tol, out)
             oracle_vals[(T, i)] = blob["value"]
 
     # every cell, longest horizon first, dealt round-robin into one group per
@@ -436,11 +441,10 @@ def cmd_sweep(s: Settings) -> int:
     # are reduced in this order, so the trace reduced last, which a caller
     # of run() may still hold during the next call, is a short one
     cells = sorted(itertools.product(algos, t_grid, range(n_seeds)), key=lambda cell: -cell[1])
-    workers = min(jobs, os.cpu_count() or 1, len(cells))
-    settings_snapshot = {k: v for k, v in vars(s.ns).items() if k != "command"}
+    workers = min(ns.jobs, os.cpu_count() or 1, len(cells))
     groups = [
         {
-            "settings": settings_snapshot,
+            "settings": ns,
             "cfgs": [cfgs[(algo, T)] for algo, T, _ in share],
             "cells": [
                 {
@@ -499,23 +503,20 @@ def cmd_sweep(s: Settings) -> int:
     return EXIT_FAIL if failures else EXIT_OK
 
 
-def cmd_oracle(s: Settings) -> int:
-    problem, key = build_problem(s)
-    seed = _at_least("seed", s.get("seed", int, 0), 0)
-    T = _at_least("T", s.get("T", int, required=True))
-    iters, tol = _oracle_settings(s)
-    out = _out_dir(s)
-    blob, hit = cached_offline_value(problem, key, seed, T, iters, tol, out)
+def cmd_oracle(ns: argparse.Namespace) -> int:
+    problem, key = build_problem(ns)
+    out = _out_dir(ns)
+    blob, hit = cached_offline_value(problem, key, ns.seed, ns.T, ns.oracle_iters, ns.oracle_tol, out)
     tag = "cached" if hit else "solved"
     print(
-        f"{tag}: {problem.name} seed={seed} T={T} value={_fmt(blob['value'])} "
+        f"{tag}: {problem.name} seed={ns.seed} T={ns.T} value={_fmt(blob['value'])} "
         f"residual={_fmt(blob['residual'])} solver={blob.get('solver', 'unrecorded')}"
     )
     return EXIT_OK
 
 
-def cmd_validate(s: Settings) -> int:
-    if s.get("quick", bool, False):
+def cmd_validate(ns: argparse.Namespace) -> int:
+    if ns.quick:
         suite = AcceptanceSuite(t_grid=(250, 500, 1000, 2000, 4000), toy_seeds=3, ds_seeds=2)
     else:
         suite = AcceptanceSuite()
@@ -534,51 +535,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--problem", choices=PROBLEMS)
-        p.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV} or ./out)")
-        p.add_argument("--d", type=int, help="matrix dimension for doubly-stochastic")
+        p.add_argument("--config", help="flat key=value config file; its entries are parsed as flags")
+        p.add_argument("--problem", choices=PROBLEMS, required=True)
+        p.add_argument("--out", default=os.environ.get(OUTDIR_ENV, "out"),
+                       help=f"output directory (default ${OUTDIR_ENV} or ./out)")
+        p.add_argument("--d", type=int, default=5, help="matrix dimension for doubly-stochastic")
         p.add_argument("--demand-csv", help="demand series CSV for dispatch")
-        p.add_argument("--demand-rescale", type=float)
-        p.add_argument("--oracle-iters", type=int,
+        p.add_argument("--demand-rescale", type=_positive, default=1.0)
+        p.add_argument("--oracle-iters", type=_count, default=20000,
                        help="penalty-oracle iterations per ramp; no built-in problem uses it")
-        p.add_argument("--oracle-tol", type=float,
+        p.add_argument("--oracle-tol", type=_positive, default=1e-6,
                        help="penalty-oracle feasibility tolerance; no built-in problem uses it")
 
     def algo_settings(p):
-        p.add_argument("--beta", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--aggregation", choices=AGGREGATIONS)
+        p.add_argument("--beta", type=float, default=0.5)
+        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--aggregation", choices=AGGREGATIONS, default="max")
         p.add_argument("--eta", type=float, help="override the stepsize")
         p.add_argument("--sigma", type=float, help="override the dual constant")
 
     p_run = sub.add_parser("run", help="one run: trace.csv + summary.json")
     common(p_run)
-    p_run.add_argument("--algo")
-    p_run.add_argument("--T", type=int)
-    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--algo", required=True)
+    p_run.add_argument("--T", type=_count, required=True)
+    p_run.add_argument("--seed", type=_seed, default=0)
     algo_settings(p_run)
-    p_run.add_argument("--per-constraint-columns", action="store_true", default=None)
+    p_run.add_argument("--per-constraint-columns", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="grid of runs: sweep.csv + sweep_stats.csv")
     common(p_sweep)
-    p_sweep.add_argument("--T-grid", help="comma-separated horizons")
-    p_sweep.add_argument("--algos", help="comma-separated algorithm names")
-    p_sweep.add_argument("--seeds", type=int, help="number of random sequences")
-    p_sweep.add_argument("--seed", type=int, help="base seed for the splitting rule")
+    p_sweep.add_argument("--T-grid", type=_t_grid, required=True, help="comma-separated horizons")
+    p_sweep.add_argument("--algos", required=True, help="comma-separated algorithm names")
+    p_sweep.add_argument("--seeds", type=_count, default=10, help="number of random sequences")
+    p_sweep.add_argument("--seed", type=_seed, default=BASE_SWEEP_SEED,
+                         help="base seed for the splitting rule")
     algo_settings(p_sweep)
-    p_sweep.add_argument("--jobs", type=int,
+    p_sweep.add_argument("--jobs", type=_count, default=1,
                          help="worker processes, at most one per CPU and per cell; "
                          "the cells are dealt among them in horizon order")
 
     p_oracle = sub.add_parser("oracle", help="offline optimum for one (problem, seed, T)")
     common(p_oracle)
-    p_oracle.add_argument("--seed", type=int)
-    p_oracle.add_argument("--T", type=int)
+    p_oracle.add_argument("--seed", type=_seed, default=0)
+    p_oracle.add_argument("--T", type=_count, required=True)
 
     p_val = sub.add_parser("validate", help="acceptance checks; exit 0 iff all pass")
-    p_val.add_argument("--quick", action="store_true", default=None,
-                       help="reduced grids for a fast smoke check")
+    p_val.add_argument("--quick", action="store_true", help="reduced grids for a fast smoke check")
 
     return ap
 
@@ -592,14 +594,13 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        s = Settings(ns)
         handler = {
             "run": cmd_run,
             "sweep": cmd_sweep,
             "oracle": cmd_oracle,
             "validate": cmd_validate,
         }[ns.command]
-        return handler(s)
+        return handler(ns)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -258,18 +258,14 @@ class _DoublyStochasticArrays(ArrayForm):
     def params(self, seed, T):
         return permutation_batch(seed, T, self.d) + self.offsets
 
-    @staticmethod
-    def _targets(X, P):
-        """The flattened permutation matrices Y_t of the rows, (B, n)."""
-        Y = np.zeros_like(X)
-        np.put_along_axis(Y, P, 1.0, axis=1)
-        return Y
-
     def loss_value(self, X, P):
-        return 0.5 * ((self._targets(X, P) - X) ** 2).sum(axis=1)
+        return 0.5 * (self.grad(X, P) ** 2).sum(axis=1)
 
     def grad(self, X, P):
-        return X - self._targets(X, P)
+        # X - Y_t: the ones of Y_t sit at the row's positions P
+        G = X.copy()
+        G[np.arange(len(X))[:, None], P] -= 1.0
+        return G
 
     def values(self, X):
         X3 = X.reshape(len(X), self.d, self.d)

@@ -171,6 +171,13 @@ def test_config_file_bad_boolean_is_a_usage_error(tmp_path, capsys):
     ("run", "bta"),  # a misspelt beta must not run at the default beta
     ("run", "T-grid"),  # a sweep setting
     ("sweep", "T"),  # a run setting
+    # keys are matched exactly: an underscore is not a hyphen
+    ("run", "demand_rescale"),
+    ("run", "per_constraint_columns"),
+    ("sweep", "T_grid"),
+    # options that are no settings
+    ("run", "help"),
+    ("run", "config"),
 ])
 def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys, command, key):
     cfg = tmp_path / "c.txt"
@@ -179,6 +186,33 @@ def test_config_file_unknown_key_is_a_usage_error(tmp_path, capsys, command, key
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
     assert f"usage error: --config: unknown setting {key!r} for 'ocolc {command}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the setting as a config entry -> the argv it is added to
+ONE_PATH = {
+    "T=ten": ("run", "--problem", "toy", "--algo", "clipped-ogd"),
+    "T=0": ("run", "--problem", "toy", "--algo", "clipped-ogd"),
+    "seed=-1": ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "10"),
+    "beta=1.5": ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "10"),
+    "aggregation=logsumexp": ("run", "--problem", "toy", "--algo", "clipped-ogd", "--T", "10"),
+    "T-grid=5,5": ("sweep", "--problem", "toy", "--algos", "ogd", "--seeds", "1"),
+    "demand-rescale=0": ("oracle", "--problem", "dispatch", "--T", "10"),
+    "oracle-tol=0": ("oracle", "--problem", "toy", "--T", "10"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_PATH))
+def test_a_config_entry_and_its_flag_are_one_path(tmp_path, capsys, entry):
+    # a config entry is parsed as its flag: the same one-line usage error
+    key, _, value = entry.partition("=")
+    (tmp_path / "c.cfg").write_text(entry + "\n")
+    argv = ONE_PATH[entry]
+    assert run_cli(*argv, "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path)) == 2
+    from_file = capsys.readouterr().err
+    assert run_cli(*argv, f"--{key}", value, "--out", str(tmp_path)) == 2
+    from_flag = capsys.readouterr().err
+    assert from_file == from_flag
+    assert from_file.startswith(f"usage error: --{key}: ") and from_file.count("\n") == 1
 
 
 def test_read_config_rejects_malformed(tmp_path):
@@ -556,7 +590,7 @@ def test_logsumexp_is_no_aggregation(tmp_path, capsys):
     assert "--aggregation: invalid choice: 'logsumexp'" in capsys.readouterr().err
     (tmp_path / "lse.cfg").write_text("aggregation = logsumexp\n")
     assert run_cli(*TOY_RUN, "--config", str(tmp_path / "lse.cfg"), "--out", str(tmp_path)) == 2
-    assert "usage error: --aggregation: unknown aggregation 'logsumexp'" in capsys.readouterr().err
+    assert "usage error: --aggregation: invalid choice: 'logsumexp'" in capsys.readouterr().err
     assert not list(tmp_path.glob("oracle-*.json"))
     commands = next(a for a in ocolc.cli.build_parser()._actions if a.dest == "command").choices
     for command in ("run", "sweep"):
@@ -585,6 +619,20 @@ def test_value_error_in_a_run_still_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ocolc.cli, "run", fail)
     assert run_cli(*TOY_RUN, "--out", str(tmp_path)) == 1
     assert "error: bad step" in capsys.readouterr().err
+
+
+def test_overflowing_run_fails_in_one_line(tmp_path, capsys):
+    # the step's finiteness test reports the overflow; numpy warns of nothing
+    argv = ("run", "--problem", "dispatch", "--algo", "clipped-ogd", "--T", "10", "--eta", "1e307")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: run aborted at step 1: non-finite step\n"
+
+
+def test_sweep_whose_norm_overflows_warns_of_nothing(tmp_path, capsys):
+    argv = ("sweep", "--problem", "toy", "--algos", "clipped-ogd", "--T-grid", "10", "--seeds", "1",
+            "--eta", "1e308")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ------------------------------------------------------- problem building
