@@ -16,11 +16,7 @@ from .algorithms import (
     run,
     tradeoff_eta,
 )
-from .core import (
-    BallDomain,
-    ConvexFn,
-    project_ball,
-)
+from .core import ConvexFn, project_ball
 from .metrics import RunSummary, fit_slope, positive_points, summarize
 from .oracle import (
     OracleError,
@@ -31,9 +27,8 @@ from .oracle import (
     project_birkhoff,
 )
 from .problems import (
-    ArrayForm,
     DispatchParams,
-    ProblemSpec,
+    Problem,
     derive_seed,
     dispatch_problem,
     doubly_stochastic_problem,
@@ -44,14 +39,12 @@ from .problems import (
 
 __all__ = [
     "AlgoConfig",
-    "ArrayForm",
-    "BallDomain",
     "Batch",
     "ConvexFn",
     "DispatchParams",
     "OracleError",
     "OracleResult",
-    "ProblemSpec",
+    "Problem",
     "RunError",
     "RunSummary",
     "RunTrace",

@@ -24,9 +24,9 @@ in closed form, [g]_+ / theta, the maximizer of lambda g - theta lambda^2 / 2;
 the baselines ascend it, max(lambda + mu (g - theta lambda), 0).
 
 ``advance`` is the one kernel: it moves a (B, n) batch of iterates, one row
-per (config, seed) cell, through the problem's array form; the rows may mix
-variants but share an aggregation. ``run`` is a one-row
-call; a ``Batch`` lets many ``run`` calls share one kernel call.
+per (config, seed) cell, through the problem's batched losses and
+constraints; the rows may mix variants but share an aggregation. ``run`` is
+a one-row call; a ``Batch`` lets many ``run`` calls share one kernel call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import project_ball
-from .problems import ProblemSpec
+from .problems import Problem
 
 VARIANTS = ("clipped-ogd", "strong-clipped-ogd", "mahdavi-ogd", "a-ogd")
 _ALIASES = {"strong": "strong-clipped-ogd", "ogd": "mahdavi-ogd", "aogd": "a-ogd"}
@@ -114,7 +114,7 @@ class Schedule:
     Under max aggregation the dual faces one scalar constraint (m_eff = 1).
     """
 
-    def __init__(self, problem: ProblemSpec, cfg: AlgoConfig):
+    def __init__(self, problem: Problem, cfg: AlgoConfig):
         self.cfg = cfg
         self.m_eff = problem.m if cfg.aggregation == "per_constraint" else 1
         self.G = problem.G
@@ -137,12 +137,12 @@ class Schedule:
         self.eta = (
             cfg.eta_override
             if cfg.eta_override is not None
-            else tradeoff_eta(self.m_eff, self.G, problem.dom.radius, cfg.beta, cfg.T)
+            else tradeoff_eta(self.m_eff, self.G, problem.R, cfg.beta, cfg.T)
         )
         if cfg.variant == "a-ogd":
             # dual ascent at stepsize eta0 t^(beta-1) against the
             # regularization sigma eta0 t^(-beta)
-            self.eta0 = 1.0 / (self.G * np.sqrt(problem.dom.radius * (self.m_eff + 1)))
+            self.eta0 = 1.0 / (self.G * np.sqrt(problem.R * (self.m_eff + 1)))
             self.theta0 = self.sigma * self.eta0
 
     def steps(self, t0: int, t1: int) -> np.ndarray:
@@ -210,7 +210,7 @@ def _aggregate(V: np.ndarray, mode: str) -> np.ndarray:
     return np.maximum.reduce(V, axis=1, keepdims=True)
 
 
-def _lagrangian_grad(form, X, V, lam, fgrad, mode):
+def _lagrangian_grad(problem, X, V, lam, fgrad, mode):
     """Primal subgradients (B, n) of the Lagrangian at the rows of X.
 
     fgrad plus lam_i times the subgradient of dual-facing constraint i, over
@@ -218,7 +218,7 @@ def _lagrangian_grad(form, X, V, lam, fgrad, mode):
     Lagrangian's subgradient for every row whose duals are zero wherever a
     constraint is satisfied, as the closed-form duals [g]_+ / theta of
     clipped-ogd and strong-clipped-ogd are. max takes the lowest-index
-    argmax row, straight from the form's constant rows ``A`` when it has
+    argmax row, straight from the problem's constant rows ``A`` when it has
     them. Skipped
     terms are -0.0, which leaves every sum unchanged, so each result matches
     adding the terms one at a time.
@@ -226,10 +226,10 @@ def _lagrangian_grad(form, X, V, lam, fgrad, mode):
     pos = lam > 0.0
     if not np.count_nonzero(pos):
         return fgrad
-    if mode == "max" and form.A is not None:
-        D = form.A[V.argmax(axis=1)][:, None, :]
+    if mode == "max" and problem.A is not None:
+        D = problem.A[V.argmax(axis=1)][:, None, :]
     else:
-        D = form.jacobian(X)
+        D = problem.jacobian(X)
     if mode == "max" and D.shape[1] > 1:
         D = D[np.arange(len(V)), V.argmax(axis=1)][:, None, :]
     if lam.shape[1] == 1:
@@ -244,7 +244,7 @@ _BLOCK = 256
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> list:
+def advance(problem: Problem, cfgs: List[AlgoConfig], seeds: List[int]) -> list:
     """Advance a batch of cells in lockstep: the run kernel.
 
     Row b runs cfgs[b] for cfgs[b].T steps on the loss stream of seeds[b],
@@ -270,8 +270,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     mode = cfgs[0].aggregation
     if any(cfg.aggregation != mode for cfg in cfgs):
         raise ValueError("rows of one kernel call must share an aggregation")
-    form = problem.arrays
-    R = problem.dom.radius
+    R = problem.R
     k, n = schedule[cfgs[0]].m_eff, problem.n
 
     # rows sorted by horizon, longest first. A failed row keeps its slot
@@ -295,7 +294,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     for i, b in enumerate(order):
         lengths.setdefault(seeds[b], int(ends[i]))
     stream_at = dict(zip(lengths, np.cumsum([0, *lengths.values()])))
-    params = np.concatenate([form.params(seed, length) for seed, length in lengths.items()])
+    params = np.concatenate([problem.params(seed, length) for seed, length in lengths.items()])
     stream = np.array([stream_at[seeds[b]] for b in order])
 
     # row i takes its stepsizes from schedule number cfg_id[i], one per
@@ -309,7 +308,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
 
     x0 = problem.x0()
     X = np.tile(x0, (B, 1))
-    V = form.values(X)
+    V = problem.values(X)
     A = _aggregate(V, mode)
     lam = np.zeros((B, k))
 
@@ -343,8 +342,8 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
         rec["x"][at] = X
         rec["lam"][at] = lam
 
-        fgrad = form.grad(X, block[j])
-        grad = _lagrangian_grad(form, X, V, lam, fgrad, mode)
+        fgrad = problem.grad(X, block[j])
+        grad = _lagrangian_grad(problem, X, V, lam, fgrad, mode)
         Y = X - etas[j] * grad
         if closed is not True:
             # every row's ascent; a closed-form row sets its dual again
@@ -375,7 +374,7 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
                 Y[over] = Y[over] * (R / nrm[over])[:, None]
 
         X = Y
-        V = form.values(X)
+        V = problem.values(X)
         A = _aggregate(V, mode)
 
     # each trace gathers its own rows into arrays it owns, so holding one
@@ -394,8 +393,8 @@ def advance(problem: ProblemSpec, cfgs: List[AlgoConfig], seeds: List[int]) -> l
     # stretch of the stream
     for i, b in kept:
         x = fields[b]["x"]
-        fields[b]["fx"] = form.loss_value(x, params[stream[i] : stream[i] + ends[i]])
-        fields[b]["g"] = g = form.values(x)
+        fields[b]["fx"] = problem.loss_value(x, params[stream[i] : stream[i] + ends[i]])
+        fields[b]["g"] = g = problem.values(x)
         g_agg = _aggregate(g, mode)
         fields[b]["g_agg"] = g.copy() if g_agg is g else g_agg
     del params
@@ -431,7 +430,7 @@ class Batch:
     time. For any other attribute a batch stands in for its problem.
     """
 
-    def __init__(self, problem: ProblemSpec, cells):
+    def __init__(self, problem: Problem, cells):
         self.problem = problem
         self._reads = Counter(cells)
         self._pending = list(self._reads)
@@ -456,7 +455,7 @@ class Batch:
         return out
 
 
-def run(problem: ProblemSpec, cfg: AlgoConfig, seed: int) -> RunTrace:
+def run(problem: Problem, cfg: AlgoConfig, seed: int) -> RunTrace:
     """Run one algorithm for T steps from the ball center. Deterministic in seed.
 
     ``problem`` may be a Batch holding (cfg, seed), so that every cell of a
@@ -467,20 +466,19 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, seed: int) -> RunTrace:
     return problem.trace(cfg, seed)
 
 
-def projected_ogd_run(problem: ProblemSpec, seed: int, T: int, eta: float) -> np.ndarray:
+def projected_ogd_run(problem: Problem, seed: int, T: int, eta: float) -> np.ndarray:
     """Plain projected OGD reference, x_{t+1} = proj(x_t - eta grad f_t(x_t)).
 
     Returns the (T, n) iterate matrix; used to verify that clipped-ogd
     degenerates to it bitwise on never-violated instances. It reads the
-    array form's ``params`` and ``loss`` one row at a time, independently of
+    problem's ``params`` and ``loss`` one row at a time, independently of
     the kernel.
     """
-    form = problem.arrays
-    P = form.params(seed, T)
+    P = problem.params(seed, T)
     x = problem.x0()
     xs = np.empty((T, problem.n))
     for t in range(T):
         xs[t] = x
-        x = project_ball(x - eta * form.loss(x[None], P[t : t + 1])[1][0], problem.dom)
+        x = project_ball(x - eta * problem.loss(x[None], P[t : t + 1])[1][0], problem.R)
     return xs
 

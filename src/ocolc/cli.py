@@ -43,7 +43,8 @@ def _fmt(x: float) -> str:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value file; blank lines and #-comments ignored."""
+    """Flat key=value file; blank lines and #-comments ignored. A key named
+    twice is an error, not a silent override."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -53,7 +54,10 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: {key!r} is set twice")
+            out[key] = value.strip()
     return out
 
 
@@ -104,13 +108,15 @@ class _Parser(argparse.ArgumentParser):
         if "--config" in self._option_string_actions:
             # the file is read before the parse that applies it
             find = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-            find.add_argument("--config")
+            find.add_argument("--config", action="append")
             try:
-                path = find.parse_known_args(args)[0].config
+                paths = find.parse_known_args(args)[0].config
             except argparse.ArgumentError:  # --config with no value: the parse below reports it
-                path = None
-            if path is not None:
-                args = _config_flags(self, path) + args
+                paths = None
+            if paths is not None:
+                if len(paths) > 1:
+                    raise UsageError(f"--config: given {len(paths)} times; name one file")
+                args = _config_flags(self, paths[0]) + args
         return super().parse_known_args(args, namespace)
 
     def parse_args(self, args=None, namespace=None):

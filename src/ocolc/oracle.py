@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConvexFn, project_ball
-from .problems import ProblemSpec
 
 
 # points per grid_oracle block: a few MiB of work arrays at n <= 3 (the
@@ -34,7 +33,7 @@ class OracleError(RuntimeError):
 
 
 def offline_solve(
-    problem: ProblemSpec,
+    problem,
     loss: ConvexFn,
     iters: int = 20000,
     tol: float = 1e-6,
@@ -50,18 +49,15 @@ def offline_solve(
     tail average of the second half, which is what makes tight tolerances
     reachable on the strongly convex problems. When the problem provides an
     exact feasibility projection it polishes the final point with it. The
-    constraints come from the problem's array form: one ``values`` call per
+    constraints are evaluated with one ``values`` call of the problem per
     iterate, and one ``jacobian`` call at an iterate that violates any.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    form = problem.arrays
-    dom = problem.dom
-    R = dom.radius
-    H1 = problem.H1
+    R, H1 = problem.R, problem.H1
 
     def values(x):
-        return form.values(x[None])[0]
+        return problem.values(x[None])[0]
 
     def penalized(x, vals, rho):
         return loss.eval(x) + rho * float(np.maximum(vals, 0.0).sum())
@@ -71,7 +67,7 @@ def offline_solve(
         grad = np.asarray(loss.subgrad(x), dtype=float)
         violated = np.nonzero(vals > 0.0)[0]
         if violated.size:
-            J = form.jacobian(x[None])[0]
+            J = problem.jacobian(x[None])[0]
             for i in violated:
                 grad = grad + rho * J[i]
         return grad
@@ -91,7 +87,7 @@ def offline_solve(
         tail_sum, tail_count = np.zeros_like(x), 0
         for k in range(1, iters + 1):
             step = (1.0 / (H1 * k)) if H1 else (c / math.sqrt(k))
-            x = project_ball(x - step * grad, dom)
+            x = project_ball(x - step * grad, R)
             vals = values(x)
             val = penalized(x, vals, rho)
             if val < best_val:
@@ -101,14 +97,14 @@ def offline_solve(
                 tail_count += 1
             grad = penalty_subgrad(x, vals, rho)
         if tail_count:
-            x_tail = project_ball(tail_sum / tail_count, dom)
+            x_tail = project_ball(tail_sum / tail_count, R)
             val_tail = penalized(x_tail, values(x_tail), rho)
             if val_tail < best_val:
                 best_val, best_x = val_tail, x_tail
 
         candidate = best_x
         if problem.project_feasible is not None:
-            polished = project_ball(problem.project_feasible(best_x), dom)
+            polished = project_ball(problem.project_feasible(best_x), R)
             val_polished = penalized(polished, values(polished), rho)
             if val_polished <= best_val + abs(best_val) * 1e-9 + 1e-9:
                 candidate = polished
@@ -142,7 +138,7 @@ def _in_ball(axes, R: float) -> np.ndarray:
 
 
 def grid_oracle(
-    problem: ProblemSpec,
+    problem,
     loss: ConvexFn,
     resolution: float,
 ) -> OracleResult:
@@ -158,15 +154,14 @@ def grid_oracle(
     summing the squares of the axes in broadcast (``_in_ball``), and the
     points inside are gathered coordinate-major, as an (n, N) array, so that
     no step reduces along the short n-wide axis. Feasibility is one
-    ``values`` call of the problem's array form per block, on the transposed
-    (N, n) view; the feasible points reach the loss as C-contiguous rows.
+    ``values`` call of the problem per block, on the transposed (N, n)
+    view; the feasible points reach the loss as C-contiguous rows.
     """
     if problem.n > 3:
         raise ValueError(f"grid oracle limited to n <= 3, got n={problem.n}")
     if not (resolution > 0):
         raise ValueError("resolution must be positive")
-    form = problem.arrays
-    R = problem.dom.radius
+    R = problem.R
     steps = int(np.floor(2.0 * R / resolution)) + 1
     coords = -R + resolution * np.arange(steps)
     rows = max(1, GRID_BLOCK // steps ** (problem.n - 1))
@@ -178,7 +173,7 @@ def grid_oracle(
         )
         inside = _in_ball(axes, R)
         P = np.stack([np.broadcast_to(a, inside.shape)[inside] for a in axes])
-        keep = (form.values(P.T) <= 0.0).all(axis=1)
+        keep = (problem.values(P.T) <= 0.0).all(axis=1)
         X = np.stack([p[keep] for p in P], axis=1)
         if len(X) == 0:
             continue
@@ -277,7 +272,7 @@ KKT_TOL = 1e-9
 
 
 def _emission(p, x) -> float:
-    # the arithmetic of the emission entry of _DispatchArrays.values, so that
+    # the arithmetic of the emission entry of DispatchProblem.values, so that
     # emission(x) <= e_max holds exactly when that entry is <= 0
     return float(p.d_coef @ (x * x) + p.e_coef @ x)
 
@@ -384,19 +379,19 @@ def dispatch_optimum(p, fbar: ConvexFn, d_bar: float) -> np.ndarray:
 
 
 def offline_value(
-    problem: ProblemSpec, seed: int, T: int, iters: int = 20000, tol: float = 1e-6
+    problem, seed: int, T: int, iters: int = 20000, tol: float = 1e-6
 ) -> OracleResult:
     """Cumulative optimal loss sum_t f_t(x*) for a realized stream.
 
-    Uses the problem's closed-form average loss, and the problem-specific
-    exact solver when one exists (the toy vertex, the projection of the mean
+    Uses the problem's closed-form average loss, and the exact minimiser it
+    carries when one is known (the toy vertex, the projection of the mean
     target onto the polytope, the dispatch KKT point); otherwise the penalty
     solver. The returned value is scaled back to the T-step sum.
     """
     fbar = problem.mean_loss(seed, T)
-    if problem.offline_solution is not None:
-        x_star = problem.offline_solution(seed, T)
-        residual = float(np.maximum(problem.arrays.values(x_star[None]), 0.0).max(initial=0.0))
+    x_star = fbar.argmin
+    if x_star is not None:
+        residual = float(np.maximum(problem.values(x_star[None]), 0.0).max(initial=0.0))
         return OracleResult(x_star, T * fbar.eval(x_star), residual, {"solver": "structural"})
     res = offline_solve(problem, fbar, iters=iters, tol=tol)
     return OracleResult(res.x, T * fbar.eval(res.x), res.residual, res.info | {"solver": "penalty"})

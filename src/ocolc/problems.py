@@ -1,6 +1,6 @@
 """The three benchmark problems as seeded loss streams with analytic constants.
 
-Each problem carries the constraint list, the ball radius R, the Lipschitz
+Each problem carries its constraints, the ball radius R, the Lipschitz
 bound G (a priori, computed over the whole ball, since the stepsize formulas
 need it before any data is seen), and optionally the strong-convexity
 parameter H1.
@@ -10,25 +10,26 @@ derived through one splitting rule, ``SeedSequence((seed, stream_id))``, and
 consume a fixed number of variates per step, so the loss at step t does not
 depend on the horizon it was generated for.
 
-Every problem is an array form (``ArrayForm``), the one representation the
-batched run kernel, the oracles and the acceptance checks read: loss
-parameters indexed by t, and losses, constraint values and constraint
-subgradients evaluated over a (B, n) batch of points in one call.
-``ArrayForm.loss_value`` and ``ArrayForm.grad`` are the only definition of a
-per-step loss, and ``ArrayForm.values`` and ``ArrayForm.jacobian`` the only
-definition of the constraints. ``ProblemSpec.losses`` and
-``constraint_values`` are one-row views of them.
+A problem is one object, a ``Problem``, which the batched run kernel, the
+oracles and the acceptance checks read: loss parameters indexed by t, and
+losses, constraint values and constraint subgradients evaluated over a
+(B, n) batch of points in one call. ``loss_value`` and ``grad`` are the only
+definition of a per-step loss, and ``values`` and ``jacobian`` the only
+definition of the constraints. ``mean_loss`` gives the closed-form average
+of the T losses, carrying its exact minimiser over the feasible set where
+one is known. ``losses`` and ``constraint_values`` are one-row views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .core import BallDomain, ConvexFn, Vector
+from . import oracle
+from .core import ConvexFn, Vector
 
 _STREAM_LOSS = 0
 _STREAM_DEMAND = 1
@@ -47,51 +48,9 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-@dataclass
-class ProblemSpec:
-    """A constrained online problem: domain, constants, and its array form."""
-
-    name: str
-    n: int
-    dom: BallDomain
-    G: float
-    H1: Optional[float]
-    mean_loss: Callable[[int, int], ConvexFn]  # closed-form average of the T losses
-    arrays: "ArrayForm"  # the losses and constraints over a batch of points
-    project_feasible: Optional[Callable[[Vector], Vector]] = None
-    offline_solution: Optional[Callable[[int, int], Vector]] = None  # exact x* when known
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def m(self) -> int:
-        return self.arrays.m
-
-    # losses and constraint_values have no reader in this package; they stay
-    # because the benchmark's tracer rebinds them by name on every spec
-    def losses(self, seed: int, T: int) -> List[ConvexFn]:
-        """The T losses of a stream, as one-row views of ``arrays.loss_value``
-        and ``arrays.grad``."""
-        P = self.arrays.params(seed, T)
-        return [self._loss_view(P[t : t + 1]) for t in range(T)]
-
-    def constraint_values(self, x: Vector) -> np.ndarray:
-        """All m constraint values at x: one row of ``arrays.values``."""
-        return self.arrays.values(x[None])[0]
-
-    def _loss_view(self, P) -> ConvexFn:
-        """The array form's loss on a one-row batch with the one parameter
-        row P."""
-        form = self.arrays
-        return ConvexFn(
-            lambda x: float(form.loss_value(x[None], P)[0]), lambda x: form.grad(x[None], P)[0]
-        )
-
-    def x0(self) -> Vector:
-        return np.zeros(self.n)
-
-
-class ArrayForm:
-    """A problem over a batch: row b of every (B, ...) array is one cell.
+class Problem:
+    """A constrained online problem over a batch: row b of every (B, ...)
+    array is one cell. Decisions lie in the ball of radius R around 0.
 
     Subclasses provide:
 
@@ -102,9 +61,13 @@ class ArrayForm:
     * ``grad(X, P)``: loss gradients (B, n), likewise;
     * ``values(X)``: constraint values (B, m);
     * ``jacobian(X)``: constraint subgradient rows (B, m, n);
-    * ``m``: the number of constraints;
+    * ``mean_loss(seed, T)``: the average of the T losses as a ConvexFn,
+      whose ``argmin`` is its exact minimiser over the feasible set, or
+      None where none is known;
     * ``A``: the constant (m, n) jacobian rows of affine constraints, or
-      None (the default) when the jacobian depends on X.
+      None (the default) when the jacobian depends on X;
+    * ``project_feasible(x)``: an exact projection onto the feasible set,
+      or None (the default).
 
     The run kernel calls only ``grad``, ``values`` and, unless ``A`` is
     set, ``jacobian`` in its step loop. After the loop it calls
@@ -121,12 +84,38 @@ class ArrayForm:
     ``grid_oracle`` passes.
     """
 
-    m: int
     A = None
+    project_feasible = None
+
+    def __init__(self, name: str, n: int, m: int, R: float, G: float, H1: Optional[float] = None):
+        if not (R > 0):
+            raise ValueError(f"ball radius must be positive, got {R}")
+        self.name, self.n, self.m, self.R, self.G, self.H1 = name, n, m, R, G, H1
+
+    def x0(self) -> Vector:
+        return np.zeros(self.n)
 
     def loss(self, X, P):
         """Loss values (B,) and gradients (B, n) at the points X."""
         return self.loss_value(X, P), self.grad(X, P)
+
+    # losses and constraint_values have no reader in this package; they stay
+    # because the benchmark's tracer rebinds them by name on every problem
+    def losses(self, seed: int, T: int) -> List[ConvexFn]:
+        """The T losses of a stream, as one-row views of ``loss_value`` and
+        ``grad``."""
+        P = self.params(seed, T)
+        return [self._loss_view(P[t : t + 1]) for t in range(T)]
+
+    def constraint_values(self, x: Vector) -> np.ndarray:
+        """All m constraint values at x: one row of ``values``."""
+        return self.values(x[None])[0]
+
+    def _loss_view(self, P) -> ConvexFn:
+        """The loss on a one-row batch with the one parameter row P."""
+        return ConvexFn(
+            lambda x: float(self.loss_value(x[None], P)[0]), lambda x: self.grad(x[None], P)[0]
+        )
 
 
 def _stream_draws(seed: int, T: int, width: int) -> np.ndarray:
@@ -152,10 +141,30 @@ def toy_costs(seed: int, T: int) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-class _ToyArrays(ArrayForm):
-    m = 1
+def project_l1_ball(x: Vector, radius: float = 1.0) -> Vector:
+    """Euclidean projection onto {x : ||x||_1 <= radius} (sort-based)."""
+    a = np.abs(x)
+    if a.sum() <= radius:
+        return np.asarray(x, dtype=float)
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u > (css - radius) / np.arange(1, a.size + 1))[0][-1]
+    theta = (css[rho] - radius) / (rho + 1)
+    return np.sign(x) * np.maximum(a - theta, 0.0)
 
-    def __init__(self, l1_radius):
+
+class ToyProblem(Problem):
+    """min sum_t c_t.x  s.t.  |x1| + |x2| - l1_radius <= 0, decisions in the
+    unit ball. The parameters are the cost vectors c_t.
+
+    The l1 unit ball sits inside the l2 unit ball, so R = 1. The constraint
+    subgradient is the sign vector (norm at most sqrt(2)), the losses have
+    unit norm, hence G = sqrt(2). With l1_radius > sqrt(2) the constraint
+    never binds inside the ball.
+    """
+
+    def __init__(self, l1_radius: float = 1.0):
+        super().__init__("toy", n=2, m=1, R=1.0, G=float(np.sqrt(2.0)))
         self.l1_radius = l1_radius
 
     def params(self, seed, T):
@@ -173,53 +182,23 @@ class _ToyArrays(ArrayForm):
     def jacobian(self, X):
         return np.sign(X)[:, None, :]
 
+    def mean_loss(self, seed, T):
+        cbar = toy_costs(seed, T).mean(axis=0)
+        x_star = None
+        if self.l1_radius <= 1.0:
+            # linear loss over an l1 ball inside the unit ball: the optimum is
+            # the vertex -sign(c_j) r e_j at the largest |mean cost| coordinate
+            j = int(np.argmax(np.abs(cbar)))
+            x_star = np.zeros(2)
+            x_star[j] = -np.sign(cbar[j]) * self.l1_radius
+        return ConvexFn(lambda x: float(cbar @ x), lambda x: cbar, eval_many=lambda X: X @ cbar, argmin=x_star)
 
-def project_l1_ball(x: Vector, radius: float = 1.0) -> Vector:
-    """Euclidean projection onto {x : ||x||_1 <= radius} (sort-based)."""
-    a = np.abs(x)
-    if a.sum() <= radius:
-        return np.asarray(x, dtype=float)
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u > (css - radius) / np.arange(1, a.size + 1))[0][-1]
-    theta = (css[rho] - radius) / (rho + 1)
-    return np.sign(x) * np.maximum(a - theta, 0.0)
+    def project_feasible(self, x):
+        return project_l1_ball(x, self.l1_radius)
 
 
-def toy_problem(l1_radius: float = 1.0) -> ProblemSpec:
-    """min sum_t c_t.x  s.t.  |x1| + |x2| - l1_radius <= 0, decisions in the
-    unit ball.
-
-    The l1 unit ball sits inside the l2 unit ball, so R = 1. The constraint
-    subgradient is the sign vector (norm at most sqrt(2)), the losses have
-    unit norm, hence G = sqrt(2). With l1_radius > sqrt(2) the constraint
-    never binds inside the ball.
-    """
-    def mean_loss(s, T):
-        cbar = toy_costs(s, T).mean(axis=0)
-        return ConvexFn(lambda x: float(cbar @ x), lambda x: cbar, eval_many=lambda X: X @ cbar)
-
-    def offline_solution(s, T):
-        # linear loss over an l1 ball inside the unit ball: the optimum is the
-        # vertex -sign(c_j) r e_j at the largest |mean cost| coordinate
-        cbar = toy_costs(s, T).mean(axis=0)
-        j = int(np.argmax(np.abs(cbar)))
-        x = np.zeros(2)
-        x[j] = -np.sign(cbar[j]) * l1_radius
-        return x
-
-    return ProblemSpec(
-        name="toy",
-        n=2,
-        dom=BallDomain(radius=1.0, dim=2),
-        G=float(np.sqrt(2.0)),
-        H1=None,
-        mean_loss=mean_loss,
-        project_feasible=lambda x: project_l1_ball(x, l1_radius),
-        offline_solution=offline_solution if l1_radius <= 1.0 else None,
-        meta={"l1_radius": l1_radius},
-        arrays=_ToyArrays(l1_radius),
-    )
+def toy_problem(l1_radius: float = 1.0) -> ToyProblem:
+    return ToyProblem(l1_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +216,31 @@ def permutation_batch(seed: int, T: int, d: int) -> np.ndarray:
     return np.argsort(_stream_draws(seed, T, d), axis=1)
 
 
-class _DoublyStochasticArrays(ArrayForm):
-    """Parameters are the flat positions of the ones of each target Y_t.
+class DoublyStochasticProblem(Problem):
+    """Track random permutation matrices with a doubly stochastic X.
 
-    The constraints are affine with constant subgradient rows A: row sums
-    <= 1 and >= 1, column sums <= 1 and >= 1, then entrywise x >= 0. A
-    column sum adds the rows of the matrix one after another.
+    f_t(X) = 0.5 ||Y_t - X||_F^2 over flattened d x d matrices. The
+    parameters are the flat positions of the ones of each target Y_t.
+    Row/column sums are written as <=/>= inequality pairs and entrywise
+    nonnegativity, m = 4d + d^2 in total: affine, with constant subgradient
+    rows A (row sums <= 1 and >= 1, column sums <= 1 and >= 1, then
+    x >= 0). A column sum adds the rows of the matrix one after another.
+    Any doubly stochastic matrix has Frobenius norm at most sqrt(d); the
+    ball radius is padded to d.
     """
 
-    def __init__(self, d):
-        self.d = d
+    def __init__(self, d: int = 5):
+        if d < 2:
+            raise ValueError(f"need d >= 2, got d={d}")
         n = d * d
-        self.offsets = np.arange(d) * d
         rows, cols = np.repeat(np.eye(d), d, axis=1), np.tile(np.eye(d), d)  # (d, n)
         # 0.0 - M negates the ones and keeps the zeros +0.0
         self.A = np.concatenate([rows, 0.0 - rows, cols, 0.0 - cols, 0.0 - np.eye(n)])
         self.A.flags.writeable = False
-        self.m = len(self.A)
+        # sup ||X - Y_t|| <= R + sqrt(d); constraint grads <= sqrt(d)
+        super().__init__("doubly-stochastic", n, len(self.A), R=float(d), G=float(d + np.sqrt(d)), H1=1.0)
+        self.d = d
+        self.offsets = np.arange(d) * d
 
     def params(self, seed, T):
         return permutation_batch(seed, T, self.d) + self.offsets
@@ -276,57 +263,27 @@ class _DoublyStochasticArrays(ArrayForm):
     def jacobian(self, X):
         return np.broadcast_to(self.A, (len(X),) + self.A.shape)
 
-
-def doubly_stochastic_problem(d: int = 5) -> ProblemSpec:
-    """Track random permutation matrices with a doubly stochastic X.
-
-    f_t(X) = 0.5 ||Y_t - X||_F^2 over flattened d x d matrices. Row/column
-    sums are written as <=/>= inequality pairs and entrywise nonnegativity,
-    m = 4d + d^2 in total. Any doubly stochastic matrix has Frobenius norm
-    at most sqrt(d); the ball radius is padded to d (recorded in meta).
-    """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d={d}")
-    n = d * d
-    R = float(d)
-    G = float(d + np.sqrt(d))  # sup ||X - Y_t|| <= R + sqrt(d); constraint grads <= sqrt(d)
-
-    def mean_target(s, T):
-        perms = permutation_batch(s, T, d)
+    def mean_loss(self, seed, T):
+        d = self.d
+        perms = permutation_batch(seed, T, d)
         ybar = np.zeros((d, d))
         for j in range(d):
             counts = np.bincount(perms[:, j], minlength=d)
             ybar[j] = counts / T
-        return ybar.ravel()
-
-    def mean_loss(s, T):
-        ybar = mean_target(s, T)
+        # the minimiser is the polytope projection of the mean target
+        x_star = oracle.project_birkhoff(ybar).ravel()
+        ybar = ybar.ravel()
         # mean of 0.5||Y_t - X||^2 = 0.5||X||^2 - <Ybar, X> + d/2
-        return ConvexFn(lambda x: float(0.5 * np.sum(x * x) - ybar @ x + d / 2.0), lambda x: x - ybar)
+        return ConvexFn(
+            lambda x: float(0.5 * np.sum(x * x) - ybar @ x + d / 2.0), lambda x: x - ybar, argmin=x_star
+        )
 
-    def project_feasible(x):
-        from .oracle import project_birkhoff
+    def project_feasible(self, x):
+        return oracle.project_birkhoff(x.reshape(self.d, self.d)).ravel()
 
-        return project_birkhoff(x.reshape(d, d)).ravel()
 
-    def offline_solution(s, T):
-        # the average-loss minimizer is the polytope projection of the mean target
-        from .oracle import project_birkhoff
-
-        return project_birkhoff(mean_target(s, T).reshape(d, d)).ravel()
-
-    return ProblemSpec(
-        name="doubly-stochastic",
-        n=n,
-        dom=BallDomain(radius=R, dim=n),
-        G=G,
-        H1=1.0,
-        mean_loss=mean_loss,
-        project_feasible=project_feasible,
-        offline_solution=offline_solution,
-        meta={"d": d, "frobenius_bound": float(np.sqrt(d)), "radius_padded_to": R},
-        arrays=_DoublyStochasticArrays(d),
-    )
+def doubly_stochastic_problem(d: int = 5) -> DoublyStochasticProblem:
+    return DoublyStochasticProblem(d)
 
 
 # ---------------------------------------------------------------------------
@@ -411,100 +368,34 @@ def load_demand_csv(path) -> np.ndarray:
     return np.array(values)
 
 
-def dispatch_problem(params: Optional[DispatchParams] = None) -> ProblemSpec:
+class DispatchProblem(Problem):
     """Three-generator economic dispatch with an emission cap and box limits.
 
     f_t(x) = sum_i (0.5 a_i x_i^2 + b_i x_i) + xi (sum_i x_i - demand_t)^2;
-    constraints: total emission <= e_max, then 0 <= x_i <= x_max_i, all fed to
-    the Lagrangian as ordinary g_i (only the ball is hard). Demand repeats
-    cyclically when the horizon exceeds the series length. With every
-    a_i > 0 the offline optimum is exact (``oracle.dispatch_optimum``).
+    the parameters are the demand of each step. Constraints: total emission
+    <= e_max, then x >= 0, then x <= x_max, all fed to the Lagrangian as
+    ordinary g_i (only the ball is hard). Demand repeats cyclically when the
+    horizon exceeds the series length. With every a_i > 0 the mean loss's
+    minimiser is exact (``oracle.dispatch_optimum``).
     """
-    p = params if params is not None else DispatchParams()
-    n = p.x_max.size
-    R = 1.1 * float(np.linalg.norm(p.x_max))
-    d_max = float(p.demand.max())
-    # gradient of f_t: a*x + b + 2 xi (sum x - d_t) * ones, bounded over the ball
-    L_f = (
-        float(p.a.max()) * R
-        + float(np.linalg.norm(p.b))
-        + 2.0 * p.xi * np.sqrt(n) * (np.sqrt(n) * R + d_max)
-    )
-    L_g = max(2.0 * float(p.d_coef.max()) * R + float(np.linalg.norm(p.e_coef)), 1.0)
-    G = float(max(L_f, L_g))
-    H1 = float(p.a.min())  # the xi coupling adds a PSD term on top
 
-    arrays = _DispatchArrays(p)
-
-    def mean_loss(s, T):
-        d_run = arrays.params(s, T)
-        d_bar = float(d_run.mean())
-        d_var = float(np.mean((d_run - d_bar) ** 2))
-
-        def ev(x):
-            s_ = x.sum()
-            return float(
-                0.5 * p.a @ (x * x) + p.b @ x + p.xi * ((s_ - d_bar) ** 2 + d_var)
-            )
-
-        def sg(x):
-            return p.a * x + p.b + 2.0 * p.xi * (x.sum() - d_bar)
-
-        def ev_many(X):
-            s_ = X.sum(axis=1)
-            return 0.5 * (X * X) @ p.a + X @ p.b + p.xi * ((s_ - d_bar) ** 2 + d_var)
-
-        return ConvexFn(ev, sg, eval_many=ev_many)
-
-    def offline_solution(s, T):
-        # a strictly convex quadratic under one convex quadratic cap and a
-        # box: exact from the one-dimensional dual in the emission multiplier
-        from .oracle import dispatch_optimum
-
-        return dispatch_optimum(p, mean_loss(s, T), float(arrays.params(s, T).mean()))
-
-    def project_feasible(x):
-        y = np.clip(x, 0.0, p.x_max)
-        A = float(p.d_coef @ (y * y))
-        B = float(p.e_coef @ y)
-        if A + B <= p.e_max:
-            return y
-        if A == 0.0:  # a linear emission: shrink it to e_max
-            return y * (p.e_max / B)
-        # shrink toward 0: solve A s^2 + B s = e_max for s in (0, 1]
-        s = (-B + np.sqrt(B * B + 4.0 * A * p.e_max)) / (2.0 * A)
-        return y * min(s, 1.0)
-
-    return ProblemSpec(
-        name="dispatch",
-        n=n,
-        dom=BallDomain(radius=R, dim=n),
-        G=G,
-        H1=H1,
-        mean_loss=mean_loss,
-        project_feasible=project_feasible,
-        offline_solution=offline_solution if p.a.min() > 0 else None,
-        meta={
-            "demand_len": int(p.demand.size),
-            "demand_rescale": p.demand_rescale,
-            "d_max": d_max,
-            "params": p,
-        },
-        arrays=arrays,
-    )
-
-
-class _DispatchArrays(ArrayForm):
-    """Parameters are the demand of each step. The constraints are the
-    emission cap, then x >= 0, then x <= x_max."""
-
-    def __init__(self, p: DispatchParams):
-        self.p = p
+    def __init__(self, params: Optional[DispatchParams] = None):
+        p = self.p = params if params is not None else DispatchParams()
+        n = p.x_max.size
+        R = 1.1 * float(np.linalg.norm(p.x_max))
+        # gradient of f_t: a*x + b + 2 xi (sum x - d_t) * ones, bounded over the ball
+        L_f = (
+            float(p.a.max()) * R
+            + float(np.linalg.norm(p.b))
+            + 2.0 * p.xi * np.sqrt(n) * (np.sqrt(n) * R + float(p.demand.max()))
+        )
+        L_g = max(2.0 * float(p.d_coef.max()) * R + float(np.linalg.norm(p.e_coef)), 1.0)
+        # the xi coupling adds a PSD term on top of H1
+        super().__init__("dispatch", n, 1 + 2 * n, R, float(max(L_f, L_g)), H1=float(p.a.min()))
         self.half_a = 0.5 * p.a
         self.two_d = 2.0 * p.d_coef
-        eye = np.eye(p.x_max.size)
+        eye = np.eye(n)
         self.box = np.concatenate([0.0 - eye, eye])  # constant rows of -x <= 0, x <= x_max
-        self.m = 1 + len(self.box)
 
     def params(self, seed, T):
         return self.p.demand[np.arange(T) % self.p.demand.size]
@@ -531,7 +422,50 @@ class _DispatchArrays(ArrayForm):
         return np.concatenate([emission[:, None], -X, X - p.x_max], axis=1)
 
     def jacobian(self, X):
-        J = np.empty((len(X), 1 + len(self.box), X.shape[1]))
+        J = np.empty((len(X), self.m, X.shape[1]))
         J[:, 0] = self.two_d * X + self.p.e_coef
         J[:, 1:] = self.box
         return J
+
+    def mean_loss(self, seed, T):
+        p = self.p
+        d_run = self.params(seed, T)
+        d_bar = float(d_run.mean())
+        d_var = float(np.mean((d_run - d_bar) ** 2))
+
+        def ev(x):
+            s_ = x.sum()
+            return float(
+                0.5 * p.a @ (x * x) + p.b @ x + p.xi * ((s_ - d_bar) ** 2 + d_var)
+            )
+
+        def sg(x):
+            return p.a * x + p.b + 2.0 * p.xi * (x.sum() - d_bar)
+
+        def ev_many(X):
+            s_ = X.sum(axis=1)
+            return 0.5 * (X * X) @ p.a + X @ p.b + p.xi * ((s_ - d_bar) ** 2 + d_var)
+
+        fbar = ConvexFn(ev, sg, eval_many=ev_many)
+        if p.a.min() > 0:
+            # a strictly convex quadratic under one convex quadratic cap and a
+            # box: exact from the one-dimensional dual in the emission multiplier
+            fbar.argmin = oracle.dispatch_optimum(p, fbar, d_bar)
+        return fbar
+
+    def project_feasible(self, x):
+        p = self.p
+        y = np.clip(x, 0.0, p.x_max)
+        A = float(p.d_coef @ (y * y))
+        B = float(p.e_coef @ y)
+        if A + B <= p.e_max:
+            return y
+        if A == 0.0:  # a linear emission: shrink it to e_max
+            return y * (p.e_max / B)
+        # shrink toward 0: solve A s^2 + B s = e_max for s in (0, 1]
+        s = (-B + np.sqrt(B * B + 4.0 * A * p.e_max)) / (2.0 * A)
+        return y * min(s, 1.0)
+
+
+def dispatch_problem(params: Optional[DispatchParams] = None) -> DispatchProblem:
+    return DispatchProblem(params)

@@ -188,7 +188,7 @@ class AcceptanceSuite:
         if cfg.variant == "clipped-ogd":
             lhs = trace.lam * trace.sigma * trace.eta
             lambda_err = float(np.abs(lhs - np.maximum(trace.g_agg, 0.0)).max())
-        ball_ok = np.linalg.norm(trace.x, axis=1).max() <= problem.dom.radius * (1.0 + 1e-12)
+        ball_ok = np.linalg.norm(trace.x, axis=1).max() <= problem.R * (1.0 + 1e-12)
         return Cell(summarize(trace, ov), bool(ball_ok), lambda_err)
 
     def _shared_cells(self) -> List[Cell]:
@@ -348,13 +348,12 @@ class AcceptanceSuite:
         ]
         errors = []
         for problem, X in probes:
-            form = problem.arrays
-            P = form.params(self.base_seed, points)
+            P = problem.params(self.base_seed, points)
 
             def values(Y):
-                return np.concatenate([form.loss(Y, P)[0][:, None], form.values(Y)], axis=1)
+                return np.concatenate([problem.loss(Y, P)[0][:, None], problem.values(Y)], axis=1)
 
-            grads = np.concatenate([form.loss(X, P)[1][:, None], form.jacobian(X)], axis=1)
+            grads = np.concatenate([problem.loss(X, P)[1][:, None], problem.jacobian(X)], axis=1)
             err = np.linalg.norm(central_differences(values, X) - grads, axis=2)
             errors.append((err / np.maximum(np.linalg.norm(grads, axis=2), 1.0)).ravel())
         errors = np.concatenate(errors)

@@ -30,16 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from ocolc.algorithms import AlgoConfig, run
-from ocolc.core import BallDomain, ConvexFn
+from ocolc.core import ConvexFn
 from ocolc.oracle import grid_oracle, offline_solve, offline_value
-from ocolc.problems import (
-    ProblemSpec,
-    dispatch_problem,
-    doubly_stochastic_problem,
-    toy_problem,
-)
+from ocolc.problems import dispatch_problem, doubly_stochastic_problem, toy_problem
 
-from reference import ClosureArrays
+from reference import ClosureProblem, per_step
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
@@ -50,7 +45,7 @@ AGGREGATIONS = ("max", "per_constraint")
 TRACE_FIELDS = ("t", "x", "fx", "g", "g_agg", "lam")
 
 
-def inline_problem() -> ProblemSpec:
+def inline_problem() -> ClosureProblem:
     """A problem built from ConvexFn closures, evaluated row by row.
 
     f_t(x) = 0.5 ||x - c_t||^2 with c_t on a circle of radius 0.5 around
@@ -71,27 +66,7 @@ def inline_problem() -> ProblemSpec:
         ConvexFn(lambda x: float(x[0] + x[1] - 0.5), lambda x: np.array([1.0, 1.0])),
         ConvexFn(lambda x: float(x[0] * x[0] - 0.2), lambda x: np.array([2.0 * x[0], 0.0])),
     ]
-
-    def losses(seed, T):
-        return [make_loss(seed, t) for t in range(T)]
-
-    def mean_loss(seed, T):
-        fs = losses(seed, T)
-        cbar = sum(center(t + 0.5 * seed) for t in range(T)) / T
-        return ConvexFn(
-            lambda x: sum(f.eval(x) for f in fs) / T,
-            lambda x: x - cbar,
-        )
-
-    return ProblemSpec(
-        name="inline",
-        n=2,
-        dom=BallDomain(radius=2.0, dim=2),
-        G=4.0,
-        H1=1.0,
-        mean_loss=mean_loss,
-        arrays=ClosureArrays(gs, losses),
-    )
+    return ClosureProblem(2, gs, per_step(make_loss), R=2.0, G=4.0, H1=1.0)
 
 
 def problems() -> dict:

@@ -7,40 +7,72 @@ ConvexFn closures one point at a time. The batched kernel
 (``ocolc.algorithms._lagrangian_grad`` and ``advance``) and the stepsize
 schedule compute the same quantities; ``tests/test_kernel.py`` and
 ``tests/test_algorithms.py`` compare them bit for bit.
-``ClosureArrays`` is the array form of such closures, for the problems the
+``ClosureProblem`` is a problem made of such closures, for the problems the
 tests write by hand and for the closures they compare against.
 ``fd_grad`` is the central-difference gradient of one closure at one point.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ocolc.algorithms import Schedule
 from ocolc.core import ConvexFn, Vector, project_ball
-from ocolc.problems import ArrayForm
 from ocolc.validation import central_differences
+
+try:
+    from ocolc.problems import Problem
+except ImportError:
+    # CI's golden-vs-base job runs this file under the base commit's library,
+    # which may still have ProblemSpec, ArrayForm and BallDomain in place of
+    # the one Problem class. There a closure problem is its own array form
+    # and ProblemSpec at once. This branch goes once the base has Problem.
+    from ocolc.core import BallDomain
+    from ocolc.problems import ArrayForm
+
+    class Problem(ArrayForm):
+        def __init__(self, name, n, m, R, G, H1=None):
+            self.name, self.n, self.m, self.R, self.G, self.H1 = name, n, m, R, G, H1
+            self.arrays, self.dom = self, BallDomain(R, n)
+
+        def x0(self):
+            return np.zeros(self.n)
+
 
 # ------------------------------------------------------ closure problems
 
 
-class ClosureArrays(ArrayForm):
-    """The array form of per-point closures, evaluated row by row: a loss
-    stream losses(seed, T) -> T ConvexFns and a constraint list gs. The loss
-    parameters of a step are its ConvexFn. Results are reshaped so that an
-    empty batch keeps its trailing axes."""
+def per_step(make_loss: Callable[[int, int], ConvexFn]) -> Callable[[int, int], List[ConvexFn]]:
+    """The stream losses(seed, T) of a per-step loss make_loss(seed, t)."""
+    return lambda seed, T: [make_loss(seed, t) for t in range(T)]
 
-    def __init__(self, gs: Sequence[ConvexFn], losses: Callable[[int, int], List[ConvexFn]]):
+
+class ClosureProblem(Problem):
+    """A problem made of per-point closures, evaluated row by row: a loss
+    stream losses(seed, T) -> T ConvexFns (zero losses by default) and a
+    constraint list gs. ``losses`` is that stream itself, in place of the
+    one-row views a built-in gives. The loss parameters of a step are its
+    ConvexFn. Results are reshaped so that an empty batch keeps its trailing axes.
+    Streams built this way have no RNG, so determinism is trivial."""
+
+    def __init__(
+        self,
+        n: int,
+        gs: Sequence[ConvexFn],
+        losses: Optional[Callable[[int, int], List[ConvexFn]]] = None,
+        R: float = 1.0,
+        G: float = 1.0,
+        H1: Optional[float] = None,
+        name: str = "inline",
+    ):
+        super().__init__(name, n, len(gs), R, G, H1)
         self.gs = list(gs)
-        self.m = len(self.gs)
-        self.losses = losses
+        zero = ConvexFn(lambda x: 0.0, lambda x: np.zeros(n))
+        self.losses = losses if losses is not None else lambda seed, T: [zero] * T
 
-    def params(self, seed, T, *_):
-        # ``*_`` takes the start offset (always 0) that library versions
-        # before the fixed-horizon kernel pass, so that the golden case set
-        # also runs against them (CI's golden-vs-base job)
+    def params(self, seed, T):
         fns = np.empty(T, dtype=object)
         fns[:] = self.losses(seed, T)
         return fns
@@ -51,11 +83,6 @@ class ClosureArrays(ArrayForm):
     def grad(self, X, fns):
         grad = np.array([np.asarray(f.subgrad(x), dtype=float) for f, x in zip(fns, X)])
         return grad.reshape(X.shape)
-
-    def loss(self, X, fns):
-        # written out because the ArrayForm of library versions before the
-        # gradient-only step has no ``loss`` to inherit
-        return self.loss_value(X, fns), self.grad(X, fns)
 
     def values(self, X):
         V = np.array([[g.eval(x) for g in self.gs] for x in X], dtype=float)
@@ -175,14 +202,14 @@ def scalar_steps(sched: Schedule, t: int) -> tuple:
 # ----------------------------------------------------------------- runs
 
 
-def point_constraints(form: ArrayForm) -> List[ConvexFn]:
-    """The constraints of an array form as per-point closures."""
+def point_constraints(problem) -> List[ConvexFn]:
+    """The constraints of a problem as per-point closures."""
     return [
         ConvexFn(
-            lambda x, i=i: float(form.values(x[None])[0, i]),
-            lambda x, i=i: form.jacobian(x[None])[0, i],
+            lambda x, i=i: float(problem.values(x[None])[0, i]),
+            lambda x, i=i: problem.jacobian(x[None])[0, i],
         )
-        for i in range(form.m)
+        for i in range(problem.m)
     ]
 
 
@@ -196,10 +223,9 @@ def reference_run(problem, cfg, seed: int) -> tuple:
     max(lam + mu (g(x) - theta lam), 0). The stepsizes are ``scalar_steps``.
     """
     sched = Schedule(problem, cfg)
-    form = problem.arrays
-    params = form.params(seed, cfg.T)
+    params = problem.params(seed, cfg.T)
     closed = cfg.lagrangian == "clipped"
-    gs = point_constraints(form)
+    gs = point_constraints(problem)
     if cfg.aggregation == "max":
         gs = [max_aggregate(gs)]
     x, lam = problem.x0(), np.zeros(len(gs))
@@ -210,9 +236,9 @@ def reference_run(problem, cfg, seed: int) -> tuple:
         if closed:
             lam = np.maximum(g, 0.0) / theta
         xs[t - 1], lams[t - 1] = x, lam
-        fgrad = form.grad(x[None], params[t - 1 : t])[0]
+        fgrad = problem.grad(x[None], params[t - 1 : t])[0]
         f = ConvexFn(lambda _: 0.0, lambda _: fgrad)
-        x_next = project_ball(x - eta * lagrangian_grad_x(f, gs, x, lam, clipped=closed), problem.dom)
+        x_next = project_ball(x - eta * lagrangian_grad_x(f, gs, x, lam, clipped=closed), problem.R)
         if not closed:
             lam = np.maximum(lam + mu * (g - theta * lam), 0.0)
         x = x_next

@@ -204,10 +204,10 @@ def test_negative_control_gradient_sign(monkeypatch):
     assert figure(result.details, "worst rel err =") > 1.0
 
 
-# the array form of each built-in probed by check 9, and the constraint row
-# a flip negates: toy's l1 constraint, the doubly-stochastic (d = 3) sum of
+# the class of each built-in probed by check 9, and the constraint row a
+# flip negates: toy's l1 constraint, the doubly-stochastic (d = 3) sum of
 # column 1 <= 1, and dispatch's x_1 <= x_max_1
-FLIPPED_ROW = {"toy": ("_ToyArrays", 0), "ds": ("_DoublyStochasticArrays", 7), "dispatch": ("_DispatchArrays", 5)}
+FLIPPED_ROW = {"toy": ("ToyProblem", 0), "ds": ("DoublyStochasticProblem", 7), "dispatch": ("DispatchProblem", 5)}
 
 
 @pytest.mark.parametrize("part", ["values", "jacobian", "loss", "grad"])

@@ -15,8 +15,7 @@ from ocolc.algorithms import (
 from ocolc.core import ConvexFn
 from ocolc.problems import toy_problem, doubly_stochastic_problem, dispatch_problem
 
-from conftest import make_problem
-from reference import scalar_steps, theorem1_params
+from reference import ClosureProblem, per_step, scalar_steps, theorem1_params
 
 
 def _one_d_problem(R=1.0, G=1.0, slope=1.0, H1=None, x0=0.0):
@@ -26,7 +25,7 @@ def _one_d_problem(R=1.0, G=1.0, slope=1.0, H1=None, x0=0.0):
     def make_loss(seed, t):
         return ConvexFn(lambda x: float(slope * x[0]), lambda x: np.array([slope]))
 
-    p = make_problem(1, [g], R=R, G=G, H1=H1, make_loss=make_loss)
+    p = ClosureProblem(1, [g], per_step(make_loss), R=R, G=G, H1=H1)
     p.x0 = lambda: np.array([x0])
     return p
 
@@ -104,12 +103,11 @@ def test_clipped_ogd_hand_step():
 def test_kernel_projects_step_whose_norm_overflows():
     # the step -eta * (3, 4) is finite but its squared norm overflows; the
     # kernel's ball projection must still land on the sphere, like project_ball
-    p = make_problem(
+    p = ClosureProblem(
         2,
         [ConvexFn(lambda x: float(x[0] - 10.0), lambda x: np.array([1.0, 0.0]))],
+        per_step(lambda s, t: ConvexFn(lambda x: float(3 * x[0] + 4 * x[1]), lambda x: np.array([3.0, 4.0]))),
         R=2.0,
-        make_loss=lambda s, t: ConvexFn(lambda x: float(3 * x[0] + 4 * x[1]),
-                                        lambda x: np.array([3.0, 4.0])),
     )
     cfg = AlgoConfig("clipped-ogd", T=10, eta_override=1e300, sigma_override=1.0)
     with np.errstate(over="ignore"):
@@ -118,10 +116,10 @@ def test_kernel_projects_step_whose_norm_overflows():
 
 
 def test_clipped_ogd_constant_loss_fixed_point():
-    p = make_problem(
+    p = ClosureProblem(
         2,
         [ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0, 0.0]))],
-        make_loss=lambda s, t: ConvexFn(lambda x: 1.0, lambda x: np.zeros(2)),
+        per_step(lambda s, t: ConvexFn(lambda x: 1.0, lambda x: np.zeros(2))),
     )
     cfg = AlgoConfig("clipped-ogd", T=5)
     tr = run(p, cfg, seed=0)
@@ -238,7 +236,7 @@ def test_run_lambda_identity_and_bounds():
     rhs = np.maximum(tr.g_agg[:, 0], 0.0)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
     # ball feasibility and dual nonnegativity
-    assert np.linalg.norm(tr.x, axis=1).max() <= p.dom.radius * (1 + 1e-12)
+    assert np.linalg.norm(tr.x, axis=1).max() <= p.R * (1 + 1e-12)
     assert tr.lam.min() >= 0.0
 
 
@@ -246,11 +244,11 @@ def test_run_all_variants_respect_bounds():
     p = toy_problem()
     for variant in ("clipped-ogd", "mahdavi-ogd", "a-ogd"):
         tr = run(p, AlgoConfig(variant, T=500), seed=5)
-        assert np.linalg.norm(tr.x, axis=1).max() <= p.dom.radius * (1 + 1e-12)
+        assert np.linalg.norm(tr.x, axis=1).max() <= p.R * (1 + 1e-12)
         assert tr.lam.min() >= 0.0
     ds = doubly_stochastic_problem(d=3)
     tr = run(ds, AlgoConfig("strong", T=500), seed=5)
-    assert np.linalg.norm(tr.x, axis=1).max() <= ds.dom.radius * (1 + 1e-12)
+    assert np.linalg.norm(tr.x, axis=1).max() <= ds.R * (1 + 1e-12)
     assert tr.lam.min() >= 0.0
 
 
@@ -273,11 +271,7 @@ def test_run_abort_carries_step_index():
 
         return ConvexFn(lambda x: 0.0, sg)
 
-    p = make_problem(
-        1,
-        [ConvexFn(lambda x: float(x[0] - 10.0), lambda x: np.array([1.0]))],
-        make_loss=make_loss,
-    )
+    p = ClosureProblem(1, [ConvexFn(lambda x: float(x[0] - 10.0), lambda x: np.array([1.0]))], per_step(make_loss))
     with pytest.raises(RunError) as ei:
         run(p, AlgoConfig("clipped-ogd", T=5), seed=0)
     assert ei.value.step == 3  # t is 1-based; loss index 2 is step 3
@@ -285,7 +279,7 @@ def test_run_abort_carries_step_index():
 
 @st.composite
 def lambda_identity_cases(draw):
-    """A problem, from conftest.make_problem with random affine or
+    """A problem, a reference.ClosureProblem with random affine or
     quadratic constraints and linear losses, or built in."""
     name = draw(st.sampled_from(["random", "toy", "ds3", "dispatch"]))
     if name == "toy":
@@ -309,7 +303,7 @@ def lambda_identity_cases(draw):
         c = np.random.default_rng((seed, t)).standard_normal(n)
         return ConvexFn(lambda x: float(c @ x), lambda x: c)
 
-    return make_problem(n, gs, R=draw(st.floats(0.5, 3.0)), make_loss=make_loss)
+    return ClosureProblem(n, gs, per_step(make_loss), R=draw(st.floats(0.5, 3.0)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -215,6 +215,27 @@ def test_a_config_entry_and_its_flag_are_one_path(tmp_path, capsys, entry):
     assert from_file.startswith(f"usage error: --{key}: ") and from_file.count("\n") == 1
 
 
+def test_config_given_twice_is_a_usage_error(tmp_path, capsys):
+    # argparse would keep the last --config and drop the first file's entries
+    (tmp_path / "a.cfg").write_text("algo=clipped-ogd\n")
+    (tmp_path / "b.cfg").write_text("T=5\n")
+    out = tmp_path / "o"
+    argv = ("run", "--problem", "toy", "--config", str(tmp_path / "a.cfg"), f"--config={tmp_path / 'b.cfg'}")
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "usage error: --config: given 2 times; name one file\n"
+    assert not out.exists()
+
+
+def test_config_key_set_twice_is_a_usage_error(tmp_path, capsys):
+    # the later entry would win without a word
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("problem=toy\nalgo=clipped-ogd\nT = 5\n# again\nT = 7\n")
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"usage error: --config: {cfg}:5: 'T' is set twice\n"
+    assert not out.exists()
+
+
 def test_read_config_rejects_malformed(tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text("problem toy\n")

@@ -3,51 +3,48 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ocolc.core import BallDomain, ConvexFn, project_ball
+from ocolc.core import ConvexFn, project_ball
 from ocolc.validation import central_differences
 
 from reference import clip_pos, clipped_subgrad, fd_grad, lagrangian_grad_x
 
-B2 = BallDomain(radius=1.0, dim=2)
-
-
 def test_project_ball_interior_unchanged():
     x = np.array([0.3, 0.4])
-    assert np.array_equal(project_ball(x, B2), x)
+    assert np.array_equal(project_ball(x, 1.0), x)
 
 
 def test_project_ball_scales_onto_sphere():
-    got = project_ball(np.array([3.0, 4.0]), B2)
+    got = project_ball(np.array([3.0, 4.0]), 1.0)
     np.testing.assert_allclose(got, [0.6, 0.8], rtol=0, atol=1e-15)
 
 
 def test_project_ball_origin_fixed():
-    got = project_ball(np.zeros(3), BallDomain(radius=5.0, dim=3))
+    got = project_ball(np.zeros(3), 5.0)
     assert np.array_equal(got, np.zeros(3))
 
 
 def test_project_ball_rejects_nonfinite():
     with pytest.raises(ValueError):
-        project_ball(np.array([np.nan, 0.0]), B2)
+        project_ball(np.array([np.nan, 0.0]), 1.0)
     with pytest.raises(ValueError):
-        project_ball(np.array([np.inf, 0.0]), B2)
+        project_ball(np.array([np.inf, 0.0]), 1.0)
 
 
 def test_project_ball_finite_vector_with_overflowing_norm():
     # ||x||^2 overflows to inf although x is finite: still a projection, not
     # the centre
     with np.errstate(over="ignore"):
-        assert np.array_equal(project_ball(np.array([1e200, 0.0]), BallDomain(1, 2)), [1.0, 0.0])
-        got = project_ball(np.array([-3e300, 4e300]), BallDomain(2.0, 2))
+        assert np.array_equal(project_ball(np.array([1e200, 0.0]), 1.0), [1.0, 0.0])
+        got = project_ball(np.array([-3e300, 4e300]), 2.0)
     np.testing.assert_allclose(got, [-1.2, 1.6], rtol=1e-15)
 
 
 def test_project_ball_idempotent(rng):
     for _ in range(200):
         x = rng.normal(size=3) * 10
-        dom = BallDomain(radius=float(rng.uniform(0.1, 5.0)), dim=3)
-        once = project_ball(x, dom)
-        twice = project_ball(once, dom)
+        R = float(rng.uniform(0.1, 5.0))
+        once = project_ball(x, R)
+        twice = project_ball(once, R)
         np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12)
 
 
@@ -56,7 +53,7 @@ def test_project_ball_nonexpansive(rng):
     for _ in range(1000):
         x = rng.normal(size=4) * 5
         y = rng.normal(size=4) * 5
-        px, py = project_ball(x, BallDomain(2.0, 4)), project_ball(y, BallDomain(2.0, 4))
+        px, py = project_ball(x, 2.0), project_ball(y, 2.0)
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -65,18 +62,18 @@ def ball_and_points(draw):
     dim = draw(st.integers(1, 6))
     radius = draw(st.floats(1e-3, 1e3))
     points = hnp.arrays(float, dim, elements=st.floats(-1e6, 1e6))
-    return BallDomain(radius=radius, dim=dim), draw(points), draw(points)
+    return radius, draw(points), draw(points)
 
 
 @settings(max_examples=300, deadline=None)
 @given(ball_and_points())
 def test_project_ball_idempotent_and_nonexpansive_property(case):
     # hypothesis favors zeros, ties and points on or near the sphere
-    dom, x, y = case
-    px, py = project_ball(x, dom), project_ball(y, dom)
-    assert np.linalg.norm(px) <= dom.radius * (1.0 + 1e-12)
-    np.testing.assert_allclose(project_ball(px, dom), px, rtol=1e-15, atol=1e-15 * dom.radius)
-    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1.0 + 1e-12) + 1e-12 * dom.radius
+    R, x, y = case
+    px, py = project_ball(x, R), project_ball(y, R)
+    assert np.linalg.norm(px) <= R * (1.0 + 1e-12)
+    np.testing.assert_allclose(project_ball(px, R), px, rtol=1e-15, atol=1e-15 * R)
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1.0 + 1e-12) + 1e-12 * R
 
 
 def test_clip_pos():
@@ -192,10 +189,3 @@ def test_finite_diff_at_minimum():
     y = np.array([0.2, -0.4, 1.0, 0.0])
     got = central_differences(lambda Y: 0.5 * np.sum((Y - y) ** 2, axis=1, keepdims=True), y[None], h=1e-6)
     np.testing.assert_allclose(got, np.zeros((1, 1, 4)), atol=1e-9)
-
-
-def test_ball_domain_validation():
-    with pytest.raises(ValueError):
-        BallDomain(radius=0.0, dim=2)
-    with pytest.raises(ValueError):
-        BallDomain(radius=1.0, dim=0)

@@ -1,8 +1,8 @@
-"""The batched kernel and the array form of the problems.
+"""The batched kernel and the batched losses and constraints of the problems.
 
-Property tests: each built-in problem's array form equals hand-written
+Property tests: each built-in problem's batched methods equal hand-written
 per-point closures bit for bit (the loss and constraint closures below, in
-``reference.ClosureArrays``), and
+a ``reference.ClosureProblem``), and
 a B-row kernel call equals B one-row run() calls bit for bit. The golden
 digests pin run() itself to the earlier per-step code.
 """
@@ -30,9 +30,8 @@ from ocolc.problems import (
     toy_problem,
 )
 
-from conftest import make_problem
 from golden_cases import inline_problem
-from reference import ClosureArrays, lagrangian_grad_x, max_aggregate, reference_run
+from reference import ClosureProblem, lagrangian_grad_x, max_aggregate, per_step, reference_run
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,8 +48,8 @@ def same_bits(a, b):
 
 # ------------------------------------------------ per-point reference losses
 # The built-in per-step losses as the closures they were written as before
-# ArrayForm.loss became their only definition. Their parameters come from the
-# stream functions, never from an array form.
+# the batched loss became their only definition. Their parameters come from
+# the stream functions, never from a problem's own methods.
 
 
 def toy_loss(c):
@@ -79,16 +78,16 @@ def reference_losses(problem):
     if problem.name == "toy":
         return lambda s, T: [toy_loss(c) for c in toy_costs(s, T)]
     if problem.name == "doubly-stochastic":
-        d = problem.meta["d"]
+        d = problem.d
         return lambda s, T: [ds_loss(d, perm + np.arange(d) * d) for perm in permutation_batch(s, T, d)]
-    p = problem.meta["params"]
+    p = problem.p
     return lambda s, T: [dispatch_loss(p, d_t) for d_t in p.demand[np.arange(T) % p.demand.size]]
 
 
 # ------------------------------------------ per-point reference constraints
 # The built-in constraints as per-point closures: toy's and dispatch's as
-# they were written before ArrayForm.values/jacobian became their only
-# definition, doubly-stochastic's written out here. A spec built from
+# they were written before the batched values/jacobian became their only
+# definition, doubly-stochastic's written out here. A problem built from
 # closures is its own reference.
 
 
@@ -159,13 +158,13 @@ def dispatch_constraints(p):
 
 def reference_constraints(problem):
     """The per-point constraint closures of a problem, never its own views."""
-    if isinstance(problem.arrays, ClosureArrays):
-        return problem.arrays.gs
+    if isinstance(problem, ClosureProblem):
+        return problem.gs
     if problem.name == "toy":
-        return toy_constraints(problem.meta["l1_radius"])
+        return toy_constraints(problem.l1_radius)
     if problem.name == "doubly-stochastic":
-        return ds_constraints(problem.meta["d"])
-    return dispatch_constraints(problem.meta["params"])
+        return ds_constraints(problem.d)
+    return dispatch_constraints(problem.p)
 
 
 # ------------------------------------------------------ array form vs fns
@@ -174,16 +173,15 @@ BUILT_IN = ["toy", "dispatch"] + [f"ds{d}" for d in range(2, 10)]
 
 
 def assert_array_form_matches(p, X, seed, start, constraint_rows=None):
-    form = p.arrays
-    fns = ClosureArrays(reference_constraints(p), reference_losses(p))
+    fns = ClosureProblem(p.n, reference_constraints(p), reference_losses(p))
     stop = start + len(X)
-    fx, grad = form.loss(X, form.params(seed, stop)[start:])
+    fx, grad = p.loss(X, p.params(seed, stop)[start:])
     fx_ref, grad_ref = fns.loss(X, fns.params(seed, stop)[start:])
     assert same_bits(fx, fx_ref)
     assert same_bits(grad, grad_ref)
     X = X[:constraint_rows]  # one closure call per constraint and row
-    assert same_bits(form.values(X), fns.values(X))
-    assert same_bits(form.jacobian(X), fns.jacobian(X))
+    assert same_bits(p.values(X), fns.values(X))
+    assert same_bits(p.jacobian(X), fns.jacobian(X))
 
 
 def points(rng, rows, n):
@@ -249,20 +247,19 @@ def test_lagrangian_gradient_matches_convexfn_path(name, mode, seed):
     p = problem(name)
     rng = np.random.default_rng(seed)
     X = points(rng, 6, p.n) * (0.3 if name.startswith("ds") else 1.0)
-    form = p.arrays
-    params = form.params(seed % 1000, 6)
+    params = p.params(seed % 1000, 6)
     losses = p.losses(seed % 1000, 6)
-    fx, fgrad = form.loss(X, params)
-    V = form.values(X)
+    fx, fgrad = p.loss(X, params)
+    V = p.values(X)
     A = _aggregate(V, mode)
     # some rows with every dual zero, some with every dual positive
     active = rng.random(A.shape) < rng.choice([0.0, 0.3, 0.6, 1.0], size=(len(X), 1))
     lam = rng.uniform(0.0, 3.0, size=A.shape) * active
-    got = _lagrangian_grad(form, X, V, lam, fgrad, mode)
+    got = _lagrangian_grad(p, X, V, lam, fgrad, mode)
     for b in range(len(X)):
         assert same_bits(got[b], reference_grad(p, losses[b], X[b], lam[b], mode, False)), "plain"
     lam = clipped_dual(A, rng.choice([1e-3, 0.1, 1.0, 10.0], size=(len(X), 1)))
-    got = _lagrangian_grad(form, X, V, lam, fgrad, mode)
+    got = _lagrangian_grad(p, X, V, lam, fgrad, mode)
     for b in range(len(X)):
         assert same_bits(got[b], reference_grad(p, losses[b], X[b], lam[b], mode, True)), "clipped"
 
@@ -272,12 +269,12 @@ def test_fn_arrays_keep_their_shapes_on_an_empty_batch(name):
     # the closure form of a built-in on an empty batch; a grid block whose
     # points all leave the ball is such a batch
     p = problem(name)
-    form, fns = p.arrays, ClosureArrays(reference_constraints(p), reference_losses(p))
+    fns = ClosureProblem(p.n, reference_constraints(p), reference_losses(p))
     X = np.empty((0, p.n))
-    for got, want in zip(fns.loss(X, fns.params(0, 0)), form.loss(X, form.params(0, 0))):
+    for got, want in zip(fns.loss(X, fns.params(0, 0)), p.loss(X, p.params(0, 0))):
         assert got.shape == want.shape
     for method in ("values", "jacobian"):
-        assert getattr(fns, method)(X).shape == getattr(form, method)(X).shape, method
+        assert getattr(fns, method)(X).shape == getattr(p, method)(X).shape, method
 
 
 # ------------------------------------------------- B rows vs B run() calls
@@ -398,7 +395,7 @@ def test_failing_row_stops_alone():
         return ConvexFn(lambda x: float(x[0]), lambda x: np.array([np.nan if bad else 1.0]))
 
     g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
-    p = make_problem(1, [g], make_loss=make_loss)
+    p = ClosureProblem(1, [g], per_step(make_loss))
     cells = [(AlgoConfig("clipped-ogd", T=T), seed) for T in (4, 6) for seed in (0, 1, 2)]
     assert_fails_alone(p, cells, lambda cfg, seed: seed == 1, step=3)
 
@@ -439,7 +436,7 @@ def test_failing_row_leaves_aogd_schedules_aligned():
         return ConvexFn(lambda x: float(-x[0]), lambda x: np.array([np.nan if bad else -1.0 - seed]))
 
     g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
-    p = make_problem(1, [g], make_loss=make_loss)
+    p = ClosureProblem(1, [g], per_step(make_loss))
     cells = [
         (AlgoConfig(v, T=T, beta=beta), seed)
         for v in ("a-ogd", "mahdavi-ogd")
@@ -468,15 +465,14 @@ def test_step_loop_reads_only_the_loss_gradient(monkeypatch):
         return ConvexFn(lambda x: float(3.0 * x[0]), lambda x: np.array([np.nan if bad else 3.0]))
 
     g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
-    p = make_problem(1, [g], make_loss=make_loss)
-    form = p.arrays
+    p = ClosureProblem(1, [g], per_step(make_loss))
     calls = []
     for name in ("loss", "loss_value", "grad"):
-        def spy(X, P, name=name, exact=getattr(form, name)):
+        def spy(X, P, name=name, exact=getattr(p, name)):
             calls.append((name, len(X)))
             return exact(X, P)
 
-        monkeypatch.setattr(form, name, spy)
+        monkeypatch.setattr(p, name, spy)
     traces = advance(p, [AlgoConfig("clipped-ogd", T=T) for T in (4, 6, 6)], [0, 1, 2])
     assert isinstance(traces[1], RunError) and traces[1].step == 3
     assert [name for name, _ in calls] == ["grad"] * 6 + ["loss_value"] * 2
@@ -497,15 +493,15 @@ def test_call_whose_rows_all_failed_stops(monkeypatch, failing, steps):
         return ConvexFn(lambda x: float(3.0 * x[0]), lambda x: np.array([np.nan if bad else 3.0]))
 
     g = ConvexFn(lambda x: float(x[0] - 0.5), lambda x: np.array([1.0]))
-    p = make_problem(1, [g], make_loss=make_loss)
+    p = ClosureProblem(1, [g], per_step(make_loss))
     calls = []
-    exact = p.arrays.grad
+    exact = p.grad
 
     def counted(X, P):
         calls.append(len(X))
         return exact(X, P)
 
-    monkeypatch.setattr(p.arrays, "grad", counted)
+    monkeypatch.setattr(p, "grad", counted)
     traces = advance(p, [AlgoConfig("clipped-ogd", T=T) for T in (4, 6, 6)], [0, 1, 2])
     assert [isinstance(trace, RunError) for trace in traces] == [b in failing for b in range(3)]
     assert len(calls) == steps
@@ -535,7 +531,7 @@ def test_batch_stands_in_for_its_problem():
     p = toy_problem()
     cfg = AlgoConfig("clipped-ogd", T=5)
     batch = Batch(p, [(cfg, 3)])
-    assert batch.name == "toy" and batch.dom is p.dom
+    assert batch.name == "toy" and batch.R == p.R and batch.l1_radius == p.l1_radius
     with pytest.raises(KeyError):
         batch.trace(AlgoConfig("clipped-ogd", T=6), 3)
     assert same_bits(run(batch, cfg, 3).x, run(p, cfg, 3).x)
@@ -599,13 +595,13 @@ def test_merged_sweep_call_stays_near_its_traces(monkeypatch):
     cfgs, seeds = map(list, zip(*SWEEP_TOY_CELLS))
     advance(p, [dataclasses.replace(cfgs[0], T=1)], seeds[:1])  # lazy state of the problem, if any
     streams = []
-    params = p.arrays.params
+    params = p.params
 
     def counted(seed, T):
         streams.append(seed)
         return params(seed, T)
 
-    monkeypatch.setattr(p.arrays, "params", counted)
+    monkeypatch.setattr(p, "params", counted)
     tracemalloc.start()
     try:
         traces = advance(p, cfgs, seeds)

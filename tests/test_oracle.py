@@ -20,7 +20,8 @@ from ocolc.oracle import (
 )
 from ocolc.problems import DispatchParams, doubly_stochastic_problem, dispatch_problem, toy_problem
 
-from conftest import make_problem, perfbench_module
+from conftest import perfbench_module
+from reference import ClosureProblem
 
 
 def _linear_loss(c):
@@ -59,7 +60,7 @@ def test_offline_solve_ds_single_permutation_target():
 def test_offline_solve_dispatch_interior_matches_normal_equations():
     # small demand keeps every constraint inactive: compare to the linear system
     p = dispatch_problem()
-    pars = p.meta["params"]
+    pars = p.p
     d_t = 18.0
     f = ConvexFn(
         lambda x: float(0.5 * pars.a @ (x * x) + pars.b @ x + pars.xi * (x.sum() - d_t) ** 2),
@@ -83,7 +84,7 @@ def test_offline_solve_deterministic():
 
 def test_offline_solve_infeasible_raises_with_best():
     g_impossible = ConvexFn(lambda x: 1.0, lambda x: np.zeros(2))
-    p = make_problem(2, [g_impossible], R=1.0, G=1.0)
+    p = ClosureProblem(2, [g_impossible])
     with pytest.raises(OracleError) as ei:
         offline_solve(p, _linear_loss([1.0, 0.0]), iters=50, max_ramps=3)
     assert ei.value.best.residual >= 1.0
@@ -101,7 +102,7 @@ def test_grid_oracle_toy_single_cost():
 
 def test_grid_oracle_infeasible_everywhere():
     g_impossible = ConvexFn(lambda x: 1.0, lambda x: np.zeros(2))
-    p = make_problem(2, [g_impossible], R=1.0, G=1.0)
+    p = ClosureProblem(2, [g_impossible])
     with pytest.raises(ValueError, match="no feasible grid point"):
         grid_oracle(p, _linear_loss([1.0, 0.0]), resolution=0.1)
 
@@ -123,13 +124,13 @@ def test_grid_oracle_dimension_guard():
 def _grid_oracle_whole(problem, loss, resolution):
     """Reference: the whole grid built at once, as grid_oracle did before it
     walked the grid in blocks. The blocked version must match it bit for bit."""
-    R = problem.dom.radius
+    R = problem.R
     steps = int(np.floor(2.0 * R / resolution)) + 1
     coords = -R + resolution * np.arange(steps)
     grids = np.meshgrid(*([coords] * problem.n), indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
     X = X[np.linalg.norm(X, axis=1) <= R]
-    X = X[(problem.arrays.values(X) <= 0.0).all(axis=1)]
+    X = X[(problem.values(X) <= 0.0).all(axis=1)]
     if len(X) == 0:
         raise ValueError("no feasible grid point at this resolution")
     total = np.zeros(len(X))
@@ -151,7 +152,7 @@ def _assert_same_grid_answer(problem, loss, resolution):
 
 def _slack_problem(n, R=1.0):
     g = ConvexFn(lambda x: -1.0, lambda x: np.zeros(n))
-    return make_problem(n, [g], R=R)
+    return ClosureProblem(n, [g], R=R)
 
 
 def test_grid_oracle_memory_bounded_by_block():
@@ -228,15 +229,15 @@ def test_grid_oracle_tie_across_blocks_keeps_first(monkeypatch):
 def test_values_on_coordinate_major_view_match_c_rows(problem):
     # grid_oracle passes the transposed view of its (n, N) points
     rng = np.random.default_rng(problem.n)
-    P = problem.dom.radius * rng.uniform(-1.0, 1.0, size=(problem.n, 5000))
+    P = problem.R * rng.uniform(-1.0, 1.0, size=(problem.n, 5000))
     rows = np.ascontiguousarray(P.T)
     assert P.T.flags.f_contiguous and rows.flags.c_contiguous
-    got, ref = problem.arrays.values(P.T), problem.arrays.values(rows)
-    assert got.shape == ref.shape == (5000, problem.arrays.m)
+    got, ref = problem.values(P.T), problem.values(rows)
+    assert got.shape == ref.shape == (5000, problem.m)
     assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("R", [1.0, dispatch_problem().dom.radius])
+@pytest.mark.parametrize("R", [1.0, dispatch_problem().R])
 def test_ball_mask_sums_squares_in_norm_order(R):
     # points within a few ulps of the sphere, kept where the association of
     # the three squares changes their sum
@@ -494,7 +495,7 @@ def test_exact_dispatch_matches_the_full_size_benchmark_references(tmp_path, slo
 
 def test_dispatch_with_a_zero_quadratic_cost_uses_the_penalty_solver():
     p = dispatch_problem(DispatchParams(a=np.array([0.2, 0.0, 0.14])))
-    assert p.offline_solution is None
+    assert p.mean_loss(0, 50).argmin is None
     assert offline_value(p, 0, 50, iters=200).info["solver"] == "penalty"
 
 

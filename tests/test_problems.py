@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import ocolc.problems
 from ocolc.core import ConvexFn
+from ocolc.oracle import offline_value
 from ocolc.problems import (
     DispatchParams,
     dispatch_problem,
@@ -15,8 +17,62 @@ from ocolc.problems import (
     toy_raw_costs,
 )
 
-from reference import fd_grad
+from reference import ClosureProblem, fd_grad
 from test_kernel import reference_constraints
+
+
+# ----------------------------------------------------------- every problem
+
+# n, m, R, G, H1 and whether A is set, written out from the built-ins; R and
+# G are compared to 1e-13 relative, which covers a norm's rounding on other
+# BLAS builds but no change of formula
+CONSTANTS = {
+    "toy": (lambda: toy_problem(), 2, 1, 1.0, 1.4142135623730951, None, False),
+    "toy-l1-10": (lambda: toy_problem(l1_radius=10), 2, 1, 1.0, 1.4142135623730951, None, False),
+    "ds3": (lambda: doubly_stochastic_problem(d=3), 9, 21, 3.0, 4.732050807568877, 1.0, True),
+    "ds5": (lambda: doubly_stochastic_problem(d=5), 25, 45, 5.0, 7.23606797749979, 1.0, True),
+    "dispatch": (lambda: dispatch_problem(), 3, 7, 33.8864279616486, 213.06221065499957, 0.12, False),
+    "dispatch-rescale-2": (
+        lambda: dispatch_problem(DispatchParams(demand_rescale=2.0)),
+        3, 7, 33.8864279616486, 315.7878518327236, 0.12, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANTS)
+def test_built_in_constants(name):
+    build, n, m, R, G, H1, affine = CONSTANTS[name]
+    p = build()
+    assert (p.n, p.m, p.H1, p.A is not None) == (n, m, H1, affine)
+    assert p.R == pytest.approx(R, rel=1e-13) and p.G == pytest.approx(G, rel=1e-13)
+
+
+def test_ball_radius_must_be_positive():
+    for R in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="ball radius must be positive"):
+            ClosureProblem(2, [], R=R)
+    # a dispatch ball is 1.1 ||x_max||: zero capacities leave no ball
+    with pytest.raises(ValueError, match="ball radius must be positive"):
+        dispatch_problem(DispatchParams(x_max=np.zeros(3)))
+
+
+def test_offline_value_reads_each_stream_once(monkeypatch):
+    # the mean loss carries its exact minimiser, so one offline_value call
+    # draws the toy and doubly-stochastic streams once and reads the
+    # dispatch demand once
+    draws = []
+    stream_draws = ocolc.problems._stream_draws
+    monkeypatch.setattr(ocolc.problems, "_stream_draws", lambda *a: draws.append(a) or stream_draws(*a))
+    for p in (toy_problem(), doubly_stochastic_problem(d=3)):
+        draws.clear()
+        assert offline_value(p, 3, 40).info["solver"] == "structural"
+        assert len(draws) == 1, p.name
+    p = dispatch_problem()
+    reads = []
+    params = p.params
+    monkeypatch.setattr(p, "params", lambda *a: reads.append(a) or params(*a))
+    assert offline_value(p, 3, 40).info["solver"] == "structural"
+    assert reads == [(3, 40)]
 
 
 # --------------------------------------------------------------------- toy
@@ -42,9 +98,9 @@ def test_loss_params_row_t_independent_of_horizon():
     # row t of each built-in's params(seed, T) depends only on (seed, t):
     # it is the same for every horizon T > t
     for p in (toy_problem(), doubly_stochastic_problem(d=3), dispatch_problem()):
-        whole = p.arrays.params(5, 100)
+        whole = p.params(5, 100)
         for T in (1, 18, 99):
-            assert np.array_equal(p.arrays.params(5, T), whole[:T]), p.name
+            assert np.array_equal(p.params(5, T), whole[:T]), p.name
 
 
 def test_toy_subgradient_norms_within_G(rng):
@@ -53,7 +109,7 @@ def test_toy_subgradient_norms_within_G(rng):
     for _ in range(1000):
         x = rng.uniform(-1, 1, size=2)
         x = x / max(1.0, np.linalg.norm(x))
-        assert np.linalg.norm(p.arrays.jacobian(x[None])[0, 0]) <= p.G + 1e-12
+        assert np.linalg.norm(p.jacobian(x[None])[0, 0]) <= p.G + 1e-12
         f = fs[int(rng.integers(0, 50))]
         assert np.linalg.norm(f.subgrad(x)) <= p.G + 1e-12
 
@@ -126,13 +182,13 @@ def test_ds_constraint_values_match_fns(rng):
 def test_ds_subgradient_norms_within_G(rng):
     p = doubly_stochastic_problem(d=4)
     fs = p.losses(3, 10)
-    R = p.dom.radius
+    R = p.R
     for _ in range(1000):
         x = rng.normal(size=16)
         x = x / np.linalg.norm(x) * rng.uniform(0, R)
         f = fs[int(rng.integers(0, 10))]
         assert np.linalg.norm(f.subgrad(x)) <= p.G + 1e-9
-    assert np.linalg.norm(p.arrays.jacobian(np.zeros((1, 16)))[0], axis=1).max() <= p.G + 1e-9
+    assert np.linalg.norm(p.jacobian(np.zeros((1, 16)))[0], axis=1).max() <= p.G + 1e-9
 
 
 def test_ds_dimension_guard():
@@ -146,7 +202,7 @@ def test_ds_counts():
     assert p.n == d * d
     assert p.m == 4 * d + d * d
     assert p.H1 == 1.0
-    assert p.dom.radius == d
+    assert p.R == d
 
 
 # ------------------------------------------------------------- dispatch
@@ -154,7 +210,7 @@ def test_ds_counts():
 
 def test_dispatch_origin():
     p = dispatch_problem()
-    d1 = p.meta["params"].demand[0]
+    d1 = p.p.demand[0]
     f0 = p.losses(0, 1)[0]
     assert f0.eval(np.zeros(3)) == pytest.approx(0.5 * d1 * d1)
     assert np.all(p.constraint_values(np.zeros(3)) <= 0.0)
@@ -176,21 +232,21 @@ def test_dispatch_gradients_finite_difference(rng):
         fd = fd_grad(f, x, h=1e-5)
         np.testing.assert_allclose(f.subgrad(x), fd, rtol=1e-6)
     # emission constraint too
-    g0 = ConvexFn(lambda x: p.constraint_values(x)[0], lambda x: p.arrays.jacobian(x[None])[0, 0])
+    g0 = ConvexFn(lambda x: p.constraint_values(x)[0], lambda x: p.jacobian(x[None])[0, 0])
     x = rng.uniform(0, 15, size=3)
     np.testing.assert_allclose(g0.subgrad(x), fd_grad(g0, x, h=1e-5), rtol=1e-6)
 
 
 def test_dispatch_subgradient_norms_within_G(rng):
     p = dispatch_problem()
-    R = p.dom.radius
+    R = p.R
     fs = p.losses(0, 20)
     for _ in range(1000):
         x = rng.normal(size=3)
         x = x / np.linalg.norm(x) * rng.uniform(0, R)
         f = fs[int(rng.integers(0, 20))]
         assert np.linalg.norm(f.subgrad(x)) <= p.G + 1e-9
-        assert np.linalg.norm(p.arrays.jacobian(x[None])[0], axis=1).max() <= p.G + 1e-9
+        assert np.linalg.norm(p.jacobian(x[None])[0], axis=1).max() <= p.G + 1e-9
 
 
 def test_dispatch_demand_wraps_cyclically():
@@ -217,8 +273,8 @@ def test_dispatch_params_validation():
 def test_dispatch_rescale_recorded():
     demand = np.array([100.0, 200.0])
     p = dispatch_problem(DispatchParams(demand=demand, demand_rescale=0.25))
-    assert p.meta["demand_rescale"] == 0.25
-    assert p.meta["d_max"] == 50.0
+    assert p.p.demand_rescale == 0.25
+    assert p.p.demand.max() == 50.0
 
 
 def test_dispatch_project_feasible(rng):
